@@ -15,8 +15,6 @@ import json
 import sys
 import time
 
-import numpy as np
-
 from . import games, kernels, koth, ratings, skillsim, solvers
 from .errors import ConvergenceError, IncompleteDataError, ParameterError
 
@@ -73,24 +71,18 @@ def _targets_for(game: games.Game, entropy: str, variance: float, mode: str):
 def cmd_build(args) -> int:
     t0 = time.perf_counter()
     if args.prefs:
-        records = read = koth.read_preference_csv(args.prefs)
+        records = koth.read_preference_csv(args.prefs)
         kg = koth.build_koth(records)
-        report = {
-            "prompts": len(kg.prompts),
-            "models": len(kg.models),
-            "cells": len(kg.prompts) * len(kg.models) * (len(kg.models) - 1),
-            "samples": len(read),
-        }
-        source = args.prefs
+        samples, source = len(records), args.prefs
     else:
         kg = _load_koth(args.game)
-        report = {
-            "prompts": len(kg.prompts),
-            "models": len(kg.models),
-            "cells": len(kg.prompts) * len(kg.models) * (len(kg.models) - 1),
-            "samples": None,
-        }
-        source = args.game
+        samples, source = None, args.game
+    report = {
+        "prompts": len(kg.prompts),
+        "models": len(kg.models),
+        "cells": len(kg.prompts) * len(kg.models) * (len(kg.models) - 1),
+        "samples": samples,
+    }
     _save_koth(kg, args.out)
     report_path = str(args.out) + ".report.json"
     with open(report_path, "w", encoding="utf-8") as fh:
@@ -154,76 +146,49 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _elo_report(kg: koth.KOTHGame) -> ratings.RatingReport:
+    """The Elo baseline: the king's models rated from prompt-averaged wins."""
+    r = ratings.elo_ratings(koth.prompt_average_win_matrix(kg))
+    return ratings.RatingReport(
+        players=("king",),
+        labels=(kg.models,),
+        ratings=(r,),
+        masses=None,
+        ranks=(ratings.ranks_with_ties(r, kg.models),),
+        method="elo",
+        tie_tolerance=ratings.DEFAULT_TIE_TOL,
+    )
+
+
 def cmd_rate(args) -> int:
     t0 = time.perf_counter()
-    game = games.load_game(args.game)
     inputs = [args.game]
     if args.method == "elo":
-        kg = _load_koth(args.game)
-        w = koth.prompt_average_win_matrix(kg)
-        r = ratings.elo_ratings(w)
-        ranks = ratings.ranks_with_ties(r, kg.models)
-        report_dict = {
-            "method": "elo",
-            "players": ["king"],
-            "tables": [
-                {
-                    "player": "king",
-                    "labels": list(kg.models),
-                    "ratings": r.tolist(),
-                    "masses": [None] * len(kg.models),
-                    "ranks": ranks.tolist(),
-                }
-            ],
-        }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report_dict, fh)
-        csv_path = str(args.out) + ".csv"
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["player", "label", "rating", "mass", "rank"])
-            for lbl, rating, rank in zip(kg.models, r, ranks):
-                writer.writerow(["king", lbl, repr(float(rating)), "", int(rank)])
-        outputs = [args.out, csv_path]
+        report = _elo_report(_load_koth(args.game))
     else:
+        game = games.load_game(args.game)
         with open(args.equilibrium, encoding="utf-8") as fh:
             eq = json.load(fh)
         inputs.append(args.equilibrium)
         profile = solvers.profile_from_dict(eq)
         report = ratings.rate(game, profile, eq.get("method", "eq").upper())
-        report.save_json(args.out)
-        csv_path = str(args.out) + ".csv"
-        report.save_csv(csv_path)
-        outputs = [args.out, csv_path]
+    report.save_json(args.out)
+    csv_path = str(args.out) + ".csv"
+    report.save_csv(csv_path)
     _write_manifest(
-        str(args.out) + ".manifest.json", "rate", vars(args), inputs, outputs, t0
+        str(args.out) + ".manifest.json", "rate", vars(args), inputs, [args.out, csv_path], t0
     )
     return 0
 
 
-def _rank_table(kg: koth.KOTHGame, method: str, seed: int):
-    """Model ranking plus full rating report for one method tag."""
+def _method_report(kg: koth.KOTHGame, method: str) -> ratings.RatingReport:
+    """The rating report of one clone-test method tag."""
     if method == "elo":
-        w = koth.prompt_average_win_matrix(kg)
-        r = ratings.elo_ratings(w)
-        ranks = ratings.ranks_with_ties(r, kg.models)
-        order = sorted(kg.models, key=lambda s: (-r[kg.models.index(s)], s))
-        return order, {"king": (list(kg.models), r.tolist(), ranks.tolist())}
+        return _elo_report(kg)
     entropy = "shannon" if method.endswith("shannon") else "affinity"
     base = "ne" if method.startswith("ne") else "cce"
     result = _solve(kg.game, base, entropy, kernels.DEFAULT_VARIANCE, "joint", None, None, None)
-    report = ratings.rate(kg.game, result.profile, method.upper())
-    king = report.player_index("king")
-    order = report.ranking(king)
-    tables = {
-        report.players[i]: (
-            list(report.labels[i]),
-            report.ratings[i].tolist(),
-            report.ranks[i].tolist(),
-        )
-        for i in range(3)
-    }
-    return order, tables
+    return ratings.rate(kg.game, result.profile, method.upper())
 
 
 def cmd_clone_test(args) -> int:
@@ -243,17 +208,19 @@ def cmd_clone_test(args) -> int:
         else:
             injected = kg
         for method in CLONE_TEST_METHODS:
-            order, tables = _rank_table(injected, method, args.seed)
+            report = _method_report(injected, method)
+            order = report.ranking(report.player_index("king"))
             path = f"{args.out_dir}/ranking_{method}_{count}.csv"
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["player", "label", "rating", "rank", "clone_source"])
-                for player, (labels, rats, ranks) in tables.items():
-                    for j, lbl in enumerate(labels):
+                for i, player in enumerate(report.players):
+                    for j, lbl in enumerate(report.labels[i]):
                         source = ""
                         if player == "prompt" and injected.clone_sources[j] is not None:
                             source = injected.prompts[injected.clone_sources[j]]
-                        writer.writerow([player, lbl, repr(float(rats[j])), ranks[j], source])
+                        rating, rank = float(report.ratings[i][j]), int(report.ranks[i][j])
+                        writer.writerow([player, lbl, repr(rating), rank, source])
             outputs.append(path)
             summary["rows"].append(
                 {

@@ -241,7 +241,12 @@ def prompt_average_win_matrix(koth: KOTHGame) -> np.ndarray:
     the skill-world simulation) still produce valid scores.  The diagonal
     is fixed at 0.5.
     """
-    scores = np.clip(koth.u_king, -1.0, 1.0)
+    return _win_matrix(koth.u_king)
+
+
+def _win_matrix(u_k: np.ndarray) -> np.ndarray:
+    """``prompt_average_win_matrix`` of a bare king tensor."""
+    scores = np.clip(u_k, -1.0, 1.0)
     w = (scores.mean(axis=0) + 1.0) / 2.0
     w = (w + (1.0 - w.T)) / 2.0  # enforce w_ij + w_ji = 1 exactly
     np.fill_diagonal(w, 0.5)

@@ -49,12 +49,15 @@ def ranks_with_ties(ratings: np.ndarray, labels, tie_tolerance: float = DEFAULT_
 
 @dataclass
 class RatingReport:
-    """Per-player ratings, equilibrium masses, and tie-grouped ranks."""
+    """Per-player ratings, equilibrium masses, and tie-grouped ranks.
+
+    ``masses`` is None for a rating that comes from no equilibrium (Elo).
+    """
 
     players: tuple[str, ...]
     labels: tuple[tuple[str, ...], ...]
     ratings: tuple[np.ndarray, ...]
-    masses: tuple[np.ndarray, ...]
+    masses: tuple[np.ndarray, ...] | None
     ranks: tuple[np.ndarray, ...]
     method: str
     tie_tolerance: float
@@ -81,7 +84,9 @@ class RatingReport:
                     "player": self.players[i],
                     "labels": list(self.labels[i]),
                     "ratings": self.ratings[i].tolist(),
-                    "masses": self.masses[i].tolist(),
+                    "masses": [None] * len(self.labels[i])
+                    if self.masses is None
+                    else self.masses[i].tolist(),
                     "ranks": self.ranks[i].tolist(),
                 }
                 for i in range(len(self.players))
@@ -103,7 +108,7 @@ class RatingReport:
                             player,
                             lbl,
                             repr(float(self.ratings[i][j])),
-                            repr(float(self.masses[i][j])),
+                            "" if self.masses is None else repr(float(self.masses[i][j])),
                             int(self.ranks[i][j]),
                         ]
                     )
@@ -253,7 +258,6 @@ def elo_ratings(
         sig = 1.0 / (1.0 + np.exp(-diff))
         # d/dr_i of the pair (i,j) term is w_ij * sigma(r_j - r_i); of (j,i) is -w_ji * sigma(r_i - r_j)
         g = -(w * (1.0 - sig)).sum(axis=1) + (w.T * sig).sum(axis=1)
-        g += np.diag(w) * 0.0
         return g + 2.0 * lambda_reg * r
 
     res = minimize(neg_loglik, np.zeros(m), jac=grad, method="L-BFGS-B")

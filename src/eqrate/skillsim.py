@@ -19,7 +19,7 @@ import numpy as np
 from . import koth as koth_mod
 from . import solvers
 from .errors import ConvergenceError, DimensionError, ParameterError, SimulationAbort
-from .games import Game, all_regrets
+from .games import Game, ProductProfile, all_regrets
 from .kernels import affinity_targets
 from .ratings import elo_ratings, separability
 
@@ -65,14 +65,18 @@ def _king_tensor(prompts: np.ndarray, models: np.ndarray) -> np.ndarray:
     return margins[:, :, None] - margins[:, None, :]
 
 
+def _skill_game(u_k: np.ndarray) -> Game:
+    P, M = u_k.shape[0], u_k.shape[1]
+    labels_p = tuple(f"p{i:03d}" for i in range(P))
+    labels_m = tuple(f"m{i:03d}" for i in range(M))
+    return koth_mod._koth_game(u_k, labels_p, labels_m, [None] * P).game
+
+
 def build_skill_game(world: SkillWorld) -> Game:
     """The 3-player evaluation game implied by a skill world."""
     if len(world.prompts) < 1 or len(world.model_increments) < 2:
         raise DimensionError("need at least 1 prompt and 2 models")
-    u_k = _king_tensor(np.stack(world.prompts), np.stack(world.models))
-    labels_p = tuple(f"p{i:03d}" for i in range(len(world.prompts)))
-    labels_m = tuple(f"m{i:03d}" for i in range(len(world.model_increments)))
-    return koth_mod._koth_game(u_k, labels_p, labels_m, [None] * len(labels_p)).game
+    return _skill_game(_king_tensor(np.stack(world.prompts), np.stack(world.models)))
 
 
 @dataclass(frozen=True)
@@ -83,6 +87,11 @@ class SimConfig:
     changed only incrementally, cutting equilibrium solves from a full
     anneal to a short refinement; turn it off to re-anneal from scratch on
     every rating call (slower, selection-path faithful).
+
+    ``solver`` overrides fields of the arm's solver config (``QREConfig``
+    for ne, ``CCEConfig`` for cce) and is passed on as given.  Left None,
+    the ne arm uses ``_EquilibriumRater.DEFAULT_OVERRIDES`` and the cce arm
+    the ``CCEConfig`` defaults.
     """
 
     num_skills: int = 4
@@ -191,11 +200,7 @@ def _snapshot(t: int, prompts: list, models: list) -> dict:
 def _elo_model_ratings(u_k: np.ndarray, mode: str) -> np.ndarray:
     if mode == "mean_utility":
         return np.clip(u_k, -1.0, 1.0).mean(axis=(0, 2))
-    w = np.clip(u_k, -1.0, 1.0)
-    w = (w.mean(axis=0) + 1.0) / 2.0
-    w = (w + (1.0 - w.T)) / 2.0
-    np.fill_diagonal(w, 0.5)
-    return elo_ratings(w)
+    return elo_ratings(koth_mod._win_matrix(u_k))
 
 
 class _EquilibriumRater:
@@ -208,10 +213,10 @@ class _EquilibriumRater:
     rows (always at the front) start at their target logits.
     """
 
-    # desk-scale speed/robustness overrides; pass solver={} for the pure
-    # paper schedule.  A soft terminal temperature is enough here: ratings
-    # only pick argmax candidates, and the near-duplicate models that
-    # accumulate late in a trial make colder traces stall-prone.
+    # desk-scale speed/robustness overrides of the ne arm's QREConfig; pass
+    # solver={} for the pure paper schedule.  A soft terminal temperature is
+    # enough here: ratings only pick argmax candidates, and the near-duplicate
+    # models that accumulate late in a trial make colder traces stall-prone.
     DEFAULT_OVERRIDES = {
         "anneal_check_interval": 30,
         "tau_terminal": 0.1,
@@ -220,14 +225,13 @@ class _EquilibriumRater:
 
     def __init__(self, config: SimConfig):
         self.method = config.rating_method
-        self.overrides = dict(
-            self.DEFAULT_OVERRIDES if config.solver is None else config.solver
-        )
+        defaults = self.DEFAULT_OVERRIDES if self.method == "ne" else {}
+        self.overrides = dict(defaults if config.solver is None else config.solver)
         self.warm = config.warm_start
         self.z_store = {0: [], 1: [], 2: []}  # persistent-action logits
         self.last_z: list[np.ndarray] | None = None
 
-    def _solve(self, game, targets, warm_ok, new_p, new_m):
+    def _solve(self, game, targets, warm_ok, new_p, new_m) -> ProductProfile:
         base = solvers.QREConfig(targets=targets, **self.overrides)
         if warm_ok:
             logt = [np.log(t) for t in targets]
@@ -244,18 +248,15 @@ class _EquilibriumRater:
                 },
             )
             try:
-                return solvers.solve_lle(game, warm, init_logits=init)
+                return solvers.solve_lle(game, warm, init_logits=init).profile
             except ConvergenceError:
                 pass
         try:
-            return solvers.solve_lle(game, base)
+            return solvers.solve_lle(game, base).profile
         except ConvergenceError as exc:
             # rate with the furthest-annealed iterate rather than dying;
             # candidate selection only needs the rating order
-            class _Partial:
-                profile = exc.iterate
-
-            return _Partial()
+            return exc.iterate
 
     def rate(self, prompts: np.ndarray, models: np.ndarray, new_p: int, new_m: int):
         u_k = _king_tensor(prompts, models)
@@ -263,9 +264,7 @@ class _EquilibriumRater:
         if scale > 0:
             u_k = u_k / scale
         P, M = u_k.shape[0], u_k.shape[1]
-        labels_p = tuple(f"p{i:03d}" for i in range(P))
-        labels_m = tuple(f"m{i:03d}" for i in range(M))
-        game = koth_mod._koth_game(u_k, labels_p, labels_m, [None] * P).game
+        game = _skill_game(u_k)
         targets = affinity_targets(game)
         warm_ok = (
             self.warm
@@ -274,17 +273,16 @@ class _EquilibriumRater:
             and len(self.z_store[1]) == M - new_m
         )
         if self.method == "ne":
-            result = self._solve(game, targets, warm_ok, new_p, new_m)
-            marg = result.profile.marginals
-            self.last_z = [np.log(np.maximum(m, 1e-300)) for m in marg]
+            profile = self._solve(game, targets, warm_ok, new_p, new_m)
+            self.last_z = [np.log(np.maximum(m, 1e-300)) for m in profile.marginals]
             for player, fresh in ((0, new_p), (1, new_m), (2, new_m)):
                 self.z_store[player] = list(self.last_z[player][fresh:])
         else:
             config = solvers.CCEConfig(
                 target_log_joint=solvers.target_log_joint(targets), **self.overrides
             )
-            result = solvers.solve_mre_cce(game, config)
-        regs = all_regrets(game, result.profile)
+            profile = solvers.solve_mre_cce(game, config).profile
+        regs = all_regrets(game, profile)
         return regs[0], regs[1]
 
     def accept_prompt(self, candidate_index: int) -> None:

@@ -26,23 +26,9 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import logsumexp, softmax
 
-
-def _lse1(v: np.ndarray) -> float:
-    # scipy's logsumexp has too much call overhead for tight vector loops
-    m = v.max()
-    return float(m + np.log(np.exp(v - m).sum()))
-
-
-def _softmax1(v: np.ndarray) -> np.ndarray:
-    e = np.exp(v - v.max())
-    return e / e.sum()
-
-from . import _fastpath, kernels
+from . import kernels
 from .errors import ConvergenceError, DimensionError, ParameterError
 from .games import Game, JointDistribution, ProductProfile, deviation_payoff, exploitability
-
-# Set False to force the pure-numpy trace loop (e.g. for debugging).
-USE_FAST_PATH = True
 
 # Solver defaults; shared across every descent loop.
 DEFAULT_LEARNING_RATE = 1e-2
@@ -185,6 +171,17 @@ def profile_from_dict(data: dict) -> ProductProfile | JointDistribution:
     return JointDistribution(
         np.asarray(prof["joint"], dtype=float).reshape(prof["shape"])
     )
+
+
+def _lse1(v: np.ndarray) -> float:
+    # scipy's logsumexp has too much call overhead for tight vector loops
+    m = v.max()
+    return float(m + np.log(np.exp(v - m).sum()))
+
+
+def _softmax1(v: np.ndarray) -> np.ndarray:
+    e = np.exp(v - v.max())
+    return e / e.sum()
 
 
 class _Contractor:
@@ -385,87 +382,50 @@ def solve_lle(
         z = [lt.copy() for lt in logt]
     interval = max(1, config.anneal_check_interval)
 
-    if USE_FAST_PATH and _fastpath.HAVE_NUMBA and game.num_players == 3:
-        trace_buf = np.empty((config.max_steps // interval + 2, 4))
-        step, tau, term, n_trace = _fastpath.lle_anneal_3p(
-            game.utilities[0],
-            game.utilities[1],
-            game.utilities[2],
-            z[0],
-            z[1],
-            z[2],
-            logt[0],
-            logt[1],
-            logt[2],
-            config.tau_init,
-            config.tau_decay,
-            interval,
-            config.anneal_gate,
-            config.tau_terminal,
-            config.epsilon_ne,
-            config.learning_rate,
-            config.max_steps,
-            config.force_anneal_on_stall,
-            trace_buf,
-        )
-        trace = [
-            TraceRecord(int(r[0]), float(r[1]), float(r[2]), float(r[3]))
-            for r in trace_buf[:n_trace]
-        ]
-        converged = term != _fastpath.TERM_MAX_STEPS
-        termination = {
-            _fastpath.TERM_EPS_NE: "epsilon_ne",
-            _fastpath.TERM_TERMINAL: "terminal_tau",
-            _fastpath.TERM_MAX_STEPS: "max_steps",
-        }[term]
-    else:
-        adam = _Adam(sum(sizes), config.learning_rate)
-        tau = config.tau_init
-        trace = []
-        step = 0
-        termination = "max_steps"
-        converged = False
-        # see _fastpath: back off the step size when a stage stops improving
-        stall_window = max(4 * interval, 1000)
-        best_loss = np.inf
-        last_progress = 0
-        while step < config.max_steps:
-            loss, gz, x, devs = _lle_loss_grad(ops, z, tau, logt)
-            exploit = _exploit_from_devs(x, devs)
-            at_check = step % interval == 0
-            if at_check:
-                trace.append(TraceRecord(step, tau, loss, exploit))
-            if config.epsilon_ne > 0 and exploit <= config.epsilon_ne:
-                termination, converged = "epsilon_ne", True
+    adam = _Adam(sum(sizes), config.learning_rate)
+    min_lr = config.learning_rate / 128.0
+    tau = config.tau_init
+    trace = []
+    step = 0
+    termination = "max_steps"
+    converged = False
+    # at low temperature a fixed Adam step can circle a stage's minimum
+    # without reaching the gate: when the loss has not fallen by a tenth
+    # within stall_window steps, halve the step, down to min_lr
+    stall_window = max(4 * interval, 1000)
+    best_loss = np.inf
+    last_progress = 0
+    while step < config.max_steps:
+        loss, gz, x, devs = _lle_loss_grad(ops, z, tau, logt)
+        exploit = _exploit_from_devs(x, devs)
+        at_check = step % interval == 0
+        if at_check:
+            trace.append(TraceRecord(step, tau, loss, exploit))
+        if config.epsilon_ne > 0 and exploit <= config.epsilon_ne:
+            termination, converged = "epsilon_ne", True
+            break
+        if loss < 0.9 * best_loss:
+            best_loss = loss
+            last_progress = step
+        stalled = step - last_progress > stall_window
+        if (at_check and loss <= config.anneal_gate) or (
+            stalled and adam.lr <= min_lr and config.force_anneal_on_stall
+        ):
+            if tau <= config.tau_terminal * (1 + 1e-12):
+                termination, converged = "terminal_tau", True
                 break
-            if loss < 0.9 * best_loss:
-                best_loss = loss
-                last_progress = step
-            if at_check and loss <= config.anneal_gate:
-                if tau <= config.tau_terminal * (1 + 1e-12):
-                    termination, converged = "terminal_tau", True
-                    break
-                tau = max(tau * config.tau_decay, config.tau_terminal)
-                adam.lr = config.learning_rate
-                best_loss = np.inf
-                last_progress = step
-            elif step - last_progress > stall_window:
-                if adam.lr > config.learning_rate / 128.0:
-                    adam.lr *= 0.5
-                    best_loss = np.inf
-                    last_progress = step
-                elif config.force_anneal_on_stall:
-                    if tau <= config.tau_terminal * (1 + 1e-12):
-                        termination, converged = "terminal_tau", True
-                        break
-                    tau = max(tau * config.tau_decay, config.tau_terminal)
-                    adam.lr = config.learning_rate
-                    best_loss = np.inf
-                    last_progress = step
-            update = adam.step(np.concatenate(gz))
-            for zi, ui in zip(z, _split(update, sizes)):
-                zi -= ui
-            step += 1
+            tau = max(tau * config.tau_decay, config.tau_terminal)
+            adam.lr = config.learning_rate
+            best_loss = np.inf
+            last_progress = step
+        elif stalled and adam.lr > min_lr:
+            adam.lr *= 0.5
+            best_loss = np.inf
+            last_progress = step
+        update = adam.step(np.concatenate(gz))
+        for zi, ui in zip(z, _split(update, sizes)):
+            zi -= ui
+        step += 1
 
     profile = ProductProfile(tuple(_softmax1(zi) for zi in z))
     final_exploit = exploitability(game, profile)

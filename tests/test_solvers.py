@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import eqrate.solvers as solvers_mod
+from eqrate import koth
 from eqrate.errors import ConvergenceError, ParameterError
 from eqrate.games import (
     Game,
@@ -12,6 +13,7 @@ from eqrate.games import (
     uniform_product,
 )
 from eqrate.kernels import affinity_targets
+from eqrate.ratings import DEFAULT_TIE_TOL, elo_ratings, rate
 from eqrate.solvers import (
     CCEConfig,
     QREConfig,
@@ -242,6 +244,31 @@ class TestCloneInvariance:
         for a in range(3):
             assert abs(dr[1][a] - br[1][a]) <= 1e-3
         assert abs(dr[0][1] - dr[0][4]) <= 1e-6
+
+    def test_koth_prompt_clones_keep_king_ratings(self):
+        # the three-player prompt/king/rebel game, with exact clones of one
+        # prompt: the king's NE ratings and ranking stay put, Elo's do not
+        rng = np.random.default_rng(0)
+        models = [f"m{i}" for i in range(4)]
+        records = [
+            koth.PreferenceRecord(f"q{p}", models[a], models[b], float(rng.choice(koth.SCORES)))
+            for p in range(8)
+            for a in range(4)
+            for b in range(a + 1, 4)
+        ]
+        base = koth.build_koth(records)
+        cloned = koth.inject_clones(base, [0] * 5)
+        reports, elos = [], []
+        for kg in (base, cloned):
+            config = QREConfig(targets=affinity_targets(kg.game), anneal_check_interval=50)
+            res = solve_lle(kg.game, config)
+            assert res.converged and res.termination == "terminal_tau"
+            reports.append(rate(kg.game, res.profile, "NE"))
+            elos.append(elo_ratings(koth.prompt_average_win_matrix(kg)))
+        king = reports[0].player_index("king")
+        assert np.abs(reports[0].ratings[king] - reports[1].ratings[king]).max() <= DEFAULT_TIE_TOL
+        assert reports[0].ranking(king) == reports[1].ranking(king)
+        assert np.argsort(elos[0]).tolist() != np.argsort(elos[1]).tolist()
 
 
 class TestCCE:
