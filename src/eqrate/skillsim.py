@@ -12,7 +12,7 @@ Shannon entropy of the mean prompt and model vectors.
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -134,6 +134,9 @@ class TrialResult:
     snapshots: list[dict]
     aborted: bool = False
     abort_info: dict | None = None
+    # one entry per solve rated with an unconverged iterate: the iteration,
+    # the game shape and the iterate's exploitability
+    fallbacks: list[dict] = field(default_factory=list)
 
 
 @dataclass
@@ -165,6 +168,7 @@ class SimTrajectory:
                     "seed": t.seed,
                     "aborted": t.aborted,
                     "abort_info": t.abort_info,
+                    "fallbacks": t.fallbacks,
                     "snapshots": t.snapshots,
                 }
                 for t in self.trials
@@ -230,8 +234,9 @@ class _EquilibriumRater:
         self.warm = config.warm_start
         self.z_store = {0: [], 1: [], 2: []}  # persistent-action logits
         self.last_z: list[np.ndarray] | None = None
+        self.fallbacks: list[dict] = []
 
-    def _solve(self, game, targets, warm_ok, new_p, new_m) -> ProductProfile:
+    def _solve(self, game, targets, warm_ok, new_p, new_m, iteration) -> ProductProfile:
         base = solvers.QREConfig(targets=targets, **self.overrides)
         if warm_ok:
             logt = [np.log(t) for t in targets]
@@ -256,9 +261,16 @@ class _EquilibriumRater:
         except ConvergenceError as exc:
             # rate with the furthest-annealed iterate rather than dying;
             # candidate selection only needs the rating order
+            self.fallbacks.append(
+                {
+                    "iteration": iteration,
+                    "shape": list(game.shape),
+                    "exploitability": exc.trace[-1].exploitability,
+                }
+            )
             return exc.iterate
 
-    def rate(self, prompts: np.ndarray, models: np.ndarray, new_p: int, new_m: int):
+    def rate(self, prompts: np.ndarray, models: np.ndarray, new_p: int, new_m: int, t: int):
         u_k = _king_tensor(prompts, models)
         scale = float(np.abs(u_k).max())
         if scale > 0:
@@ -273,7 +285,7 @@ class _EquilibriumRater:
             and len(self.z_store[1]) == M - new_m
         )
         if self.method == "ne":
-            profile = self._solve(game, targets, warm_ok, new_p, new_m)
+            profile = self._solve(game, targets, warm_ok, new_p, new_m, t)
             self.last_z = [np.log(np.maximum(m, 1e-300)) for m in profile.marginals]
             for player, fresh in ((0, new_p), (1, new_m), (2, new_m)):
                 self.z_store[player] = list(self.last_z[player][fresh:])
@@ -295,16 +307,17 @@ class _EquilibriumRater:
             self.z_store[2].append(self.last_z[2][candidate_index])
 
 
-def _run_trial(config: SimConfig, trial: int, seed: int) -> TrialResult:
+def _run_trial(
+    config: SimConfig, trial: int, seed: int, rater: _EquilibriumRater | None
+) -> TrialResult:
     rng = np.random.default_rng(seed)
     S = config.num_skills
     prompts = list(rng.dirichlet(np.ones(S), size=config.initial_prompts))
     models = list(rng.dirichlet(np.ones(S), size=config.initial_models))
-    rater = _EquilibriumRater(config) if config.rating_method != "elo" else None
 
-    def rate_sets(p_stack, m_stack, new_p, new_m):
+    def rate_sets(p_stack, m_stack, new_p, new_m, t):
         if rater is not None:
-            return rater.rate(p_stack, m_stack, new_p, new_m)
+            return rater.rate(p_stack, m_stack, new_p, new_m, t)
         u_k = _king_tensor(p_stack, m_stack)
         r_p = np.array([separability(u_k, i) for i in range(u_k.shape[0])])
         r_m = _elo_model_ratings(u_k, config.model_rating)
@@ -315,7 +328,7 @@ def _run_trial(config: SimConfig, trial: int, seed: int) -> TrialResult:
         if config.additional_prompts:
             cand_p = rng.dirichlet(np.ones(S), size=config.candidate_prompts)
             stack_p = np.concatenate([cand_p, np.stack(prompts)])
-            r_p, _ = rate_sets(stack_p, np.stack(models), config.candidate_prompts, 0)
+            r_p, _ = rate_sets(stack_p, np.stack(models), config.candidate_prompts, 0, t)
             best = int(np.argmax(r_p[: config.candidate_prompts]))
             prompts.append(cand_p[best])
             if rater is not None:
@@ -334,7 +347,7 @@ def _run_trial(config: SimConfig, trial: int, seed: int) -> TrialResult:
             deltas = rng.dirichlet(np.ones(S), size=config.candidate_increments)
             stack_m = np.concatenate([candidate + deltas, np.stack(models)])
             _, r_m = rate_sets(
-                np.stack(prompts), stack_m, 0, config.candidate_increments
+                np.stack(prompts), stack_m, 0, config.candidate_increments, t
             )
             best = int(np.argmax(r_m[: config.candidate_increments]))
             candidate = candidate + deltas[best]
@@ -349,10 +362,11 @@ def _run_trial(config: SimConfig, trial: int, seed: int) -> TrialResult:
 
 def _trial_task(args) -> TrialResult:
     config, trial, seed = args
+    rater = _EquilibriumRater(config) if config.rating_method != "elo" else None
     try:
-        return _run_trial(config, trial, seed)
+        result = _run_trial(config, trial, seed, rater)
     except SimulationAbort as exc:
-        return TrialResult(
+        result = TrialResult(
             trial=trial,
             seed=seed,
             snapshots=[],
@@ -363,6 +377,9 @@ def _trial_task(args) -> TrialResult:
                 "message": str(exc),
             },
         )
+    if rater is not None:
+        result.fallbacks = rater.fallbacks
+    return result
 
 
 def run_simulation(config: SimConfig) -> SimTrajectory:

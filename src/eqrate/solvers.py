@@ -78,6 +78,8 @@ class QREConfig:
             raise ParameterError("anneal_gate and learning_rate must be positive")
         if self.epsilon_ne < 0:
             raise ParameterError("epsilon_ne must be nonnegative")
+        if self.anneal_check_interval < 1 or self.max_steps < 1:
+            raise ParameterError("anneal_check_interval and max_steps must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -173,68 +175,96 @@ def profile_from_dict(data: dict) -> ProductProfile | JointDistribution:
     )
 
 
-def _lse1(v: np.ndarray) -> float:
-    # scipy's logsumexp has too much call overhead for tight vector loops
-    m = v.max()
-    return float(m + np.log(np.exp(v - m).sum()))
+class _Contraction:
+    """Pairwise payoff blocks of a game over one flat action vector.
 
-
-def _softmax1(v: np.ndarray) -> np.ndarray:
-    e = np.exp(v - v.max())
-    return e / e.sum()
-
-
-class _Contractor:
-    """Cached tensor permutations for fast repeated profile contractions.
-
-    For every ordered player pair (i, j), player i's payoff tensor is kept
-    laid out as ``(A_i * A_j, prod(rest))`` so the pairwise expected payoff
-    matrix is a single BLAS matvec against the outer product of the
-    remaining marginals.
+    Every player's actions are laid end to end, player i owning the segment
+    ``slices[i]``, so per-player softmax and dot products are segment
+    reductions over ``starts``.  For each ordered pair (i, j) the block
+    ``E[u_i | a_i, a_j]``, the remaining players mixed independently, is
+    kept as rows of player j's stack.  Player i's payoff tensor is stored
+    with the remaining players' axes leading, so one ``w @ mat`` refreshes
+    the block, ``w`` being the Kronecker product of their marginals; with
+    two players the blocks are constant.  ``contract`` and ``pull`` return
+    their own buffers, valid until the next call.
     """
 
     def __init__(self, game: Game):
-        self.game = game
-        self.n = game.num_players
-        self.shape = game.shape
-        self.pair_rest: dict[tuple[int, int], list[int]] = {}
-        self.pair_mat: dict[tuple[int, int], np.ndarray] = {}
-        for i in range(self.n):
-            u = game.utilities[i]
-            for j in range(self.n):
-                if j == i:
+        n, shape = game.num_players, game.shape
+        self.sizes = list(shape)
+        offsets = np.cumsum([0, *shape])
+        self.starts = offsets[:-1]
+        self.seg = np.repeat(np.arange(n), shape)
+        self.slices = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
+        self._x = np.empty(offsets[-1])
+        self._dev = game.utilities[0].astype(float) if n == 1 else np.empty(offsets[-1])
+        self._pulled = np.empty(offsets[-1])
+        stacks = [np.empty((offsets[-1] - shape[j], shape[j])) for j in range(n)]
+        self._refresh = []
+        for j in range(n):
+            row = 0
+            for i in range(n):
+                if i == j:
                     continue
-                rest = [k for k in range(self.n) if k not in (i, j)]
-                perm = np.ascontiguousarray(np.transpose(u, (i, j, *rest)))
-                self.pair_rest[(i, j)] = rest
-                self.pair_mat[(i, j)] = perm.reshape(self.shape[i] * self.shape[j], -1)
+                block = stacks[j][row : row + shape[i]]
+                row += shape[i]
+                rest = [k for k in range(n) if k not in (i, j)]
+                mat = np.transpose(game.utilities[i], (*rest, i, j)).reshape(-1, block.size)
+                if rest:
+                    xs = [self._x[self.slices[k]] for k in rest]
+                    self._refresh.append((np.ascontiguousarray(mat), xs, block.reshape(-1)))
+                else:
+                    block[:] = mat.reshape(block.shape)
+        # player 0's stack times x_0 is every co-player's deviation payoffs;
+        # player 0's own come from its block against player 1
+        self._devs = [] if n == 1 else [
+            (stacks[0], self._x[self.slices[0]], self._dev[offsets[1] :]),
+            (stacks[1][: shape[0]], self._x[self.slices[1]], self._dev[self.slices[0]]),
+        ]
+        self._pulls = [
+            (np.flatnonzero(self.seg != j), stacks[j], self._pulled[self.slices[j]])
+            for j in range(n)
+        ]
 
-    def pair_matrix(self, i: int, j: int, marginals) -> np.ndarray:
-        """E[u_i | a_i, a_j] with the remaining players mixed independently."""
-        rest = self.pair_rest[(i, j)]
-        if not rest:
-            v = self.pair_mat[(i, j)][:, 0]
-        else:
-            w = marginals[rest[0]]
-            for k in rest[1:]:
-                w = np.kron(w, marginals[k])
-            v = self.pair_mat[(i, j)] @ w
-        return v.reshape(self.shape[i], self.shape[j])
+    def seg_sum(self, v: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(v, self.starts)
 
-    def all_pairs_and_devs(self, marginals):
-        """Every pairwise matrix plus each player's deviation payoffs."""
-        pairs = {}
-        devs = []
-        for i in range(self.n):
-            if self.n == 1:
-                devs.append(self.game.utilities[i].astype(float))
-                continue
-            j0 = 0 if i != 0 else 1
-            for j in range(self.n):
-                if j != i:
-                    pairs[(i, j)] = self.pair_matrix(i, j, marginals)
-            devs.append(pairs[(i, j0)] @ marginals[j0])
-        return pairs, devs
+    def log_softmax(self, v: np.ndarray):
+        """Per-player log-softmax of a flat vector, and each log-partition."""
+        peak = np.maximum.reduceat(v, self.starts)
+        shifted = v - peak[self.seg]
+        lse = np.log(self.seg_sum(np.exp(shifted)))
+        return shifted - lse[self.seg], peak + lse
+
+    def contract(self, x: np.ndarray) -> np.ndarray:
+        """Refresh every pair block at the flat marginals x; return each
+        player's deviation payoffs, flat."""
+        np.copyto(self._x, x)
+        for mat, xs, out in self._refresh:
+            w = xs[0]
+            for xk in xs[1:]:
+                w = np.kron(w, xk)
+            np.matmul(w, mat, out=out)
+        for block, xj, out in self._devs:
+            np.matmul(block, xj, out=out)
+        return self._dev
+
+    def pull(self, d: np.ndarray) -> np.ndarray:
+        """Segment j of the result is ``sum over i != j of d_i @ E[u_i | a_i, a_j]``."""
+        for idx, stack, out in self._pulls:
+            np.matmul(d[idx], stack, out=out)
+        return self._pulled
+
+    def regrets(self, x: np.ndarray, dev: np.ndarray) -> np.ndarray:
+        return dev - self.seg_sum(x * dev)[self.seg]
+
+    def exploitability(self, x: np.ndarray, dev: np.ndarray) -> float:
+        gains = np.maximum.reduceat(self.regrets(x, dev), self.starts)
+        return float(np.maximum(gains, 0.0).sum())
+
+    def profile(self, z: np.ndarray) -> ProductProfile:
+        """The product profile of the flat logits z."""
+        return ProductProfile(tuple(_split(np.exp(self.log_softmax(z)[0]), self.sizes)))
 
 
 class _Adam:
@@ -244,13 +274,20 @@ class _Adam:
         self.v = np.zeros(size)
         self.t = 0
 
-    def step(self, grad: np.ndarray) -> np.ndarray:
+    def step(self, grad: np.ndarray, z: np.ndarray) -> None:
+        """Descend one step from z, in place."""
         self.t += 1
-        self.m = self.b1 * self.m + (1 - self.b1) * grad
-        self.v = self.b2 * self.v + (1 - self.b2) * grad * grad
+        self.m *= self.b1
+        self.m += (1 - self.b1) * grad
+        self.v *= self.b2
+        self.v += (1 - self.b2) * grad * grad
         mhat = self.m / (1 - self.b1**self.t)
         vhat = self.v / (1 - self.b2**self.t)
-        return self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        np.sqrt(vhat, out=vhat)
+        vhat += self.eps
+        mhat *= self.lr
+        mhat /= vhat
+        z -= mhat
 
 
 def _split(flat: np.ndarray, sizes) -> list[np.ndarray]:
@@ -313,40 +350,23 @@ def qre_loss(game: Game, profile: ProductProfile, tau: float, targets) -> float:
     return float(total)
 
 
-def _lle_loss_grad(ops: _Contractor, z: list[np.ndarray], tau: float, logt):
-    """Loss and logit-gradient of the annealed best-response-gap objective.
+def _lle_step(ops: _Contraction, z: np.ndarray, tau: float, logt: np.ndarray):
+    """Loss, logit-gradient, deviation payoffs and exploitability of the
+    annealed best-response-gap objective, flat over every player's actions.
 
     The chain rule through each opponent's soft best response is exact: the
     gradient of the log-partition value with respect to the deviation
     payoffs is the best response itself.
     """
-    n = ops.n
-    logx = [zi - _lse1(zi) for zi in z]
-    x = [np.exp(lx) for lx in logx]
-    pairs, devs = ops.all_pairs_and_devs(x)
-    loss = 0.0
-    brs = []
-    for i in range(n):
-        a = devs[i] / tau + logt[i]
-        lse = _lse1(a)
-        brs.append(np.exp(a - lse))
-        kl = float(x[i] @ (logx[i] - logt[i]))
-        loss += tau * lse - float(x[i] @ devs[i]) + tau * kl
-    gz = []
-    for i in range(n):
-        g = -devs[i] + tau * (logx[i] - logt[i])
-        for j in range(n):
-            if j != i:
-                g = g + pairs[(j, i)].T @ (brs[j] - x[j])
-        gz.append(x[i] * (g - float(x[i] @ g)))
-    return loss, gz, x, devs
-
-
-def _exploit_from_devs(x, devs) -> float:
-    total = 0.0
-    for xi, di in zip(x, devs):
-        total += max(0.0, float(di.max() - xi @ di))
-    return total
+    logx, _ = ops.log_softmax(z)
+    x = np.exp(logx)
+    dev = ops.contract(x)
+    log_br, lse = ops.log_softmax(dev / tau + logt)
+    own = tau * (logx - logt) - dev
+    loss = tau * float(lse.sum()) + float(x @ own)
+    g = own + ops.pull(np.exp(log_br) - x)
+    gz = x * (g - ops.seg_sum(x * g)[ops.seg])
+    return loss, gz, dev, ops.exploitability(x, dev)
 
 
 def solve_lle(
@@ -370,19 +390,18 @@ def solve_lle(
     if config.targets is None:
         config = replace(config, targets=kernels.affinity_targets(game))
     targets = _validate_targets(game, config.targets)
-    logt = [np.log(t) for t in targets]
+    logt = np.log(np.concatenate(targets))
 
-    ops = _Contractor(game)
-    sizes = [game.num_actions(i) for i in range(game.num_players)]
+    ops = _Contraction(game)
     if init_logits is not None:
-        z = [np.asarray(zi, dtype=float).copy() for zi in init_logits]
-        if [len(zi) for zi in z] != sizes:
+        if [len(zi) for zi in init_logits] != ops.sizes:
             raise DimensionError("init_logits shapes do not match game")
+        z = np.concatenate([np.asarray(zi, dtype=float) for zi in init_logits])
     else:
-        z = [lt.copy() for lt in logt]
-    interval = max(1, config.anneal_check_interval)
+        z = logt.copy()
+    interval = config.anneal_check_interval
 
-    adam = _Adam(sum(sizes), config.learning_rate)
+    adam = _Adam(z.size, config.learning_rate)
     min_lr = config.learning_rate / 128.0
     tau = config.tau_init
     trace = []
@@ -396,8 +415,7 @@ def solve_lle(
     best_loss = np.inf
     last_progress = 0
     while step < config.max_steps:
-        loss, gz, x, devs = _lle_loss_grad(ops, z, tau, logt)
-        exploit = _exploit_from_devs(x, devs)
+        loss, gz, _, exploit = _lle_step(ops, z, tau, logt)
         at_check = step % interval == 0
         if at_check:
             trace.append(TraceRecord(step, tau, loss, exploit))
@@ -422,12 +440,10 @@ def solve_lle(
             adam.lr *= 0.5
             best_loss = np.inf
             last_progress = step
-        update = adam.step(np.concatenate(gz))
-        for zi, ui in zip(z, _split(update, sizes)):
-            zi -= ui
+        adam.step(gz, z)
         step += 1
 
-    profile = ProductProfile(tuple(_softmax1(zi) for zi in z))
+    profile = ops.profile(z)
     final_exploit = exploitability(game, profile)
     final_loss = qre_loss(game, profile, tau, targets)
     trace.append(TraceRecord(step, tau, final_loss, final_exploit))
@@ -666,78 +682,52 @@ class EnumerationResult:
     min_pairwise_gap: float
 
 
-def _rating_vector(x, devs) -> np.ndarray:
-    return np.concatenate([d - float(xi @ d) for xi, d in zip(x, devs)])
-
-
-def _enum_objective_grad(ops: _Contractor, zs, weight: float):
+def _enum_objective_grad(ops: _Contraction, zs: np.ndarray, weight: float):
     """Summed replica exploitability minus a weighted pairwise rating
-    diversity bonus; returns the value and per-replica logit gradients."""
+    diversity bonus; returns the value and the logit gradient of each
+    replica, one flat row per replica of ``zs``."""
     R = len(zs)
-    n = ops.n
-    xs, devss, pairss, ratings = [], [], [], []
-    for z in zs:
-        x = [_softmax1(zi) for zi in z]
-        pairs, devs = ops.all_pairs_and_devs(x)
-        xs.append(x)
-        devss.append(devs)
-        pairss.append(pairs)
-        ratings.append(_rating_vector(x, devs))
-    value = sum(
-        float(d.max() - xi @ d) for x, devs in zip(xs, devss) for xi, d in zip(x, devs)
-    )
-    mean_rating = sum(ratings) / R
+    xs = np.exp(np.stack([ops.log_softmax(z)[0] for z in zs]))
+    devs = np.stack([ops.contract(x).copy() for x in xs])
+    ratings = np.stack([ops.regrets(x, dev) for x, dev in zip(xs, devs)])
+    value = sum(ops.exploitability(x, dev) for x, dev in zip(xs, devs))
     diversity_on = weight > 0 and R > 1
     if diversity_on:
-        sq = sum(float(rv @ rv) for rv in ratings)
+        mean_rating = ratings.mean(axis=0)
+        sq = float(np.sum(ratings * ratings))
         value -= weight * (R * sq - R * R * float(mean_rating @ mean_rating))
-    sizes = [ops.shape[i] for i in range(n)]
-    offsets = np.cumsum([0] + sizes)
-    grads = []
-    for r in range(R):
-        x, devs, pairs = xs[r], devss[r], pairss[r]
-        astars = [int(np.argmax(d)) for d in devs]
-        # d(sum of pairwise sq distances)/d(rating_r) = 2R(rating_r - mean)
-        G = 2.0 * R * (ratings[r] - mean_rating) if diversity_on else None
-        gz = []
-        for k in range(n):
-            g = -devs[k].copy()
-            for j in range(n):
-                if j == k:
-                    continue
-                Mjk = pairs[(j, k)]
-                g += Mjk[astars[j]] - x[j] @ Mjk
-            if G is not None:
-                Gk = G[offsets[k] : offsets[k + 1]]
-                g += weight * float(Gk.sum()) * devs[k]
-                for j in range(n):
-                    if j == k:
-                        continue
-                    Gj = G[offsets[j] : offsets[j + 1]]
-                    Mjk = pairs[(j, k)]
-                    g -= weight * (Gj @ Mjk - float(Gj.sum()) * (x[j] @ Mjk))
-            gz.append(x[k] * (g - float(x[k] @ g)))
-        grads.append(gz)
+    grads = np.empty_like(zs)
+    for r, (x, dev) in enumerate(zip(xs, devs)):
+        # player j's gain max(dev_j) - x_j . dev_j moves with x_k along
+        # (e_best - x_j) @ E[u_j | a_j, a_k]
+        d = -x
+        for s in ops.slices:
+            d[s.start + int(np.argmax(dev[s]))] += 1.0
+        g = -dev
+        if diversity_on:
+            # d(sum of pairwise sq distances)/d(rating_r) = 2R(rating_r - mean)
+            G = 2.0 * R * (ratings[r] - mean_rating)
+            G_sum = ops.seg_sum(G)[ops.seg]
+            g = g + weight * G_sum * dev
+            d -= weight * (G - G_sum * x)
+        if R > 1:
+            ops.contract(x)  # the blocks still hold the last replica's
+        g = g + ops.pull(d)
+        grads[r] = x * (g - ops.seg_sum(x * g)[ops.seg])
     return value, grads
 
 
-def _polish_profile(ops: _Contractor, z, steps: int, lr: float):
-    """Plain exploitability descent from logits z; returns the best iterate."""
-    sizes = [ops.shape[i] for i in range(ops.n)]
-    adam = _Adam(sum(sizes), lr)
-    z = [zi.copy() for zi in z]
-    best_x, best_e = None, np.inf
+def _polish_profile(ops: _Contraction, z: np.ndarray, steps: int, lr: float):
+    """Plain exploitability descent from flat logits z; returns the best iterate."""
+    adam = _Adam(z.size, lr)
+    z = z.copy()
+    best_z, best_e = z.copy(), np.inf
     for _ in range(steps):
-        _, grads = _enum_objective_grad(ops, [z], 0.0)
-        x = [_softmax1(zi) for zi in z]
-        _, devs = ops.all_pairs_and_devs(x)
-        e = _exploit_from_devs(x, devs)
+        e, grads = _enum_objective_grad(ops, z[None], 0.0)
         if e < best_e:
-            best_x, best_e = x, e
-        update = adam.step(np.concatenate(grads[0]))
-        for zi, ui in zip(z, _split(update, sizes)):
-            zi -= ui
-    return ProductProfile(tuple(best_x)), best_e
+            best_z, best_e = z.copy(), e
+        adam.step(grads[0], z)
+    return ops.profile(best_z), best_e
 
 
 def enumerate_nes(
@@ -767,18 +757,17 @@ def enumerate_nes(
     if count < 1:
         raise ParameterError("count must be at least 1")
     lle = solve_lle(game, lle_config)
-    ops = _Contractor(game)
-    sizes = [game.num_actions(i) for i in range(game.num_players)]
+    ops = _Contraction(game)
 
-    lle_z = [np.log(np.maximum(m, 1e-300)) for m in lle.profile.marginals]
+    lle_z = np.log(np.maximum(np.concatenate(lle.profile.marginals), 1e-300))
     lle_prof, lle_exploit = _polish_profile(ops, lle_z, polish_steps, learning_rate)
     if lle_exploit > lle.exploitability:
         lle_prof, lle_exploit = lle.profile, lle.exploitability
 
     R = replicas if replicas is not None else max(8, 4 * count)
     rng = np.random.default_rng(seed)
-    zs = [[rng.normal(scale=2.0, size=s) for s in sizes] for _ in range(R)]
-    adam = _Adam(R * sum(sizes), learning_rate)
+    zs = rng.normal(scale=2.0, size=(R, sum(ops.sizes)))
+    adam = _Adam(zs.shape, learning_rate)
     anneal_from = int(0.8 * max_steps)
     for step in range(max_steps):
         if step < anneal_from:
@@ -786,14 +775,7 @@ def enumerate_nes(
         else:
             w = diversity_weight * (max_steps - step) / max(1, max_steps - anneal_from)
         _, grads = _enum_objective_grad(ops, zs, w)
-        flat = np.concatenate([g for gz in grads for g in gz])
-        update = adam.step(flat)
-        pieces = _split(update, sizes * R)
-        idx = 0
-        for z in zs:
-            for k in range(len(sizes)):
-                z[k] -= pieces[idx]
-                idx += 1
+        adam.step(grads, zs)
 
     candidates = [(lle_prof, lle_exploit)]
     for z in zs:
@@ -801,8 +783,8 @@ def enumerate_nes(
 
     profiles, ratings, exploits = [], [], []
     for pos, (prof, ex) in enumerate(candidates):
-        _, devs = ops.all_pairs_and_devs(list(prof.marginals))
-        rv = _rating_vector(list(prof.marginals), devs)
+        x = np.concatenate(prof.marginals)
+        rv = ops.regrets(x, ops.contract(x))
         if pos > 0 and ex > epsilon:
             continue
         if any(np.linalg.norm(rv - prev) < dedup_tol for prev in ratings):

@@ -67,3 +67,12 @@ def test_clone_test_elo_ranking_matches_rate(tmp_path):
         summary = json.load(fh)
     (row,) = [r for r in summary["rows"] if r["method"] == "elo"]
     assert row["ranking"] == order
+
+
+def test_simulate_rejects_zero_check_interval(tmp_path):
+    # the solver dict reaches QREConfig, which must not run 0 as 1
+    config = tmp_path / "sim.json"
+    solver = {"anneal_check_interval": 0}
+    raw = {"rating_method": "ne", "trials": 1, "iterations": 1, "solver": solver}
+    config.write_text(json.dumps(raw))
+    assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path)]) == 2

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 
 from eqrate import koth, ratings, skillsim
@@ -35,3 +37,26 @@ def test_bt_model_ratings_are_elo_of_the_skill_game():
     expected = ratings.elo_ratings(koth.prompt_average_win_matrix(kg))
     got = skillsim._elo_model_ratings(game.utilities[1], "bt")
     assert np.array_equal(got, expected)
+
+
+def test_convergence_fallback_is_recorded():
+    # five steps cannot finish a trace, so every cold solve falls back to
+    # its unconverged iterate
+    solver = {**skillsim._EquilibriumRater.DEFAULT_OVERRIDES, "max_steps": 5}
+    traj = skillsim.run_simulation(
+        skillsim.SimConfig(rating_method="ne", trials=1, iterations=2, solver=solver)
+    )
+    (trial,) = traj.trials
+    assert not trial.aborted
+    assert trial.fallbacks
+    for event in trial.fallbacks:
+        assert event["iteration"] in (1, 2)
+        assert len(event["shape"]) == 3
+        assert np.isfinite(event["exploitability"]) and event["exploitability"] >= 0
+    assert json.loads(json.dumps(traj.to_dict()))["trials"][0]["fallbacks"] == trial.fallbacks
+
+
+def test_default_trial_records_no_fallback():
+    traj = skillsim.run_simulation(skillsim.SimConfig(rating_method="ne", trials=1, iterations=2))
+    (trial,) = traj.trials
+    assert trial.fallbacks == []

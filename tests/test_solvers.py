@@ -9,6 +9,7 @@ from eqrate.games import (
     JointDistribution,
     ProductProfile,
     all_regrets,
+    deviation_payoff,
     exploitability,
     uniform_product,
 )
@@ -18,9 +19,9 @@ from eqrate.solvers import (
     CCEConfig,
     QREConfig,
     _cce_loss_alpha,
-    _Contractor,
+    _Contraction,
     _enum_objective_grad,
-    _lle_loss_grad,
+    _lle_step,
     cce_dual_logit,
     enumerate_nes,
     profile_from_dict,
@@ -89,26 +90,69 @@ class TestQRELoss:
 
 
 class TestLLEGradient:
-    @pytest.mark.parametrize("shape,tau", [((3, 3), 1.0), ((2, 2), 0.05), ((4, 3, 2), 0.3), ((2, 2, 2), 1.0)])
+    @pytest.mark.parametrize(
+        "shape,tau",
+        [((3, 3), 1.0), ((2, 2), 0.05), ((4, 3, 2), 0.3), ((2, 2, 2), 1.0), ((2, 3, 2, 2), 0.5)],
+    )
     def test_matches_central_differences(self, shape, tau):
         rng = np.random.default_rng(abs(hash((shape, tau))) % 2**31)
         game = random_game(shape, seed=17)
         targets = tuple(rng.dirichlet(np.ones(n)) for n in shape)
-        logt = [np.log(t) for t in targets]
-        ops = _Contractor(game)
-        z = [rng.normal(size=n) for n in shape]
-        _, gz, _, _ = _lle_loss_grad(ops, z, tau, logt)
+        logt = np.log(np.concatenate(targets))
+        ops = _Contraction(game)
+        z = np.concatenate([rng.normal(size=n) for n in shape])
+        _, gz, _, _ = _lle_step(ops, z, tau, logt)
         h = 1e-6
-        for i in range(len(shape)):
-            for a in range(shape[i]):
-                zp = [zi.copy() for zi in z]
-                zm = [zi.copy() for zi in z]
-                zp[i][a] += h
-                zm[i][a] -= h
-                lp = _lle_loss_grad(ops, zp, tau, logt)[0]
-                lm = _lle_loss_grad(ops, zm, tau, logt)[0]
-                fd = (lp - lm) / (2 * h)
-                assert abs(fd - gz[i][a]) / max(1.0, abs(fd)) < 1e-4
+        for a in range(z.size):
+            zp = z.copy()
+            zm = z.copy()
+            zp[a] += h
+            zm[a] -= h
+            lp = _lle_step(ops, zp, tau, logt)[0]
+            lm = _lle_step(ops, zm, tau, logt)[0]
+            fd = (lp - lm) / (2 * h)
+            assert abs(fd - gz[a]) / max(1.0, abs(fd)) < 1e-4
+
+
+def _koth_clone_game(prompts, models, clones):
+    """KOTH game of seeded judge scores, with exact clones of prompt 0."""
+    rng = np.random.default_rng(0)
+    names = [f"m{i}" for i in range(models)]
+    records = [
+        koth.PreferenceRecord(f"q{p}", names[a], names[b], float(rng.choice(koth.SCORES)))
+        for p in range(prompts)
+        for a in range(models)
+        for b in range(a + 1, models)
+    ]
+    return koth.inject_clones(koth.build_koth(records), [0] * clones).game
+
+
+class TestLLEStep:
+    @pytest.mark.parametrize("shape", [(5,), (3, 3), (4, 3, 2), (2, 3, 2, 2), "koth"])
+    def test_matches_reference_functions(self, shape):
+        # a misplaced pair block would skew the loss and its gradient alike,
+        # which central differences cannot see; the public functions
+        # contract the payoff tensors on their own
+        game = _koth_clone_game(12, 4, 3) if shape == "koth" else random_game(shape, seed=23)
+        rng = np.random.default_rng(7)
+        ops = _Contraction(game)
+        for _ in range(5):
+            targets = tuple(rng.dirichlet(np.ones(n)) for n in game.shape)
+            tau = float(rng.uniform(0.02, 2.0))
+            z = rng.normal(scale=2.0, size=sum(game.shape))
+            loss, _, dev, exploit = _lle_step(ops, z, tau, np.log(np.concatenate(targets)))
+            profile = ops.profile(z)
+            assert abs(loss - qre_loss(game, profile, tau, targets)) <= 1e-12
+            for i, d in enumerate(np.split(dev, np.cumsum(game.shape)[:-1])):
+                assert np.abs(d - deviation_payoff(game, profile, i)).max() <= 1e-12
+            assert abs(exploit - exploitability(game, profile)) <= 1e-12
+
+
+@pytest.mark.parametrize("field", ["anneal_check_interval", "max_steps"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_qre_config_rejects_nonpositive_counts(field, value):
+    with pytest.raises(ParameterError):
+        QREConfig(**{field: value})
 
 
 class TestSolveLLE:
@@ -473,23 +517,22 @@ class TestEnumerate:
 
     def test_gradient_of_enumeration_objective(self):
         game = random_game((3, 3), seed=31)
-        ops = _Contractor(game)
+        ops = _Contraction(game)
         rng = np.random.default_rng(5)
-        zs = [[rng.normal(size=3), rng.normal(size=3)] for _ in range(2)]
+        zs = np.stack([np.concatenate([rng.normal(size=3), rng.normal(size=3)]) for _ in range(2)])
         w = 0.37
         _, grads = _enum_objective_grad(ops, zs, w)
         h = 1e-6
         for r in range(2):
-            for i in range(2):
-                for a in range(3):
-                    zp = [[v.copy() for v in z] for z in zs]
-                    zm = [[v.copy() for v in z] for z in zs]
-                    zp[r][i][a] += h
-                    zm[r][i][a] -= h
-                    vp, _ = _enum_objective_grad(ops, zp, w)
-                    vm, _ = _enum_objective_grad(ops, zm, w)
-                    fd = (vp - vm) / (2 * h)
-                    assert abs(fd - grads[r][i][a]) / max(1.0, abs(fd)) < 1e-4
+            for a in range(6):
+                zp = zs.copy()
+                zm = zs.copy()
+                zp[r, a] += h
+                zm[r, a] -= h
+                vp, _ = _enum_objective_grad(ops, zp, w)
+                vm, _ = _enum_objective_grad(ops, zm, w)
+                fd = (vp - vm) / (2 * h)
+                assert abs(fd - grads[r, a]) / max(1.0, abs(fd)) < 1e-4
 
 
 class TestRiskDominance:
