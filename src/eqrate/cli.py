@@ -10,6 +10,7 @@ manifest with input hashes so results can be reproduced bit-exactly.
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
@@ -98,7 +99,7 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _solve(game, method, entropy, variance, mode, epsilon, max_steps, learning_rate):
+def _solve(game, method, entropy, variance, mode, epsilon, max_steps):
     targets = _targets_for(game, entropy, variance, mode)
     if method == "ne":
         kwargs = {"targets": targets}
@@ -106,11 +107,7 @@ def _solve(game, method, entropy, variance, mode, epsilon, max_steps, learning_r
             kwargs["epsilon_ne"] = epsilon
         if max_steps is not None:
             kwargs["max_steps"] = max_steps
-        if learning_rate is not None:
-            kwargs["learning_rate"] = learning_rate
         return solvers.solve_lle(game, solvers.QREConfig(**kwargs))
-    if learning_rate is not None:
-        raise ParameterError("--learning-rate applies to --method ne only")
     kwargs = {"target_log_joint": solvers.target_log_joint(targets)}
     if epsilon is not None:
         kwargs["epsilon_cce"] = epsilon
@@ -130,7 +127,6 @@ def cmd_solve(args) -> int:
         args.mode,
         args.epsilon,
         args.max_steps,
-        args.learning_rate,
     )
     result.seed = args.seed
     result.save(args.out)
@@ -141,7 +137,12 @@ def cmd_solve(args) -> int:
         [args.game],
         [args.out],
         t0,
-        extra={"exploitability": result.exploitability, "steps": result.trace[-1].step},
+        extra={
+            "exploitability": result.exploitability,
+            "steps": result.trace[-1].step,
+            "termination": result.termination,
+            "stages": len({r.tau for r in result.trace if r.tau is not None}),
+        },
     )
     return 0
 
@@ -187,7 +188,7 @@ def _method_report(kg: koth.KOTHGame, method: str) -> ratings.RatingReport:
         return _elo_report(kg)
     entropy = "shannon" if method.endswith("shannon") else "affinity"
     base = "ne" if method.startswith("ne") else "cce"
-    result = _solve(kg.game, base, entropy, kernels.DEFAULT_VARIANCE, "joint", None, None, None)
+    result = _solve(kg.game, base, entropy, kernels.DEFAULT_VARIANCE, "joint", None, None)
     return ratings.rate(kg.game, result.profile, method.upper())
 
 
@@ -274,6 +275,10 @@ def cmd_simulate(args) -> int:
         raw = json.load(fh)
     methods = raw.pop("methods", None) or [raw.get("rating_method", "elo")]
     raw.pop("rating_method", None)
+    known = {f.name for f in dataclasses.fields(skillsim.SimConfig)}
+    for key in raw:
+        if key not in known:
+            raise ParameterError(f"unknown simulate config key {key!r}")
     outputs = []
     for method in methods:
         config = skillsim.SimConfig(rating_method=method, **raw)
@@ -366,8 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dissimilarity closed form")
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--max-steps", type=int, default=None)
-    p.add_argument("--learning-rate", type=float, default=None,
-                   help="step size of the NE trace (--method ne only)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_solve)

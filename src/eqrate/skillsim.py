@@ -12,7 +12,7 @@ Shannon entropy of the mean prompt and model vectors.
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -125,6 +125,13 @@ class SimConfig:
             raise ParameterError(f"unknown rating method {self.rating_method!r}")
         if self.model_rating not in ("bt", "mean_utility"):
             raise ParameterError(f"unknown model rating {self.model_rating!r}")
+        if self.solver is not None and self.rating_method != "elo":
+            arm = solvers.QREConfig if self.rating_method == "ne" else solvers.CCEConfig
+            # the rater sets the targets itself
+            allowed = {f.name for f in fields(arm)} - {"targets", "target_log_joint"}
+            for key in self.solver:
+                if key not in allowed:
+                    raise ParameterError(f"solver key {key!r} is not a {arm.__name__} setting")
 
 
 @dataclass
@@ -217,12 +224,13 @@ class _EquilibriumRater:
     rows (always at the front) start at their target logits.
     """
 
-    # desk-scale speed/robustness overrides of the ne arm's QREConfig; pass
-    # solver={} for the pure paper schedule.  A soft terminal temperature is
-    # enough here: ratings only pick argmax candidates, and the near-duplicate
-    # models that accumulate late in a trial make colder traces stall-prone.
+    # desk-scale overrides of the ne arm's QREConfig; pass solver={} for the
+    # pure paper schedule.  A soft terminal temperature is enough here:
+    # ratings only pick argmax candidates.  The forced anneal carries a
+    # trace past a fold of the QRE branch instead of falling back to the
+    # unconverged iterate; none of the 41,124 temperatures of four trials
+    # (seeds 0-3, 5 or 30 iterations) stalled.
     DEFAULT_OVERRIDES = {
-        "anneal_check_interval": 30,
         "tau_terminal": 0.1,
         "force_anneal_on_stall": True,
     }

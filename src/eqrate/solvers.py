@@ -1,12 +1,15 @@
 """Equilibrium solvers.
 
-Two selection routes share one engine:
+Two selection routes:
 
-* ``solve_lle`` traces the temperature continuum of quantal-response
-  equilibria toward its zero-temperature limit by descending a
-  best-response-gap loss while annealing the temperature.  The KL term is
-  taken against per-player target distributions, so a max-affinity-entropy
-  target makes the traced equilibrium invariant to cloned actions.
+* ``solve_lle`` follows the principal branch of logit quantal-response
+  equilibria, from the target profile at infinite temperature toward the
+  zero-temperature limit (McKelvey & Palfrey 1995), by Newton continuation
+  on the QRE fixed point over a geometric temperature grid (Turocy 2005).
+  The logits are tilted by per-player target distributions, so a
+  max-affinity-entropy target makes the traced equilibrium invariant to
+  cloned actions.  A fold of the branch, where no nearby fixed point is
+  left at the next temperature, stops the trace with ``ConvergenceError``.
 * ``solve_mre_cce`` finds the coarse correlated equilibrium of maximum
   relative entropy to a target joint, by bounded L-BFGS-B on the convex
   dual of the problem.  The result satisfies the KKT conditions: no
@@ -30,14 +33,23 @@ from . import kernels
 from .errors import ConvergenceError, DimensionError, ParameterError
 from .games import Game, JointDistribution, ProductProfile, deviation_payoff, exploitability
 
-# Solver defaults; shared across every descent loop.
-DEFAULT_LEARNING_RATE = 1e-2
+# Solver defaults.
+DEFAULT_LEARNING_RATE = 1e-2  # Adam step of the enumeration replicas
 DEFAULT_TAU_INIT = 1.0
 DEFAULT_TAU_DECAY = 0.95
-DEFAULT_ANNEAL_INTERVAL = 250
-DEFAULT_ANNEAL_GATE = 1e-5
 DEFAULT_TAU_TERMINAL = 1e-2
 DEFAULT_EPSILON_NE = 1e-3
+
+# A temperature of the LLE trace is solved once the QRE residual's max-norm
+# is at most NEWTON_TOL; Newton converges quadratically there, so this costs
+# half an iteration per temperature more than 1e-6 would (286 iterations
+# against 243 on an 8x4 KOTH game).  A temperature not solved within
+# NEWTON_STAGE_ITERS iterations, or where backtracking shrinks the step below
+# NEWTON_MIN_DAMPING without reducing the residual, has stalled: the branch
+# has folded back or the iterate left its basin.
+NEWTON_TOL = 1e-10
+NEWTON_STAGE_ITERS = 30
+NEWTON_MIN_DAMPING = 2.0**-30
 
 # The CCE dual is solved until L-BFGS-B's projected gradient, which bounds
 # every positive regret and every complementary-slackness residual, is this
@@ -49,22 +61,24 @@ CCE_GTOL_FRACTION = 1e-5
 
 @dataclass(frozen=True)
 class QREConfig:
-    """Hyper-parameters for the annealed QRE trace."""
+    """Settings of the LLE trace: the temperature grid from ``tau_init``,
+    times ``tau_decay``, down to ``tau_terminal``; the early exit
+    ``epsilon_ne``; the cap ``max_steps`` on Newton iterations in all; the
+    per-player ``targets`` (default: affinity targets); and whether a
+    stalled temperature anneals anyway (``force_anneal_on_stall``) instead
+    of raising ``ConvergenceError``."""
 
     tau_init: float = DEFAULT_TAU_INIT
     tau_decay: float = DEFAULT_TAU_DECAY
-    anneal_check_interval: int = DEFAULT_ANNEAL_INTERVAL
-    anneal_gate: float = DEFAULT_ANNEAL_GATE
     tau_terminal: float = DEFAULT_TAU_TERMINAL
     # stop early once the true exploitability is at most this; 0 turns the
     # early exit off, so the trace always runs to tau_terminal
     epsilon_ne: float = DEFAULT_EPSILON_NE
-    learning_rate: float = DEFAULT_LEARNING_RATE
     max_steps: int = 200_000
     targets: tuple[np.ndarray, ...] | None = None
-    # the QRE loss is nonconvex; when a temperature stage bottoms out in a
-    # local basin above the gate, optionally continue annealing instead of
-    # erroring out at max_steps
+    # past a fold of the QRE branch no nearby fixed point is left, so the
+    # corrector stalls; optionally continue annealing from where it stopped
+    # instead of raising
     force_anneal_on_stall: bool = False
 
     def __post_init__(self):
@@ -74,12 +88,10 @@ class QREConfig:
             raise ParameterError("tau_terminal must be below tau_init")
         if not 0.0 < self.tau_decay < 1.0:
             raise ParameterError("tau_decay must lie in (0, 1)")
-        if self.anneal_gate <= 0 or self.learning_rate <= 0:
-            raise ParameterError("anneal_gate and learning_rate must be positive")
         if self.epsilon_ne < 0:
             raise ParameterError("epsilon_ne must be nonnegative")
-        if self.anneal_check_interval < 1 or self.max_steps < 1:
-            raise ParameterError("anneal_check_interval and max_steps must be at least 1")
+        if self.max_steps < 1:
+            raise ParameterError("max_steps must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -187,6 +199,10 @@ class _Contraction:
     the block, ``w`` being the Kronecker product of their marginals; with
     two players the blocks are constant.  ``contract`` and ``pull`` return
     their own buffers, valid until the next call.
+
+    For the Newton corrector the actions split into the largest player's,
+    ``big``, and the ``rest``; ``schur_blocks`` gathers the pair blocks
+    between and within the two groups.
     """
 
     def __init__(self, game: Game):
@@ -200,6 +216,17 @@ class _Contraction:
         self._dev = game.utilities[0].astype(float) if n == 1 else np.empty(offsets[-1])
         self._pulled = np.empty(offsets[-1])
         stacks = [np.empty((offsets[-1] - shape[j], shape[j])) for j in range(n)]
+        big = int(np.argmax(shape))
+        self.big = self.slices[big]
+        self.rest = np.flatnonzero(self.seg != big)
+        # where each player's segment sits within rest
+        at = {i: self.slices[i].start - (shape[big] if i > big else 0) for i in range(n)}
+        self.rest_starts = np.array([at[i] for i in range(n) if i != big], dtype=int)
+        self.rest_seg = np.repeat(np.arange(n - 1), [s for i, s in enumerate(shape) if i != big])
+        self._b_rm = stacks[big]
+        self._b_mr = np.empty((shape[big], self.rest.size))
+        self._b_rr = np.zeros((self.rest.size, self.rest.size))
+        self._gather = []
         self._refresh = []
         for j in range(n):
             row = 0
@@ -208,6 +235,10 @@ class _Contraction:
                     continue
                 block = stacks[j][row : row + shape[i]]
                 row += shape[i]
+                if j != big:
+                    cols = slice(at[j], at[j] + shape[j])
+                    dest = self._b_mr if i == big else self._b_rr[at[i] : at[i] + shape[i]]
+                    self._gather.append((dest[:, cols], block))
                 rest = [k for k in range(n) if k not in (i, j)]
                 mat = np.transpose(game.utilities[i], (*rest, i, j)).reshape(-1, block.size)
                 if rest:
@@ -225,6 +256,14 @@ class _Contraction:
             (np.flatnonzero(self.seg != j), stacks[j], self._pulled[self.slices[j]])
             for j in range(n)
         ]
+
+    def schur_blocks(self):
+        """The pair blocks at the last ``contract``, gathered into three
+        matrices: rest rows by big columns, big rows by rest columns, and
+        rest by rest (zero within a player)."""
+        for dest, block in self._gather:
+            np.copyto(dest, block)
+        return self._b_rm, self._b_mr, self._b_rr
 
     def seg_sum(self, v: np.ndarray) -> np.ndarray:
         return np.add.reduceat(v, self.starts)
@@ -369,22 +408,97 @@ def _lle_step(ops: _Contraction, z: np.ndarray, tau: float, logt: np.ndarray):
     return loss, gz, dev, ops.exploitability(x, dev)
 
 
+def _qre_residual(ops: _Contraction, y: np.ndarray, tau: float, logt: np.ndarray):
+    """Residual ``F(y) = y - log_softmax_i(dev_i(e^y)/tau + log t_i)`` of the
+    logit QRE at tau in log-marginals y, with e^y and each soft best
+    response; zero exactly at a QRE.  Leaves the pair blocks at e^y."""
+    x = np.exp(y)
+    log_br, _ = ops.log_softmax(ops.contract(x) / tau + logt)
+    return y - log_br, x, np.exp(log_br)
+
+
+def _newton_direction(ops: _Contraction, f, x, br, tau: float) -> np.ndarray:
+    """Solve ``J d = -f`` for the Jacobian ``J = I - P B diag(x) / tau`` of
+    the QRE residual, B holding the pair blocks at x and
+    ``P = blockdiag(I - 1 br_i^T)`` the log-softmax derivative.
+
+    No player has a block against itself, so J's diagonal blocks are I; the
+    largest player's actions are eliminated by a Schur complement, leaving
+    a dense solve over the rest.
+    """
+    m, r = ops.big, ops.rest
+    if r.size == 0:
+        return -f
+    b_rm, b_mr, b_rr = ops.schur_blocks()
+    br_r = br[r]
+
+    def p_rest(b):
+        # apply I - 1 br_i^T within each rest player's rows
+        return b - np.add.reduceat(br_r[:, None] * b, ops.rest_starts, axis=0)[ops.rest_seg]
+
+    k_rm = p_rest(b_rm) * (x[m] / tau)
+    k_mr = (b_mr - br[m] @ b_mr) * (x[r] / tau)
+    k_rr = p_rest(b_rr) * (x[r] / tau)
+    schur = np.eye(r.size) - k_rr - k_rm @ k_mr
+    d_r = np.linalg.solve(schur, -f[r] - k_rm @ f[m])
+    d = np.empty_like(f)
+    d[r] = d_r
+    d[m] = k_mr @ d_r - f[m]
+    return d
+
+
+def _correct(ops: _Contraction, y: np.ndarray, tau: float, logt: np.ndarray, cap: int):
+    """Damped Newton on the QRE residual at tau from y, backtracking on
+    max|F|.  Returns the last iterate, the iterations taken, and whether
+    max|F| reached ``NEWTON_TOL`` within ``cap`` iterations."""
+    f, x, br = _qre_residual(ops, y, tau, logt)
+    res = np.abs(f).max()
+    its = 0
+    while res > NEWTON_TOL:
+        if its == cap:
+            return y, its, False
+        d = _newton_direction(ops, f, x, br, tau)
+        its += 1
+        alpha = 1.0
+        while True:
+            trial = y + alpha * d
+            # an overlong step may overflow e^y; its residual is then nan
+            # and the step is halved
+            with np.errstate(over="ignore", invalid="ignore"):
+                f, x, br = _qre_residual(ops, trial, tau, logt)
+            if np.abs(f).max() <= (1.0 - 1e-4 * alpha) * res:
+                break
+            alpha *= 0.5
+            if alpha < NEWTON_MIN_DAMPING:
+                return y, its, False
+        y, res = trial, np.abs(f).max()
+    return y, its, True
+
+
 def solve_lle(
     game: Game,
     config: QREConfig | None = None,
     init_logits: list[np.ndarray] | None = None,
 ) -> EquilibriumResult:
-    """Trace the QRE continuum toward its low-temperature limit.
+    """Trace the principal branch of the logit QRE toward its
+    low-temperature limit, the LLE.
 
-    Descends the QRE loss over unconstrained per-player logits with Adam,
-    multiplying tau by ``tau_decay`` at each ``anneal_check_interval``-step
-    checkpoint where the loss is below ``anneal_gate``.  Stops once the
-    terminal temperature is solved, or as soon as the profile's true
+    The temperature starts at ``tau_init`` and is multiplied by
+    ``tau_decay`` down to ``tau_terminal``.  At each temperature the QRE
+    fixed point is solved by damped Newton in the log-marginals, from the
+    previous temperature's solution (``_correct``).  A temperature whose
+    residual misses ``NEWTON_TOL`` within ``NEWTON_STAGE_ITERS`` iterations
+    has stalled: with ``force_anneal_on_stall`` the trace anneals anyway,
+    otherwise ``ConvergenceError`` is raised at once.  ``max_steps`` caps
+    the Newton iterations in all.  Stops once the terminal temperature is
+    solved, or as soon as the start's or a solved temperature's true
     (unregularized) exploitability reaches ``epsilon_ne``; with
     ``epsilon_ne=0`` that early exit is off and the trace always runs to
     ``tau_terminal``.  The trace starts at the target profile, the fixed
-    point at infinite temperature; ``init_logits`` warm-starts it
-    elsewhere (e.g. a nearby game's solution).  Deterministic.
+    point at infinite temperature; ``init_logits`` warm-starts it elsewhere
+    (e.g. a nearby game's solution).  The trace holds the start, one record
+    per temperature and the final profile, ``step`` counting Newton
+    iterations.  Deterministic.
     """
     config = config or QREConfig()
     if config.targets is None:
@@ -396,61 +510,45 @@ def solve_lle(
     if init_logits is not None:
         if [len(zi) for zi in init_logits] != ops.sizes:
             raise DimensionError("init_logits shapes do not match game")
-        z = np.concatenate([np.asarray(zi, dtype=float) for zi in init_logits])
+        y = ops.log_softmax(np.concatenate([np.asarray(zi, dtype=float) for zi in init_logits]))[0]
     else:
-        z = logt.copy()
-    interval = config.anneal_check_interval
+        y = logt.copy()
 
-    adam = _Adam(z.size, config.learning_rate)
-    min_lr = config.learning_rate / 128.0
     tau = config.tau_init
-    trace = []
     step = 0
-    termination = "max_steps"
-    converged = False
-    # at low temperature a fixed Adam step can circle a stage's minimum
-    # without reaching the gate: when the loss has not fallen by a tenth
-    # within stall_window steps, halve the step, down to min_lr
-    stall_window = max(4 * interval, 1000)
-    best_loss = np.inf
-    last_progress = 0
-    while step < config.max_steps:
-        loss, gz, _, exploit = _lle_step(ops, z, tau, logt)
-        at_check = step % interval == 0
-        if at_check:
-            trace.append(TraceRecord(step, tau, loss, exploit))
-        if config.epsilon_ne > 0 and exploit <= config.epsilon_ne:
-            termination, converged = "epsilon_ne", True
+    loss, _, _, exploit = _lle_step(ops, y, tau, logt)
+    trace = [TraceRecord(step, tau, loss, exploit)]
+    termination = None
+    if config.epsilon_ne > 0 and exploit <= config.epsilon_ne:
+        termination = "epsilon_ne"
+    while termination is None:
+        cap = min(NEWTON_STAGE_ITERS, config.max_steps - step)
+        y, its, solved = _correct(ops, y, tau, logt, cap)
+        step += its
+        if not solved and (step >= config.max_steps or not config.force_anneal_on_stall):
             break
-        if loss < 0.9 * best_loss:
-            best_loss = loss
-            last_progress = step
-        stalled = step - last_progress > stall_window
-        if (at_check and loss <= config.anneal_gate) or (
-            stalled and adam.lr <= min_lr and config.force_anneal_on_stall
-        ):
-            if tau <= config.tau_terminal * (1 + 1e-12):
-                termination, converged = "terminal_tau", True
-                break
+        loss, _, _, exploit = _lle_step(ops, y, tau, logt)
+        trace.append(TraceRecord(step, tau, loss, exploit))
+        if solved and config.epsilon_ne > 0 and exploit <= config.epsilon_ne:
+            termination = "epsilon_ne"
+        elif tau <= config.tau_terminal * (1 + 1e-12):
+            termination = "terminal_tau"
+        else:
             tau = max(tau * config.tau_decay, config.tau_terminal)
-            adam.lr = config.learning_rate
-            best_loss = np.inf
-            last_progress = step
-        elif stalled and adam.lr > min_lr:
-            adam.lr *= 0.5
-            best_loss = np.inf
-            last_progress = step
-        adam.step(gz, z)
-        step += 1
 
-    profile = ops.profile(z)
+    profile = ops.profile(y)
     final_exploit = exploitability(game, profile)
     final_loss = qre_loss(game, profile, tau, targets)
     trace.append(TraceRecord(step, tau, final_loss, final_exploit))
-    if not converged:
+    if termination is None:
+        reason = (
+            f"all {config.max_steps} Newton iterations spent"
+            if step >= config.max_steps
+            else f"Newton stalled above residual {NEWTON_TOL:g}"
+        )
         raise ConvergenceError(
-            f"solve_lle: anneal gate not met within {config.max_steps} steps "
-            f"(tau={tau:.4g}, loss={final_loss:.3e}, exploitability={final_exploit:.3e})",
+            f"solve_lle: {reason} (tau={tau:.4g}, loss={final_loss:.3e}, "
+            f"exploitability={final_exploit:.3e}, step {step})",
             iterate=profile,
             trace=trace,
         )
@@ -465,11 +563,8 @@ def solve_lle(
         config={
             "tau_init": config.tau_init,
             "tau_decay": config.tau_decay,
-            "anneal_check_interval": config.anneal_check_interval,
-            "anneal_gate": config.anneal_gate,
             "tau_terminal": config.tau_terminal,
             "epsilon_ne": config.epsilon_ne,
-            "learning_rate": config.learning_rate,
             "max_steps": config.max_steps,
         },
     )

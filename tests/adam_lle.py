@@ -1,0 +1,54 @@
+"""The annealed Adam descent that traced the LLE before the Newton
+continuation, kept as a reference for the selected equilibrium.
+
+It descends the QRE loss over per-player logits with Adam, multiplying tau
+by ``tau_decay`` at each ``interval``-step check where the loss is at most
+``gate``; a stage whose loss stops falling halves the step, and with
+``force_anneal_on_stall`` anneals once the step is at its floor.
+"""
+
+import numpy as np
+
+from eqrate.solvers import QREConfig, _Adam, _Contraction, _lle_step, _validate_targets
+
+
+def solve_lle_adam(game, config: QREConfig, interval=250, gate=1e-5, learning_rate=1e-2):
+    """Returns the final profile, the termination and the step count."""
+    logt = np.log(np.concatenate(_validate_targets(game, config.targets)))
+    ops = _Contraction(game)
+    z = logt.copy()
+    adam = _Adam(z.size, learning_rate)
+    min_lr = learning_rate / 128.0
+    tau = config.tau_init
+    step = 0
+    termination = "max_steps"
+    stall_window = max(4 * interval, 1000)
+    best_loss = np.inf
+    last_progress = 0
+    while step < config.max_steps:
+        loss, gz, _, exploit = _lle_step(ops, z, tau, logt)
+        at_check = step % interval == 0
+        if config.epsilon_ne > 0 and exploit <= config.epsilon_ne:
+            termination = "epsilon_ne"
+            break
+        if loss < 0.9 * best_loss:
+            best_loss = loss
+            last_progress = step
+        stalled = step - last_progress > stall_window
+        if (at_check and loss <= gate) or (
+            stalled and adam.lr <= min_lr and config.force_anneal_on_stall
+        ):
+            if tau <= config.tau_terminal * (1 + 1e-12):
+                termination = "terminal_tau"
+                break
+            tau = max(tau * config.tau_decay, config.tau_terminal)
+            adam.lr = learning_rate
+            best_loss = np.inf
+            last_progress = step
+        elif stalled and adam.lr > min_lr:
+            adam.lr *= 0.5
+            best_loss = np.inf
+            last_progress = step
+        adam.step(gz, z)
+        step += 1
+    return ops.profile(z), termination, step

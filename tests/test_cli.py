@@ -2,6 +2,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from eqrate import koth, ratings
 from eqrate.cli import main
@@ -9,13 +10,31 @@ from eqrate.games import save_game
 
 
 def test_learning_rate_rejected_for_cce(tmp_path, chicken):
-    # the CCE solve has no step size, so the flag would be silently ignored
+    # neither solver has a step size, so the flag would be silently ignored
     path = tmp_path / "chicken.json"
     save_game(chicken, path)
     argv = ["solve", "--game", str(path), "--method", "cce", "--out", str(tmp_path / "eq.json")]
-    assert main(argv + ["--learning-rate", "0.1"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--learning-rate", "0.1"])
+    assert exc.value.code == 2
     assert not (tmp_path / "eq.json").exists()
     assert main(argv) == 0
+
+
+def test_solve_manifest_reports_termination_and_stages(tmp_path, chicken):
+    path = tmp_path / "chicken.json"
+    save_game(chicken, path)
+    out = tmp_path / "eq.json"
+    argv = ["solve", "--game", str(path), "--entropy", "shannon", "--epsilon", "0"]
+    assert main(argv + ["--out", str(out)]) == 0
+    with open(f"{out}.manifest.json", encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    with open(out, encoding="utf-8") as fh:
+        trace = json.load(fh)["trace"]
+    assert manifest["termination"] == "terminal_tau"
+    # tau_init 1 down to 0.01 by factors of 0.95: 0.95**89 is the last above
+    assert manifest["stages"] == 91 == len({r["tau"] for r in trace})
+    assert manifest["steps"] == trace[-1]["step"]
 
 
 def _build_game(tmp_path, prompts, models):
@@ -70,9 +89,18 @@ def test_clone_test_elo_ranking_matches_rate(tmp_path):
 
 
 def test_simulate_rejects_zero_check_interval(tmp_path):
-    # the solver dict reaches QREConfig, which must not run 0 as 1
+    # the Newton trace has no check interval, so the key is unknown
     config = tmp_path / "sim.json"
     solver = {"anneal_check_interval": 0}
     raw = {"rating_method": "ne", "trials": 1, "iterations": 1, "solver": solver}
     config.write_text(json.dumps(raw))
     assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path)]) == 2
+
+
+def test_simulate_rejects_unknown_keys(tmp_path, capsys):
+    base = {"rating_method": "ne", "trials": 1, "iterations": 1}
+    for extra, key in (({"solver": {"anneal_gate_typo": 1e-5}}, "anneal_gate_typo"), ({"bogus": 3}, "bogus")):
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({**base, **extra}))
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path)]) == 2
+        assert repr(key) in capsys.readouterr().err

@@ -1,8 +1,10 @@
 import json
 
 import numpy as np
+import pytest
 
 from eqrate import koth, ratings, skillsim
+from eqrate.errors import ParameterError
 
 
 def test_cce_arm_runs():
@@ -60,3 +62,10 @@ def test_default_trial_records_no_fallback():
     traj = skillsim.run_simulation(skillsim.SimConfig(rating_method="ne", trials=1, iterations=2))
     (trial,) = traj.trials
     assert trial.fallbacks == []
+
+
+def test_solver_keys_checked_against_the_arm():
+    with pytest.raises(ParameterError, match="tau_init"):
+        skillsim.SimConfig(rating_method="cce", solver={"tau_init": 1.0})
+    with pytest.raises(ParameterError, match="epsilon_cce"):
+        skillsim.SimConfig(rating_method="ne", solver={"epsilon_cce": 1e-4})

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,8 @@ from eqrate.solvers import (
     _Contraction,
     _enum_objective_grad,
     _lle_step,
+    _newton_direction,
+    _qre_residual,
     cce_dual_logit,
     enumerate_nes,
     profile_from_dict,
@@ -34,11 +38,12 @@ from eqrate.solvers import (
     target_log_joint,
     uniform_targets,
 )
+from adam_lle import solve_lle_adam
 from conftest import random_game
 
 # toy payoffs reach -12, so approximating the infinite-temperature start
 # needs a hotter initial temperature than the [-1, 1]-scale default
-HOT = dict(tau_init=100.0, anneal_check_interval=50)
+HOT = dict(tau_init=100.0)
 
 
 class TestQREBestResponse:
@@ -148,7 +153,33 @@ class TestLLEStep:
             assert abs(exploit - exploitability(game, profile)) <= 1e-12
 
 
-@pytest.mark.parametrize("field", ["anneal_check_interval", "max_steps"])
+class TestNewtonDirection:
+    @pytest.mark.parametrize("shape", [(5,), (3, 3), (4, 3, 2), (2, 3, 2, 2), "koth"])
+    def test_solves_central_difference_jacobian(self, shape):
+        # a slightly wrong Jacobian block can still let damped Newton
+        # converge, only slowly, which the solver tests would not catch;
+        # (2, 3, 2, 2) eliminates a player other than player 0
+        game = _koth_clone_game(12, 4, 3) if shape == "koth" else random_game(shape, seed=29)
+        rng = np.random.default_rng(13)
+        ops = _Contraction(game)
+        h = 1e-6
+        for _ in range(3):
+            logt = np.log(np.concatenate([rng.dirichlet(np.ones(n)) for n in game.shape]))
+            tau = float(rng.uniform(0.1, 2.0))
+            y = ops.log_softmax(rng.normal(scale=2.0, size=sum(game.shape)))[0]
+            jac = np.empty((y.size, y.size))
+            for a in range(y.size):
+                step = np.zeros(y.size)
+                step[a] = h
+                plus = _qre_residual(ops, y + step, tau, logt)[0]
+                minus = _qre_residual(ops, y - step, tau, logt)[0]
+                jac[:, a] = (plus - minus) / (2 * h)
+            f, x, br = _qre_residual(ops, y, tau, logt)
+            d = _newton_direction(ops, f, x, br, tau)
+            assert np.abs(jac @ d + f).max() <= 1e-6 * np.abs(f).max()
+
+
+@pytest.mark.parametrize("field", ["max_steps"])
 @pytest.mark.parametrize("value", [0, -1])
 def test_qre_config_rejects_nonpositive_counts(field, value):
     with pytest.raises(ParameterError):
@@ -172,6 +203,18 @@ class TestSolveLLE:
             assert np.abs(r).max() <= 1e-3
         rock_group = res.profile.marginals[0][:2].sum()
         assert rock_group == pytest.approx(1 / 3, abs=1e-2)
+
+    def test_rps_duplicated_rock_traced(self, rps_dup_rock):
+        # the affinity target is already an NE, so the default early exit
+        # returns it at step 0; epsilon_ne=0 runs the whole trace
+        config = QREConfig(targets=affinity_targets(rps_dup_rock), epsilon_ne=0.0)
+        res = solve_lle(rps_dup_rock, config)
+        assert res.termination == "terminal_tau"
+        regrets = all_regrets(rps_dup_rock, res.profile)
+        for r in regrets:
+            assert np.abs(r).max() <= 1e-3
+        assert res.profile.marginals[0][:2].sum() == pytest.approx(1 / 3, abs=1e-2)
+        assert abs(regrets[0][0] - regrets[0][1]) <= 1e-9
 
     def test_chicken_mixed_ne(self, chicken):
         res = solve_lle(chicken, QREConfig(targets=uniform_targets(chicken), **HOT))
@@ -219,6 +262,25 @@ class TestSolveLLE:
             solve_lle(chicken, config)
         assert exc.value.trace is not None
         assert isinstance(exc.value.iterate, ProductProfile)
+
+    def test_fold_raises_fast(self):
+        # the principal QRE branch of this 4x3 KOTH game folds back between
+        # tau 0.122 and 0.116 (the Jacobian's smallest singular value falls
+        # from 3e-2 to 3e-7), so no temperature-monotone trace can pass it;
+        # the corrector must stall there rather than descend for 200k steps
+        rng = np.random.default_rng(2)
+        models = ["m_a", "m_b", "m_c"]
+        records = [
+            koth.PreferenceRecord(f"q{p}", models[a], models[b], float(rng.choice(koth.SCORES)))
+            for p in range(4)
+            for a in range(3)
+            for b in range(a + 1, 3)
+        ]
+        with pytest.raises(ConvergenceError) as exc:
+            solve_lle(koth.build_koth(records).game)
+        assert isinstance(exc.value.iterate, ProductProfile)
+        assert exc.value.trace[-1].step < 2000
+        assert exc.value.trace[-1].tau < 0.2
 
     def test_serialization_round_trip(self, tmp_path, rps):
         res = solve_lle(rps, QREConfig(targets=affinity_targets(rps)))
@@ -304,7 +366,7 @@ class TestCloneInvariance:
         cloned = koth.inject_clones(base, [0] * 5)
         reports, elos = [], []
         for kg in (base, cloned):
-            config = QREConfig(targets=affinity_targets(kg.game), anneal_check_interval=50)
+            config = QREConfig(targets=affinity_targets(kg.game))
             res = solve_lle(kg.game, config)
             assert res.converged and res.termination == "terminal_tau"
             reports.append(rate(kg.game, res.profile, "NE"))
@@ -313,6 +375,47 @@ class TestCloneInvariance:
         assert np.abs(reports[0].ratings[king] - reports[1].ratings[king]).max() <= DEFAULT_TIE_TOL
         assert reports[0].ranking(king) == reports[1].ranking(king)
         assert np.argsort(elos[0]).tolist() != np.argsort(elos[1]).tolist()
+
+
+class TestAgainstAdamReference:
+    """The Newton continuation selects the equilibrium the annealed Adam
+    descent traced (``tests/adam_lle.py``), whose own spread between tau_init
+    1 and 100 is up to 4e-4 on these games."""
+
+    def games(self, chicken):
+        return {
+            "koth": _koth_clone_game(8, 4, 0),
+            "koth_clones": _koth_clone_game(8, 4, 5),
+            "chicken": chicken,
+            "random": random_game((3, 4, 2), seed=3),
+        }
+
+    @pytest.mark.parametrize("name", ["koth", "koth_clones", "chicken", "random"])
+    def test_same_equilibrium(self, name, chicken):
+        game = self.games(chicken)[name]
+        config = QREConfig(targets=affinity_targets(game), epsilon_ne=0.0)
+        res = solve_lle(game, config)
+        ref, termination, _ = solve_lle_adam(game, config)
+        assert res.termination == termination == "terminal_tau"
+        ours, theirs = rate(game, res.profile, "NE"), rate(game, ref, "NE")
+        for p in range(game.num_players):
+            assert np.abs(ours.ratings[p] - theirs.ratings[p]).max() <= 5e-4
+        if name.startswith("koth"):
+            king = ours.player_index("king")
+            assert ours.ranking(king) == theirs.ranking(king)
+        hot = solve_lle(game, replace(config, tau_init=100.0))
+        for a, b in zip(all_regrets(game, res.profile), all_regrets(game, hot.profile)):
+            assert np.abs(a - b).max() <= 1e-10
+        assert qre_residual(game, res.profile, config.tau_terminal, config.targets) <= 1e-9
+
+    def test_koth_king_clone_shift(self):
+        kings = []
+        for clones in (0, 5):
+            game = _koth_clone_game(8, 4, clones)
+            res = solve_lle(game, QREConfig(targets=affinity_targets(game), epsilon_ne=0.0))
+            report = rate(game, res.profile, "NE")
+            kings.append(report.ratings[report.player_index("king")])
+        assert np.abs(kings[0] - kings[1]).max() <= 1e-8
 
 
 class TestCCE:
