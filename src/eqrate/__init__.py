@@ -30,6 +30,7 @@ from .kernels import (
 from .koth import (
     KOTHGame,
     PreferenceRecord,
+    PreferenceTable,
     adversarial_prompt_sampler,
     build_koth,
     inject_clones,

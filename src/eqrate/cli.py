@@ -6,6 +6,15 @@ enumeration experiments, and drive the skill-world simulation.  Every
 randomized command takes an explicit ``--seed`` (default 0, never
 wall-clock), all plot-ready outputs are CSV/JSON, and each run writes a
 manifest with input hashes so results can be reproduced bit-exactly.
+
+Game files are JSON.  ``build`` writes a prompt/king/rebel game as its
+king tensor alone: ``players``, ``actions``, ``king`` (flat, row-major),
+``shape`` and ``clone_sources``.  Every ``--game`` option also reads the
+full format of ``games.save_game``, with one flat tensor per player under
+``utilities`` and, for a prompt/king/rebel game, ``clone_sources``; the
+commands that need a prompt/king/rebel game (``build --game``, ``rate
+--method elo``, ``clone-test``) check that its prompt and rebel tensors
+are the ones its king tensor defines.
 """
 
 import argparse
@@ -15,6 +24,8 @@ import hashlib
 import json
 import sys
 import time
+
+import numpy as np
 
 from . import games, kernels, koth, ratings, skillsim, solvers
 from .errors import ConvergenceError, IncompleteDataError, ParameterError
@@ -44,21 +55,57 @@ def _write_manifest(path, command, args, inputs, outputs, t0, extra=None):
         json.dump(manifest, fh, indent=2, default=str)
 
 
-def _load_koth(path) -> koth.KOTHGame:
+def _read_game(path) -> tuple[games.Game, list | None]:
+    """The game in a game file, and the ``clone_sources`` it records, if any.
+
+    A file with a ``king`` key holds a prompt/king/rebel game as its king
+    tensor (see ``_save_koth``).  Any other file holds every player's
+    tensor in the ``games.save_game`` format, with or without
+    ``clone_sources``.
+    """
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    game = games.game_from_dict(data)
-    if game.num_players != 3 or game.action_labels[1] != game.action_labels[2]:
+    sources = data.get("clone_sources")
+    if "king" not in data:
+        return games.game_from_dict(data), sources
+    u_k = np.asarray(data["king"], dtype=float).reshape(data["shape"])
+    prompts, models = data["actions"][:2]
+    kg = koth._koth_game(u_k, prompts, models, sources or [None] * len(prompts))
+    return kg.game, sources
+
+
+def _load_koth(path) -> koth.KOTHGame:
+    game, sources = _read_game(path)
+    # every KOTH operation rederives the prompt and rebel tensors from the
+    # king's, so a file whose other tensors differ is not this game
+    if not (
+        game.num_players == 3
+        and game.action_labels[1] == game.action_labels[2]
+        and all(map(np.array_equal, game.utilities, koth._koth_tensors(game.utilities[1])))
+    ):
         raise ParameterError("expected a prompt/king/rebel game")
-    sources = data.get("clone_sources") or [None] * game.shape[0]
-    return koth.KOTHGame(game=game, clone_sources=tuple(sources))
+    return koth.KOTHGame(game=game, clone_sources=tuple(sources or [None] * game.shape[0]))
 
 
 def _save_koth(kg: koth.KOTHGame, path) -> None:
-    data = games.game_to_dict(kg.game)
-    data["clone_sources"] = list(kg.clone_sources)
+    """Write a KOTH game as its king tensor.
+
+    The file holds ``players``, ``actions`` (prompts, models, models),
+    ``king`` (the king tensor, flat and row-major), ``shape`` and
+    ``clone_sources``; the prompt and rebel tensors follow from the king's
+    (``koth._koth_tensors``), so a third of the floats of a full game file
+    are stored.  ``_read_game`` reads it back, and reads full game files
+    too.
+    """
+    data = {
+        "players": list(kg.game.players),
+        "actions": [list(lbls) for lbls in kg.game.action_labels],
+        "king": kg.u_king.ravel().tolist(),
+        "shape": list(kg.game.shape),
+        "clone_sources": list(kg.clone_sources),
+    }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh)
+        fh.write(json.dumps(data))
 
 
 def _targets_for(game: games.Game, entropy: str, variance: float, mode: str):
@@ -73,11 +120,14 @@ def cmd_build(args) -> int:
     t0 = time.perf_counter()
     if args.prefs:
         records = koth.read_preference_csv(args.prefs)
+        t_read = time.perf_counter()
         kg = koth.build_koth(records)
         samples, source = len(records), args.prefs
     else:
         kg = _load_koth(args.game)
+        t_read = time.perf_counter()
         samples, source = None, args.game
+    t_tab = time.perf_counter()
     report = {
         "prompts": len(kg.prompts),
         "models": len(kg.models),
@@ -88,6 +138,7 @@ def cmd_build(args) -> int:
     report_path = str(args.out) + ".report.json"
     with open(report_path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
+    timings = {"read_s": t_read - t0, "tabulate_s": t_tab - t_read, "write_s": time.perf_counter() - t_tab}
     _write_manifest(
         str(args.out) + ".manifest.json",
         "build",
@@ -95,12 +146,12 @@ def cmd_build(args) -> int:
         [source],
         [args.out, report_path],
         t0,
+        extra={"timings": timings},
     )
     return 0
 
 
-def _solve(game, method, entropy, variance, mode, epsilon, max_steps):
-    targets = _targets_for(game, entropy, variance, mode)
+def _solve(game, method, targets, epsilon, max_steps):
     if method == "ne":
         kwargs = {"targets": targets}
         if epsilon is not None:
@@ -118,18 +169,20 @@ def _solve(game, method, entropy, variance, mode, epsilon, max_steps):
 
 def cmd_solve(args) -> int:
     t0 = time.perf_counter()
-    game = games.load_game(args.game)
-    result = _solve(
-        game,
-        args.method,
-        args.entropy,
-        args.variance,
-        args.mode,
-        args.epsilon,
-        args.max_steps,
-    )
+    game, _ = _read_game(args.game)
+    t_load = time.perf_counter()
+    targets = _targets_for(game, args.entropy, args.variance, args.mode)
+    t_targets = time.perf_counter()
+    result = _solve(game, args.method, targets, args.epsilon, args.max_steps)
     result.seed = args.seed
+    t_solve = time.perf_counter()
     result.save(args.out)
+    timings = {
+        "load_s": t_load - t0,
+        "targets_s": t_targets - t_load,
+        "solve_s": t_solve - t_targets,
+        "write_s": time.perf_counter() - t_solve,
+    }
     _write_manifest(
         str(args.out) + ".manifest.json",
         "solve",
@@ -142,6 +195,7 @@ def cmd_solve(args) -> int:
             "steps": result.trace[-1].step,
             "termination": result.termination,
             "stages": len({r.tau for r in result.trace if r.tau is not None}),
+            "timings": timings,
         },
     )
     return 0
@@ -167,7 +221,7 @@ def cmd_rate(args) -> int:
     if args.method == "elo":
         report = _elo_report(_load_koth(args.game))
     else:
-        game = games.load_game(args.game)
+        game, _ = _read_game(args.game)
         with open(args.equilibrium, encoding="utf-8") as fh:
             eq = json.load(fh)
         inputs.append(args.equilibrium)
@@ -188,7 +242,8 @@ def _method_report(kg: koth.KOTHGame, method: str) -> ratings.RatingReport:
         return _elo_report(kg)
     entropy = "shannon" if method.endswith("shannon") else "affinity"
     base = "ne" if method.startswith("ne") else "cce"
-    result = _solve(kg.game, base, entropy, kernels.DEFAULT_VARIANCE, "joint", None, None)
+    targets = _targets_for(kg.game, entropy, kernels.DEFAULT_VARIANCE, "joint")
+    result = _solve(kg.game, base, targets, None, None)
     return ratings.rate(kg.game, result.profile, method.upper())
 
 
@@ -248,7 +303,7 @@ def cmd_clone_test(args) -> int:
 
 def cmd_decompose(args) -> int:
     t0 = time.perf_counter()
-    game = games.load_game(args.game)
+    game, _ = _read_game(args.game)
     with open(args.equilibrium, encoding="utf-8") as fh:
         eq = json.load(fh)
     profile = solvers.profile_from_dict(eq)
@@ -307,7 +362,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_enumerate(args) -> int:
     t0 = time.perf_counter()
-    game = games.load_game(args.game)
+    game, _ = _read_game(args.game)
     enum = solvers.enumerate_nes(
         game, args.count, epsilon=args.epsilon, seed=args.seed
     )

@@ -221,22 +221,16 @@ def game_to_dict(game: Game) -> dict:
 
 def game_from_dict(data: dict) -> Game:
     shape = tuple(data["shape"])
-    utilities = []
-    for flat in data["utilities"]:
-        u = np.asarray(flat, dtype=float)
-        if not np.all(np.isfinite(u)):
-            raise DimensionError("game file contains NaN/Inf payoffs")
-        utilities.append(u.reshape(shape))
     return Game(
         players=tuple(data["players"]),
         action_labels=tuple(tuple(a) for a in data["actions"]),
-        utilities=tuple(utilities),
+        utilities=tuple(np.asarray(flat, dtype=float).reshape(shape) for flat in data["utilities"]),
     )
 
 
 def save_game(game: Game, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(game_to_dict(game), fh)
+        fh.write(json.dumps(game_to_dict(game)))
 
 
 def load_game(path) -> Game:

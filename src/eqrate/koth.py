@@ -10,6 +10,8 @@ invariance experiments, with provenance recorded.
 """
 
 import csv
+import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +21,20 @@ from .games import Game
 
 SCORES = (-1.0, -0.5, 0.0, 0.5, 1.0)
 PLAYER_NAMES = ("prompt", "king", "rebel")
+
+
+def _check_judgements(score: np.ndarray, model_a, model_b) -> None:
+    """Reject the first judgement off the 5-point scale or of a model against itself."""
+    on_scale = np.zeros(score.shape, dtype=bool)
+    for s in SCORES:
+        on_scale |= np.abs(score - s) < 1e-12
+    same = np.fromiter(map(operator.eq, model_a, model_b), dtype=bool, count=len(score))
+    bad = ~on_scale | same
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not on_scale[i]:
+            raise ParameterError(f"score {score[i]} not in the 5-point scale {SCORES}")
+        raise ParameterError("self-comparisons are not meaningful")
 
 
 @dataclass(frozen=True)
@@ -31,12 +47,46 @@ class PreferenceRecord:
     score: float
 
     def __post_init__(self):
-        if not any(abs(self.score - s) < 1e-12 for s in SCORES):
-            raise ParameterError(
-                f"score {self.score} not in the 5-point scale {SCORES}"
-            )
-        if self.model_a == self.model_b:
-            raise ParameterError("self-comparisons are not meaningful")
+        _check_judgements(np.array([self.score]), (self.model_a,), (self.model_b,))
+
+
+@dataclass(frozen=True)
+class PreferenceTable:
+    """Judge samples as columns: row ``i`` is one ``PreferenceRecord``.
+
+    The three label columns are tuples of strings and ``score`` is a float
+    array, all of one length.  Indexing a row returns its record.
+    """
+
+    prompt_id: tuple[str, ...]
+    model_a: tuple[str, ...]
+    model_b: tuple[str, ...]
+    score: np.ndarray
+
+    def __post_init__(self):
+        for name in ("prompt_id", "model_a", "model_b"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "score", np.asarray(self.score, dtype=float))
+        n = len(self.score)
+        if self.score.ndim != 1 or not len(self.prompt_id) == len(self.model_a) == len(self.model_b) == n:
+            raise DimensionError("preference columns must be vectors of one length")
+        _check_judgements(self.score, self.model_a, self.model_b)
+
+    @classmethod
+    def from_records(cls, records: Iterable[PreferenceRecord]) -> "PreferenceTable":
+        rows = list(records)
+        return cls(
+            prompt_id=tuple(r.prompt_id for r in rows),
+            model_a=tuple(r.model_a for r in rows),
+            model_b=tuple(r.model_b for r in rows),
+            score=np.array([r.score for r in rows], dtype=float),
+        )
+
+    def __len__(self) -> int:
+        return len(self.score)
+
+    def __getitem__(self, i: int) -> PreferenceRecord:
+        return PreferenceRecord(self.prompt_id[i], self.model_a[i], self.model_b[i], float(self.score[i]))
 
 
 @dataclass(frozen=True)
@@ -87,79 +137,91 @@ def _koth_game(u_k: np.ndarray, prompts, models, clone_sources) -> KOTHGame:
     return KOTHGame(game=game, clone_sources=tuple(clone_sources))
 
 
-def build_koth(records: list[PreferenceRecord]) -> KOTHGame:
+def build_koth(records: PreferenceTable | Iterable[PreferenceRecord]) -> KOTHGame:
     """Tabulate the evaluation game from judge samples.
 
-    Samples for a (prompt, ordered pair) cell are averaged; when both
+    ``records`` is a ``PreferenceTable`` (what ``read_preference_csv``
+    returns) or any iterable of ``PreferenceRecord``s, which is turned into
+    one.  Samples for a (prompt, ordered pair) cell are averaged; when both
     orientations of a pair were judged, the cell is the average of the
     forward mean and the negated reverse mean (position-bias
     symmetrization), and the king tensor is exactly antisymmetric by
-    construction.  Every unordered pair must be covered on every prompt.
+    construction.  Prompts and models are indexed in sorted label order.
+    Every unordered pair must be covered on every prompt.
     """
-    if not records:
+    table = records if isinstance(records, PreferenceTable) else PreferenceTable.from_records(records)
+    if not len(table):
         raise IncompleteDataError("no preference records", missing=[])
-    prompts = sorted({r.prompt_id for r in records})
-    models = sorted({r.model_a for r in records} | {r.model_b for r in records})
+    prompts = sorted(set(table.prompt_id))
+    models = sorted(set(table.model_a) | set(table.model_b))
+    P, M = len(prompts), len(models)
     p_idx = {p: i for i, p in enumerate(prompts)}
     m_idx = {m: i for i, m in enumerate(models)}
 
-    sums = {}
-    counts = {}
-    for r in records:
-        key = (p_idx[r.prompt_id], m_idx[r.model_a], m_idx[r.model_b])
-        sums[key] = sums.get(key, 0.0) + r.score
-        counts[key] = counts.get(key, 0) + 1
+    def index(labels, idx):
+        return np.fromiter(map(idx.__getitem__, labels), dtype=np.intp, count=len(labels))
 
-    P, M = len(prompts), len(models)
-    if M < 2:
-        raise IncompleteDataError("need at least two models", missing=[])
-    u_k = np.zeros((P, M, M))
-    missing = []
-    for p in range(P):
-        for a in range(M):
-            for b in range(a + 1, M):
-                fwd = (p, a, b)
-                rev = (p, b, a)
-                have_fwd, have_rev = fwd in sums, rev in sums
-                if not have_fwd and not have_rev:
-                    missing.append((prompts[p], models[a], models[b]))
-                    continue
-                vals = []
-                if have_fwd:
-                    vals.append(sums[fwd] / counts[fwd])
-                if have_rev:
-                    vals.append(-sums[rev] / counts[rev])
-                u_k[p, a, b] = float(np.mean(vals))
-                u_k[p, b, a] = -u_k[p, a, b]
+    # bincount adds the samples of a cell in record order
+    cell = (index(table.prompt_id, p_idx) * M + index(table.model_a, m_idx)) * M + index(table.model_b, m_idx)
+    sums = np.bincount(cell, weights=table.score, minlength=P * M * M).reshape(P, M, M)
+    counts = np.bincount(cell, minlength=P * M * M).reshape(P, M, M)
+    a, b = np.triu_indices(M, 1)
+    s_f, c_f = sums[:, a, b], counts[:, a, b]
+    s_r, c_r = sums[:, b, a], counts[:, b, a]
+    have_f, have_r = c_f > 0, c_r > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fwd = s_f / c_f
+        rev = -(s_r / c_r)
+    upper = np.where(have_f & have_r, (fwd + rev) / 2, np.where(have_f, fwd, rev))
+
+    missing = [
+        (prompts[p], models[a[k]], models[b[k]])
+        for p, k in zip(*np.nonzero(~(have_f | have_r)))
+    ]
     if missing:
         raise IncompleteDataError(
             f"{len(missing)} (prompt, model pair) cells have no ratings; "
             f"first few: {missing[:5]}",
             missing=missing,
         )
+    u_k = np.zeros((P, M, M))
+    u_k[:, a, b] = upper
+    u_k[:, b, a] = -upper  # the twin of a 0.0 cell is -0.0
     return _koth_game(u_k, prompts, models, [None] * P)
 
 
-def read_preference_csv(path) -> list[PreferenceRecord]:
-    """Read ``prompt_id,model_a,model_b,score`` rows (header required)."""
-    records = []
+def read_preference_csv(path) -> PreferenceTable:
+    """Read a preference CSV into a ``PreferenceTable``.
+
+    The header must name the columns ``prompt_id``, ``model_a``,
+    ``model_b`` and ``score``, in any order and among any others; blank
+    lines are skipped.  A row too short to reach every required column, a
+    score off the 5-point scale and a self-comparison raise
+    ``ParameterError``.
+    """
+    required = ("prompt_id", "model_a", "model_b", "score")
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"prompt_id", "model_a", "model_b", "score"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ParameterError(
-                f"preference CSV must have columns {sorted(required)}"
-            )
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or not set(required).issubset(header):
+            raise ParameterError(f"preference CSV must have columns {sorted(required)}")
+        # a repeated column name means its last column, as in csv.DictReader
+        position = {name: i for i, name in enumerate(header)}
+        columns = [position[name] for name in required]
+        width = max(columns) + 1
+        rows = []
         for row in reader:
-            records.append(
-                PreferenceRecord(
-                    prompt_id=row["prompt_id"],
-                    model_a=row["model_a"],
-                    model_b=row["model_b"],
-                    score=float(row["score"]),
+            if len(row) >= width:
+                rows.append(row)
+            elif row:
+                raise ParameterError(
+                    f"{path}, line {reader.line_num}: {len(row)} fields, "
+                    f"too few to reach the columns {list(required)}"
                 )
-            )
-    return records
+    prompt_id, model_a, model_b, score = (tuple(map(operator.itemgetter(c), rows)) for c in columns)
+    return PreferenceTable(
+        prompt_id, model_a, model_b, np.fromiter(map(float, score), dtype=float, count=len(score))
+    )
 
 
 def mean_king_payoff(koth: KOTHGame, target_model: str) -> np.ndarray:

@@ -95,7 +95,7 @@ class RatingReport:
 
     def save_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
+            fh.write(json.dumps(self.to_dict()))
 
     def save_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:

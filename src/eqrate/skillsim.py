@@ -184,7 +184,7 @@ class SimTrajectory:
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
+            fh.write(json.dumps(self.to_dict()))
 
 
 def shannon_entropy(weights: np.ndarray) -> float:

@@ -174,7 +174,7 @@ class EquilibriumResult:
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
+            fh.write(json.dumps(self.to_dict()))
 
 
 def profile_from_dict(data: dict) -> ProductProfile | JointDistribution:

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from eqrate.cli import main
 from eqrate.errors import DimensionError, IncompleteDataError, ParameterError
 from eqrate.kernels import dissimilarity_joint
 from eqrate.koth import (
+    SCORES,
     KOTHGame,
     PreferenceRecord,
+    PreferenceTable,
     adversarial_prompt_sampler,
     build_koth,
     inject_clones,
@@ -191,3 +194,120 @@ def test_preference_csv_round_trip(tmp_path):
 def test_clone_sources_length_checked(small_koth):
     with pytest.raises(DimensionError):
         KOTHGame(game=small_koth.game, clone_sources=(None,))
+
+
+def reference_king(records):
+    """The per-record tabulation: dict sums, then the cell loop."""
+    prompts = sorted({r.prompt_id for r in records})
+    models = sorted({r.model_a for r in records} | {r.model_b for r in records})
+    p_idx = {p: i for i, p in enumerate(prompts)}
+    m_idx = {m: i for i, m in enumerate(models)}
+    sums, counts = {}, {}
+    for r in records:
+        key = (p_idx[r.prompt_id], m_idx[r.model_a], m_idx[r.model_b])
+        sums[key] = sums.get(key, 0.0) + r.score
+        counts[key] = counts.get(key, 0) + 1
+    P, M = len(prompts), len(models)
+    u_k = np.zeros((P, M, M))
+    missing = []
+    for p in range(P):
+        for a in range(M):
+            for b in range(a + 1, M):
+                vals = []
+                if (p, a, b) in sums:
+                    vals.append(sums[p, a, b] / counts[p, a, b])
+                if (p, b, a) in sums:
+                    vals.append(-sums[p, b, a] / counts[p, b, a])
+                if not vals:
+                    missing.append((prompts[p], models[a], models[b]))
+                    continue
+                u_k[p, a, b] = float(np.mean(vals))
+                u_k[p, b, a] = -u_k[p, a, b]
+    return u_k, missing
+
+
+def random_records(seed, prompts=7, models=5, drop=0.0):
+    """Shuffled samples: each pair judged 1-3 times forward, reverse or both."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for p in range(prompts):
+        for a in range(models):
+            for b in range(a + 1, models):
+                if rng.random() < drop:
+                    continue
+                sides = [(a, b), (b, a)][: rng.integers(1, 3)]
+                if rng.random() < 0.5:
+                    sides = sides[::-1]
+                for x, y in sides:
+                    for _ in range(rng.integers(1, 4)):
+                        records.append(rec(f"q{p}", f"m{x}", f"m{y}", float(rng.choice(SCORES))))
+    return [records[i] for i in rng.permutation(len(records))]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_build_matches_per_record_tabulation(seed):
+    records = random_records(seed)
+    expected, missing = reference_king(records)
+    assert missing == []
+    for given in (records, iter(records), PreferenceTable.from_records(records)):
+        u_k = build_koth(given).u_king
+        assert np.array_equal(u_k, expected)
+        assert np.array_equal(np.signbit(u_k), np.signbit(expected))
+
+
+def test_missing_cells_listed_in_row_major_order():
+    records = random_records(0, drop=0.3)
+    _, expected = reference_king(records)
+    assert len(expected) > 5
+    with pytest.raises(IncompleteDataError) as exc:
+        build_koth(records)
+    assert exc.value.missing == expected
+    assert str(exc.value).startswith(f"{len(expected)} (prompt, model pair) cells have no ratings")
+
+
+def test_table_rejects_what_a_record_rejects():
+    with pytest.raises(ParameterError, match="score 0.3 not in the 5-point scale"):
+        PreferenceTable(("q", "q"), ("a", "a"), ("b", "b"), [1.0, 0.3])
+    with pytest.raises(ParameterError, match="self-comparisons"):
+        PreferenceTable(("q", "q"), ("a", "a"), ("b", "a"), [1.0, 0.0])
+    # the first bad row decides, as when records are made one by one
+    with pytest.raises(ParameterError, match="self-comparisons"):
+        PreferenceTable(("q", "q"), ("a", "a"), ("a", "b"), [1.0, 0.3])
+    with pytest.raises(DimensionError):
+        PreferenceTable(("q",), ("a", "a"), ("b", "b"), [1.0, 0.5])
+
+
+def test_preference_csv_columns_found_by_name(tmp_path):
+    path = tmp_path / "prefs.csv"
+    path.write_text(
+        "judge,score,model_b,prompt_id,model_a\n"
+        "j1,0.5,beta,q1,alpha\n"
+        "\n"
+        "j2,-1,alpha,q2,beta\n",
+        encoding="utf-8",
+    )
+    table = read_preference_csv(path)
+    assert len(table) == 2
+    assert table[0] == rec("q1", "alpha", "beta", 0.5)
+    assert table[1] == rec("q2", "beta", "alpha", -1.0)
+
+
+def _write_prefs(tmp_path, body):
+    path = tmp_path / "prefs.csv"
+    path.write_text("prompt_id,model_a,model_b,score\n" + body, encoding="utf-8")
+    return path
+
+
+def test_short_csv_row_names_its_line(tmp_path, capsys):
+    path = _write_prefs(tmp_path, "q1,a,b,1\n\nq1,a\n")
+    with pytest.raises(ParameterError, match="line 4: 2 fields"):
+        read_preference_csv(path)
+    assert main(["build", "--prefs", str(path), "--out", str(tmp_path / "game.json")]) == 2
+    assert "line 4" in capsys.readouterr().err
+
+
+def test_non_numeric_score_exits_2(tmp_path, capsys):
+    path = _write_prefs(tmp_path, "q1,a,b,1\nq1,b,a,win\n")
+    assert main(["build", "--prefs", str(path), "--out", str(tmp_path / "game.json")]) == 2
+    assert "'win'" in capsys.readouterr().err
+    assert not (tmp_path / "game.json").exists()
