@@ -371,6 +371,7 @@ def cmd_enumerate(args) -> int:
         "requested": enum.requested,
         "complete": enum.complete,
         "min_pairwise_gap": enum.min_pairwise_gap,
+        "stalled": enum.stalled,
         "equilibria": [
             {
                 "marginals": [m.tolist() for m in prof.marginals],

@@ -18,12 +18,14 @@ Two selection routes:
   ``ConvergenceError``.
 
 ``enumerate_nes`` and ``risk_dominance_beliefs`` support multi-equilibrium
-analysis: parallel exploitability descent with a diversity regularizer, and
+analysis: logit traces from random priors, each polished by Newton on its
+support's indifference equations to an exact equilibrium, and
 multiplicative belief updates over a set of equilibria.
 """
 
 import json
 from dataclasses import dataclass, replace
+from itertools import combinations
 
 import numpy as np
 from scipy.optimize import minimize
@@ -34,7 +36,6 @@ from .errors import ConvergenceError, DimensionError, ParameterError
 from .games import Game, JointDistribution, ProductProfile, deviation_payoff, exploitability
 
 # Solver defaults.
-DEFAULT_LEARNING_RATE = 1e-2  # Adam step of the enumeration replicas
 DEFAULT_TAU_INIT = 1.0
 DEFAULT_TAU_DECAY = 0.95
 DEFAULT_TAU_TERMINAL = 1e-2
@@ -57,6 +58,16 @@ NEWTON_MIN_DAMPING = 2.0**-30
 # errors of a few 1e-4, above the rating tie tolerance, so a clone injection
 # could move a rank through where the solve happened to stop.
 CCE_GTOL_FRACTION = 1e-5
+
+# ``enumerate_nes`` traces each candidate to ENUM_TAU_TERMINAL and takes as
+# its support the actions with more than SUPPORT_FRACTION of the player's
+# largest mass.  At tau 1e-2 the off-support mass of a KOTH game's traced
+# profiles is still above that fraction: on the 12x4 game of the bench
+# generator, traced to 1e-2, neither the LLE nor any of the 10 priors that do
+# not fold polish (5 of 10 would with a 1e-2 fraction); traced to 1e-3, all
+# of them do.
+ENUM_TAU_TERMINAL = 1e-3
+SUPPORT_FRACTION = 1e-3
 
 
 @dataclass(frozen=True)
@@ -304,29 +315,6 @@ class _Contraction:
     def profile(self, z: np.ndarray) -> ProductProfile:
         """The product profile of the flat logits z."""
         return ProductProfile(tuple(_split(np.exp(self.log_softmax(z)[0]), self.sizes)))
-
-
-class _Adam:
-    def __init__(self, size, lr, b1=0.9, b2=0.999, eps=1e-8):
-        self.lr, self.b1, self.b2, self.eps = lr, b1, b2, eps
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
-        self.t = 0
-
-    def step(self, grad: np.ndarray, z: np.ndarray) -> None:
-        """Descend one step from z, in place."""
-        self.t += 1
-        self.m *= self.b1
-        self.m += (1 - self.b1) * grad
-        self.v *= self.b2
-        self.v += (1 - self.b2) * grad * grad
-        mhat = self.m / (1 - self.b1**self.t)
-        vhat = self.v / (1 - self.b2**self.t)
-        np.sqrt(vhat, out=vhat)
-        vhat += self.eps
-        mhat *= self.lr
-        mhat /= vhat
-        z -= mhat
 
 
 def _split(flat: np.ndarray, sizes) -> list[np.ndarray]:
@@ -775,131 +763,148 @@ class EnumerationResult:
     requested: int
     complete: bool
     min_pairwise_gap: float
+    stalled: int  # traced priors that raised ConvergenceError
 
 
-def _enum_objective_grad(ops: _Contraction, zs: np.ndarray, weight: float):
-    """Summed replica exploitability minus a weighted pairwise rating
-    diversity bonus; returns the value and the logit gradient of each
-    replica, one flat row per replica of ``zs``."""
-    R = len(zs)
-    xs = np.exp(np.stack([ops.log_softmax(z)[0] for z in zs]))
-    devs = np.stack([ops.contract(x).copy() for x in xs])
-    ratings = np.stack([ops.regrets(x, dev) for x, dev in zip(xs, devs)])
-    value = sum(ops.exploitability(x, dev) for x, dev in zip(xs, devs))
-    diversity_on = weight > 0 and R > 1
-    if diversity_on:
-        mean_rating = ratings.mean(axis=0)
-        sq = float(np.sum(ratings * ratings))
-        value -= weight * (R * sq - R * R * float(mean_rating @ mean_rating))
-    grads = np.empty_like(zs)
-    for r, (x, dev) in enumerate(zip(xs, devs)):
-        # player j's gain max(dev_j) - x_j . dev_j moves with x_k along
-        # (e_best - x_j) @ E[u_j | a_j, a_k]
-        d = -x
-        for s in ops.slices:
-            d[s.start + int(np.argmax(dev[s]))] += 1.0
-        g = -dev
-        if diversity_on:
-            # d(sum of pairwise sq distances)/d(rating_r) = 2R(rating_r - mean)
-            G = 2.0 * R * (ratings[r] - mean_rating)
-            G_sum = ops.seg_sum(G)[ops.seg]
-            g = g + weight * G_sum * dev
-            d -= weight * (G - G_sum * x)
-        if R > 1:
-            ops.contract(x)  # the blocks still hold the last replica's
-        g = g + ops.pull(d)
-        grads[r] = x * (g - ops.seg_sum(x * g)[ops.seg])
-    return value, grads
+def _indifference(ops: _Contraction, x: np.ndarray, v: np.ndarray, support: np.ndarray):
+    """Residual and Jacobian of a support's indifference equations at flat
+    marginals x, zero off the support, and one value v_i per player.
+
+    The residual is ``dev_i[a](x) - v_i`` for each supported action a of
+    each player i, then ``sum(x_i) - 1`` per player; the unknowns are x on
+    the support, then v.  The x-block of the Jacobian is the pair blocks
+    ``dE[u_i | a_i]/dx_j[b]``.  Leaves the pair blocks at x.
+    """
+    dev = ops.contract(x)
+    seg = ops.seg[support]
+    f = np.concatenate([dev[support] - v[seg], ops.seg_sum(x) - 1.0])
+    b_rm, b_mr, b_rr = ops.schur_blocks()
+    pairs = np.zeros((x.size, x.size))
+    pairs[ops.rest, ops.big] = b_rm
+    pairs[ops.big, ops.rest] = b_mr
+    pairs[np.ix_(ops.rest, ops.rest)] = b_rr
+    member = (seg[:, None] == np.arange(len(ops.sizes))).astype(float)
+    jac = np.block([
+        [pairs[np.ix_(support, support)], -member],
+        [member.T, np.zeros((member.shape[1],) * 2)],
+    ])
+    return f, jac
 
 
-def _polish_profile(ops: _Contraction, z: np.ndarray, steps: int, lr: float):
-    """Plain exploitability descent from flat logits z; returns the best iterate."""
-    adam = _Adam(z.size, lr)
-    z = z.copy()
-    best_z, best_e = z.copy(), np.inf
-    for _ in range(steps):
-        e, grads = _enum_objective_grad(ops, z[None], 0.0)
-        if e < best_e:
-            best_z, best_e = z.copy(), e
-        adam.step(grads[0], z)
-    return ops.profile(best_z), best_e
+def _polish(ops: _Contraction, x: np.ndarray) -> np.ndarray | None:
+    """The exact equilibrium on the support of flat marginals x, or None.
+
+    The support holds each player's actions with more than
+    ``SUPPORT_FRACTION`` of its largest mass.  Newton solves its
+    indifference equations (``_indifference``), in one step on two players,
+    whose deviation payoffs are linear.  The result counts only if the
+    system is nonsingular and solved to ``NEWTON_TOL``, no mass is negative
+    and the exploitability is at most 1e-9.
+    """
+    peak = np.maximum.reduceat(x, ops.starts)
+    keep = x > SUPPORT_FRACTION * peak[ops.seg]
+    support = np.flatnonzero(keep)
+    x = np.where(keep, x, 0.0)
+    v = ops.seg_sum(x * ops.contract(x))
+    k = support.size
+    for _ in range(NEWTON_STAGE_ITERS):
+        f, jac = _indifference(ops, x, v, support)
+        if np.abs(f).max() <= NEWTON_TOL:
+            break
+        try:
+            d = np.linalg.solve(jac, -f)
+        except np.linalg.LinAlgError:
+            return None
+        x[support] += d[:k]
+        v += d[k:]
+    else:
+        return None
+    if np.any(x < 0):
+        return None
+    x /= ops.seg_sum(x)[ops.seg]
+    if ops.exploitability(x, ops.contract(x)) > 1e-9:
+        return None
+    return x
 
 
 def enumerate_nes(
     game: Game,
     count: int,
-    diversity_weight: float = 1.0,
     epsilon: float = 1e-3,
     seed: int = 0,
     replicas: int | None = None,
-    max_steps: int = 20_000,
-    polish_steps: int = 5_000,
-    learning_rate: float = DEFAULT_LEARNING_RATE,
     lle_config: QREConfig | None = None,
     dedup_tol: float = 1e-3,
 ) -> EnumerationResult:
     """Collect up to ``count`` distinct approximate Nash equilibria.
 
-    Element 0 is always the traced low-temperature QRE limit.  Further
-    profiles come from descending the summed exploitability of several
-    randomly initialized replicas in parallel, regularized toward pairwise
-    distinct rating vectors; the diversity weight is annealed to zero over
-    the last fifth of the steps and every profile then gets a best-iterate
-    polish, so the returned profiles are plain equilibria.  Profiles whose
-    rating vectors differ by less than ``dedup_tol`` in L2 are considered
-    the same equilibrium.
+    Candidates come from logit tracing procedures (McKelvey & Palfrey
+    1995; Herings & Peeters 2010).  Element 0 is the LLE under
+    ``lle_config``; the others trace ``solve_lle`` from ``replicas``
+    priors, each player's target drawn from a flat Dirichlet by
+    ``default_rng(seed)``, so different priors can end on different
+    equilibria.  Every trace runs with ``epsilon_ne=0`` down to the lower
+    of ``tau_terminal`` and ``ENUM_TAU_TERMINAL``; a prior whose trace
+    stalls at a fold is counted in ``stalled`` and skipped.  Each candidate
+    is then polished to the exact equilibrium on its support (``_polish``),
+    cf. Porter, Nudelman & Shoham (2008), and kept traced where the polish
+    fails.  Candidates after element 0 with exploitability above
+    ``epsilon`` are dropped, and profiles whose rating vectors differ by
+    less than ``dedup_tol`` in L2 are considered the same equilibrium.
+    Priors are traced in turn only until ``count`` equilibria are kept.
+    Raises ``ConvergenceError`` if the LLE cannot be traced.
     """
     if count < 1:
         raise ParameterError("count must be at least 1")
-    lle = solve_lle(game, lle_config)
+    config = lle_config or QREConfig()
+    deep = replace(
+        config, epsilon_ne=0.0, tau_terminal=min(config.tau_terminal, ENUM_TAU_TERMINAL)
+    )
+    try:
+        lle = solve_lle(game, deep)
+    except ConvergenceError:
+        # the branch may fold past where the LLE itself stops; the LLE is
+        # then what lle_config traces, and its error is enumerate's
+        lle = solve_lle(game, config)
     ops = _Contraction(game)
-
-    lle_z = np.log(np.maximum(np.concatenate(lle.profile.marginals), 1e-300))
-    lle_prof, lle_exploit = _polish_profile(ops, lle_z, polish_steps, learning_rate)
-    if lle_exploit > lle.exploitability:
-        lle_prof, lle_exploit = lle.profile, lle.exploitability
-
     R = replicas if replicas is not None else max(8, 4 * count)
     rng = np.random.default_rng(seed)
-    zs = rng.normal(scale=2.0, size=(R, sum(ops.sizes)))
-    adam = _Adam(zs.shape, learning_rate)
-    anneal_from = int(0.8 * max_steps)
-    for step in range(max_steps):
-        if step < anneal_from:
-            w = diversity_weight
-        else:
-            w = diversity_weight * (max_steps - step) / max(1, max_steps - anneal_from)
-        _, grads = _enum_objective_grad(ops, zs, w)
-        adam.step(grads, zs)
-
-    candidates = [(lle_prof, lle_exploit)]
-    for z in zs:
-        candidates.append(_polish_profile(ops, z, polish_steps, learning_rate))
-
     profiles, ratings, exploits = [], [], []
-    for pos, (prof, ex) in enumerate(candidates):
+    stalled = 0
+    prof = lle.profile
+    for pos in range(R + 1):
+        if pos > 0:
+            targets = tuple(rng.dirichlet(np.ones(n)) for n in game.shape)
+            try:
+                prof = solve_lle(game, replace(deep, targets=targets)).profile
+            except ConvergenceError:
+                stalled += 1
+                continue
         x = np.concatenate(prof.marginals)
-        rv = ops.regrets(x, ops.contract(x))
+        polished = _polish(ops, x)
+        if polished is not None:
+            x = polished
+        dev = ops.contract(x)
+        ex = ops.exploitability(x, dev)
+        rv = ops.regrets(x, dev)
         if pos > 0 and ex > epsilon:
             continue
         if any(np.linalg.norm(rv - prev) < dedup_tol for prev in ratings):
             continue
-        profiles.append(prof)
+        profiles.append(ProductProfile(tuple(_split(x, ops.sizes))))
         ratings.append(rv)
         exploits.append(ex)
         if len(profiles) == count:
             break
-    gap = np.inf
-    for a in range(len(ratings)):
-        for b in range(a + 1, len(ratings)):
-            gap = min(gap, float(np.linalg.norm(ratings[a] - ratings[b])))
+    gaps = [float(np.linalg.norm(a - b)) for a, b in combinations(ratings, 2)]
     return EnumerationResult(
         profiles=profiles,
         rating_vectors=ratings,
         exploitabilities=exploits,
         requested=count,
         complete=len(profiles) >= count,
-        min_pairwise_gap=float(gap) if np.isfinite(gap) else 0.0,
+        min_pairwise_gap=min(gaps, default=0.0),
+        stalled=stalled,
     )
 
 

@@ -1,5 +1,6 @@
 """The annealed Adam descent that traced the LLE before the Newton
-continuation, kept as a reference for the selected equilibrium.
+continuation, kept as a reference for the selected equilibrium, and the
+``_Adam`` optimizer it runs (the solvers no longer use one).
 
 It descends the QRE loss over per-player logits with Adam, multiplying tau
 by ``tau_decay`` at each ``interval``-step check where the loss is at most
@@ -9,7 +10,30 @@ by ``tau_decay`` at each ``interval``-step check where the loss is at most
 
 import numpy as np
 
-from eqrate.solvers import QREConfig, _Adam, _Contraction, _lle_step, _validate_targets
+from eqrate.solvers import QREConfig, _Contraction, _lle_step, _validate_targets
+
+
+class _Adam:
+    def __init__(self, size, lr, b1=0.9, b2=0.999, eps=1e-8):
+        self.lr, self.b1, self.b2, self.eps = lr, b1, b2, eps
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self.t = 0
+
+    def step(self, grad: np.ndarray, z: np.ndarray) -> None:
+        """Descend one step from z, in place."""
+        self.t += 1
+        self.m *= self.b1
+        self.m += (1 - self.b1) * grad
+        self.v *= self.b2
+        self.v += (1 - self.b2) * grad * grad
+        mhat = self.m / (1 - self.b1**self.t)
+        vhat = self.v / (1 - self.b2**self.t)
+        np.sqrt(vhat, out=vhat)
+        vhat += self.eps
+        mhat *= self.lr
+        mhat /= vhat
+        z -= mhat
 
 
 def solve_lle_adam(game, config: QREConfig, interval=250, gate=1e-5, learning_rate=1e-2):

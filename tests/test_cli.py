@@ -109,6 +109,25 @@ def test_simulate_rejects_unknown_keys(tmp_path, capsys):
         assert repr(key) in capsys.readouterr().err
 
 
+def test_enumerate_writes_bundle_table_and_manifest(tmp_path, chicken):
+    path = tmp_path / "chicken.json"
+    save_game(chicken, path)
+    out = tmp_path / "enum.json"
+    argv = ["enumerate", "--game", str(path), "--out", str(out)]
+    assert main(argv + ["--count", "3"]) == 0
+    with open(out, encoding="utf-8") as fh:
+        bundle = json.load(fh)
+    assert bundle["complete"] is True
+    assert len(bundle["equilibria"]) == 3
+    assert bundle["stalled"] >= 0
+    with open(f"{out}.risk.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["equilibrium", "payoff_player_0", "payoff_player_1"]
+    assert len(rows) == 4
+    assert (tmp_path / "enum.json.manifest.json").exists()
+    assert main(argv + ["--count", "0"]) == 2
+
+
 def _write_full_game(kg, path):
     """A game file with all three tensors, as the benchmark's inputs write it."""
     data = games.game_to_dict(kg.game)

@@ -22,7 +22,7 @@ from eqrate.solvers import (
     QREConfig,
     _cce_loss_alpha,
     _Contraction,
-    _enum_objective_grad,
+    _indifference,
     _lle_step,
     _newton_direction,
     _qre_residual,
@@ -618,24 +618,83 @@ class TestEnumerate:
         assert prof.marginals[0][1] > 0.99
         assert prof.marginals[1][1] > 0.99
 
-    def test_gradient_of_enumeration_objective(self):
-        game = random_game((3, 3), seed=31)
+    def test_polish_is_exact(self, chicken):
+        result = enumerate_nes(
+            chicken,
+            count=3,
+            epsilon=1e-3,
+            seed=0,
+            lle_config=QREConfig(targets=uniform_targets(chicken), **HOT),
+        )
+        (mixed,) = [p for p in result.profiles if min(m[0] for m in p.marginals) > 0.8]
+        for m in mixed.marginals:
+            assert np.abs(m - [11 / 12, 1 / 12]).max() <= 1e-12
+        for prof in result.profiles:
+            assert exploitability(chicken, prof) <= 1e-9
+
+    def test_polish_is_exact_on_four_players(self):
+        game = random_game((2, 3, 2, 2), 3)
+        result = enumerate_nes(game, count=4)
+        assert result.profiles
+        for prof in result.profiles:
+            assert exploitability(game, prof) <= 1e-9
+
+    def test_stalled_priors_counted(self):
+        # some priors' branches fold on this game; they are skipped, and the
+        # equilibria the others reach are still polished
+        game = random_game((4, 4), 11)
+        result = enumerate_nes(game, count=5, seed=0)
+        assert result.stalled > 0
+        assert result.profiles
+        for prof in result.profiles:
+            assert exploitability(game, prof) <= 1e-9
+
+    def test_lle_branch_folding_past_its_stop(self):
+        # element 0 is traced deeper than lle_config asks; this game's LLE
+        # branch folds between tau 1e-2 and 1e-3, so element 0 is the LLE
+        # that lle_config traces.  Only that trace's fold is enumerate's
+        # error: the second game's branch folds above tau 1e-2.
+        game = random_game((3, 3), 12)
+        with pytest.raises(ConvergenceError):
+            solve_lle(game, QREConfig(epsilon_ne=0.0, tau_terminal=1e-3))
+        lle = solve_lle(game)
+        result = enumerate_nes(game, count=1)
+        for got, want in zip(result.profiles[0].marginals, lle.profile.marginals):
+            assert np.array_equal(got, want)
+        with pytest.raises(ConvergenceError):
+            enumerate_nes(random_game((3, 3), 1), count=1)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 3, 2), (2, 3, 2, 2), "koth"])
+    def test_indifference_jacobian_matches_central_differences(self, shape):
+        # a wrong pair block would still let Newton reach a fixed point of
+        # some other system, which the polish would reject, quietly keeping
+        # every traced candidate unpolished
+        game = _koth_clone_game(12, 4, 3) if shape == "koth" else random_game(shape, seed=37)
+        rng = np.random.default_rng(17)
         ops = _Contraction(game)
-        rng = np.random.default_rng(5)
-        zs = np.stack([np.concatenate([rng.normal(size=3), rng.normal(size=3)]) for _ in range(2)])
-        w = 0.37
-        _, grads = _enum_objective_grad(ops, zs, w)
+        n = game.num_players
         h = 1e-6
-        for r in range(2):
-            for a in range(6):
-                zp = zs.copy()
-                zm = zs.copy()
-                zp[r, a] += h
-                zm[r, a] -= h
-                vp, _ = _enum_objective_grad(ops, zp, w)
-                vm, _ = _enum_objective_grad(ops, zm, w)
-                fd = (vp - vm) / (2 * h)
-                assert abs(fd - grads[r, a]) / max(1.0, abs(fd)) < 1e-4
+        for _ in range(3):
+            keep = rng.uniform(size=sum(game.shape)) < 0.7
+            keep[ops.starts] = True
+            support = np.flatnonzero(keep)
+            k = support.size
+
+            def residual(u):
+                x = np.zeros(keep.size)
+                x[support] = u[:k]
+                return _indifference(ops, x, u[k:], support)[0]
+
+            u = np.concatenate([rng.uniform(size=k), rng.normal(size=n)])
+            jac = np.empty((k + n, k + n))
+            for c in range(k + n):
+                step = np.zeros(k + n)
+                step[c] = h
+                jac[:, c] = (residual(u + step) - residual(u - step)) / (2 * h)
+            x = np.zeros(keep.size)
+            x[support] = u[:k]
+            _, analytic = _indifference(ops, x, u[k:], support)
+            assert np.abs(analytic - jac).max() <= 1e-7
 
 
 class TestRiskDominance:
