@@ -12,7 +12,7 @@ Shannon entropy of the mean prompt and model vectors.
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -83,10 +83,9 @@ def build_skill_game(world: SkillWorld) -> Game:
 class SimConfig:
     """Knobs for the evolutionary selection procedure.
 
-    ``warm_start`` reuses the previous solve's logits when the action sets
-    changed only incrementally, cutting equilibrium solves from a full
-    anneal to a short refinement; turn it off to re-anneal from scratch on
-    every rating call (slower, selection-path faithful).
+    Every equilibrium rating call solves its game from scratch, so each
+    rates by the equilibrium its arm selects: the LLE traced from the
+    targets, or the MRE CCE.
 
     ``solver`` overrides fields of the arm's solver config (``QREConfig``
     for ne, ``CCEConfig`` for cce) and is passed on as given.  Left None,
@@ -107,7 +106,6 @@ class SimConfig:
     model_rating: str = "bt"  # elo arm: bt | mean_utility
     inner_round_cap: int = 1000
     solver: dict | None = None  # solver config overrides for ne/cce
-    warm_start: bool = False
     n_jobs: int = 1
 
     def __post_init__(self):
@@ -153,22 +151,7 @@ class SimTrajectory:
 
     def to_dict(self) -> dict:
         return {
-            "config": {
-                k: getattr(self.config, k)
-                for k in (
-                    "num_skills",
-                    "initial_prompts",
-                    "initial_models",
-                    "candidate_prompts",
-                    "candidate_increments",
-                    "iterations",
-                    "rating_method",
-                    "additional_prompts",
-                    "trials",
-                    "seed",
-                    "model_rating",
-                )
-            },
+            "config": asdict(self.config),
             "trials": [
                 {
                     "trial": t.trial,
@@ -215,21 +198,23 @@ def _elo_model_ratings(u_k: np.ndarray, mode: str) -> np.ndarray:
 
 
 class _EquilibriumRater:
-    """Per-trial equilibrium rating with optional warm starts.
+    """Per-trial equilibrium rating: one cold solve per call.
 
     Payoffs are scaled to max-abs 1 before solving so the solver schedule
     and kernel bandwidth operate at their design scale; ratings are used
-    only ordinally here and positive rescaling preserves the order.
-    Logits of persistent actions are carried between solves; candidate
-    rows (always at the front) start at their target logits.
+    only ordinally here and positive rescaling preserves the order.  An ne
+    solve that raises ``ConvergenceError`` rates with its unconverged
+    iterate, and the event is kept in ``fallbacks``.
     """
 
     # desk-scale overrides of the ne arm's QREConfig; pass solver={} for the
     # pure paper schedule.  A soft terminal temperature is enough here:
     # ratings only pick argmax candidates.  The forced anneal carries a
     # trace past a fold of the QRE branch instead of falling back to the
-    # unconverged iterate; none of the 41,124 temperatures of four trials
-    # (seeds 0-3, 5 or 30 iterations) stalled.
+    # unconverged iterate.  It fires on 30-iteration trials at SimConfig
+    # seeds 5, 7 and 8 (2 of 11,868, 6 of 11,040 and 9 of 15,226
+    # temperatures), never at seeds 0-4 and 6, nor on the 5-iteration
+    # trial at seed 0.
     DEFAULT_OVERRIDES = {
         "tau_terminal": 0.1,
         "force_anneal_on_stall": True,
@@ -239,33 +224,12 @@ class _EquilibriumRater:
         self.method = config.rating_method
         defaults = self.DEFAULT_OVERRIDES if self.method == "ne" else {}
         self.overrides = dict(defaults if config.solver is None else config.solver)
-        self.warm = config.warm_start
-        self.z_store = {0: [], 1: [], 2: []}  # persistent-action logits
-        self.last_z: list[np.ndarray] | None = None
         self.fallbacks: list[dict] = []
 
-    def _solve(self, game, targets, warm_ok, new_p, new_m, iteration) -> ProductProfile:
-        base = solvers.QREConfig(targets=targets, **self.overrides)
-        if warm_ok:
-            logt = [np.log(t) for t in targets]
-            init = []
-            for player, fresh in ((0, new_p), (1, new_m), (2, new_m)):
-                stored = np.asarray(self.z_store[player])
-                init.append(np.concatenate([logt[player][:fresh], stored]))
-            warm = solvers.QREConfig(
-                targets=targets,
-                **{
-                    **self.overrides,
-                    "tau_init": base.tau_terminal / base.tau_decay**2,
-                    "max_steps": 20_000,
-                },
-            )
-            try:
-                return solvers.solve_lle(game, warm, init_logits=init).profile
-            except ConvergenceError:
-                pass
+    def _solve_ne(self, game, targets, iteration) -> ProductProfile:
+        config = solvers.QREConfig(targets=targets, **self.overrides)
         try:
-            return solvers.solve_lle(game, base).profile
+            return solvers.solve_lle(game, config).profile
         except ConvergenceError as exc:
             # rate with the furthest-annealed iterate rather than dying;
             # candidate selection only needs the rating order
@@ -278,25 +242,15 @@ class _EquilibriumRater:
             )
             return exc.iterate
 
-    def rate(self, prompts: np.ndarray, models: np.ndarray, new_p: int, new_m: int, t: int):
+    def rate(self, prompts: np.ndarray, models: np.ndarray, t: int):
         u_k = _king_tensor(prompts, models)
         scale = float(np.abs(u_k).max())
         if scale > 0:
             u_k = u_k / scale
-        P, M = u_k.shape[0], u_k.shape[1]
         game = _skill_game(u_k)
         targets = affinity_targets(game)
-        warm_ok = (
-            self.warm
-            and self.method == "ne"
-            and len(self.z_store[0]) == P - new_p
-            and len(self.z_store[1]) == M - new_m
-        )
         if self.method == "ne":
-            profile = self._solve(game, targets, warm_ok, new_p, new_m, t)
-            self.last_z = [np.log(np.maximum(m, 1e-300)) for m in profile.marginals]
-            for player, fresh in ((0, new_p), (1, new_m), (2, new_m)):
-                self.z_store[player] = list(self.last_z[player][fresh:])
+            profile = self._solve_ne(game, targets, t)
         else:
             config = solvers.CCEConfig(
                 target_log_joint=solvers.target_log_joint(targets), **self.overrides
@@ -304,15 +258,6 @@ class _EquilibriumRater:
             profile = solvers.solve_mre_cce(game, config).profile
         regs = all_regrets(game, profile)
         return regs[0], regs[1]
-
-    def accept_prompt(self, candidate_index: int) -> None:
-        if self.last_z is not None:
-            self.z_store[0].append(self.last_z[0][candidate_index])
-
-    def accept_model(self, candidate_index: int) -> None:
-        if self.last_z is not None:
-            self.z_store[1].append(self.last_z[1][candidate_index])
-            self.z_store[2].append(self.last_z[2][candidate_index])
 
 
 def _run_trial(
@@ -323,9 +268,9 @@ def _run_trial(
     prompts = list(rng.dirichlet(np.ones(S), size=config.initial_prompts))
     models = list(rng.dirichlet(np.ones(S), size=config.initial_models))
 
-    def rate_sets(p_stack, m_stack, new_p, new_m, t):
+    def rate_sets(p_stack, m_stack, t):
         if rater is not None:
-            return rater.rate(p_stack, m_stack, new_p, new_m, t)
+            return rater.rate(p_stack, m_stack, t)
         u_k = _king_tensor(p_stack, m_stack)
         r_p = np.array([separability(u_k, i) for i in range(u_k.shape[0])])
         r_m = _elo_model_ratings(u_k, config.model_rating)
@@ -336,11 +281,9 @@ def _run_trial(
         if config.additional_prompts:
             cand_p = rng.dirichlet(np.ones(S), size=config.candidate_prompts)
             stack_p = np.concatenate([cand_p, np.stack(prompts)])
-            r_p, _ = rate_sets(stack_p, np.stack(models), config.candidate_prompts, 0, t)
+            r_p, _ = rate_sets(stack_p, np.stack(models), t)
             best = int(np.argmax(r_p[: config.candidate_prompts]))
             prompts.append(cand_p[best])
-            if rater is not None:
-                rater.accept_prompt(best)
         candidate = np.zeros(S)
         rounds = 0
         while True:
@@ -354,15 +297,11 @@ def _run_trial(
                 )
             deltas = rng.dirichlet(np.ones(S), size=config.candidate_increments)
             stack_m = np.concatenate([candidate + deltas, np.stack(models)])
-            _, r_m = rate_sets(
-                np.stack(prompts), stack_m, 0, config.candidate_increments, t
-            )
+            _, r_m = rate_sets(np.stack(prompts), stack_m, t)
             best = int(np.argmax(r_m[: config.candidate_increments]))
             candidate = candidate + deltas[best]
             if best == int(np.argmax(r_m)):
                 models.append(candidate)
-                if rater is not None:
-                    rater.accept_model(best)
                 break
         snapshots.append(_snapshot(t, prompts, models))
     return TrialResult(trial=trial, seed=seed, snapshots=snapshots)

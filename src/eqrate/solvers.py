@@ -68,6 +68,9 @@ CCE_GTOL_FRACTION = 1e-5
 # of them do.
 ENUM_TAU_TERMINAL = 1e-3
 SUPPORT_FRACTION = 1e-3
+# candidates whose rating vectors are closer than this in L2 are one
+# equilibrium
+DEDUP_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -377,23 +380,15 @@ def qre_loss(game: Game, profile: ProductProfile, tau: float, targets) -> float:
     return float(total)
 
 
-def _lle_step(ops: _Contraction, z: np.ndarray, tau: float, logt: np.ndarray):
-    """Loss, logit-gradient, deviation payoffs and exploitability of the
-    annealed best-response-gap objective, flat over every player's actions.
-
-    The chain rule through each opponent's soft best response is exact: the
-    gradient of the log-partition value with respect to the deviation
-    payoffs is the best response itself.
-    """
+def _qre_gap(ops: _Contraction, z: np.ndarray, tau: float, logt: np.ndarray):
+    """QRE loss (``qre_loss``) and exploitability at the flat logits z,
+    for a trace record."""
     logx, _ = ops.log_softmax(z)
     x = np.exp(logx)
     dev = ops.contract(x)
-    log_br, lse = ops.log_softmax(dev / tau + logt)
-    own = tau * (logx - logt) - dev
-    loss = tau * float(lse.sum()) + float(x @ own)
-    g = own + ops.pull(np.exp(log_br) - x)
-    gz = x * (g - ops.seg_sum(x * g)[ops.seg])
-    return loss, gz, dev, ops.exploitability(x, dev)
+    _, lse = ops.log_softmax(dev / tau + logt)
+    loss = tau * float(lse.sum()) + float(x @ (tau * (logx - logt) - dev))
+    return loss, ops.exploitability(x, dev)
 
 
 def _qre_residual(ops: _Contraction, y: np.ndarray, tau: float, logt: np.ndarray):
@@ -463,11 +458,7 @@ def _correct(ops: _Contraction, y: np.ndarray, tau: float, logt: np.ndarray, cap
     return y, its, True
 
 
-def solve_lle(
-    game: Game,
-    config: QREConfig | None = None,
-    init_logits: list[np.ndarray] | None = None,
-) -> EquilibriumResult:
+def solve_lle(game: Game, config: QREConfig | None = None) -> EquilibriumResult:
     """Trace the principal branch of the logit QRE toward its
     low-temperature limit, the LLE.
 
@@ -476,15 +467,15 @@ def solve_lle(
     fixed point is solved by damped Newton in the log-marginals, from the
     previous temperature's solution (``_correct``).  A temperature whose
     residual misses ``NEWTON_TOL`` within ``NEWTON_STAGE_ITERS`` iterations
-    has stalled: with ``force_anneal_on_stall`` the trace anneals anyway,
-    otherwise ``ConvergenceError`` is raised at once.  ``max_steps`` caps
+    has stalled: with ``force_anneal_on_stall`` the trace anneals anyway
+    and the result still reads converged, otherwise ``ConvergenceError``
+    is raised at once.  ``max_steps`` caps
     the Newton iterations in all.  Stops once the terminal temperature is
     solved, or as soon as the start's or a solved temperature's true
     (unregularized) exploitability reaches ``epsilon_ne``; with
     ``epsilon_ne=0`` that early exit is off and the trace always runs to
     ``tau_terminal``.  The trace starts at the target profile, the fixed
-    point at infinite temperature; ``init_logits`` warm-starts it elsewhere
-    (e.g. a nearby game's solution).  The trace holds the start, one record
+    point at infinite temperature.  The trace holds the start, one record
     per temperature and the final profile, ``step`` counting Newton
     iterations.  Deterministic.
     """
@@ -495,16 +486,11 @@ def solve_lle(
     logt = np.log(np.concatenate(targets))
 
     ops = _Contraction(game)
-    if init_logits is not None:
-        if [len(zi) for zi in init_logits] != ops.sizes:
-            raise DimensionError("init_logits shapes do not match game")
-        y = ops.log_softmax(np.concatenate([np.asarray(zi, dtype=float) for zi in init_logits]))[0]
-    else:
-        y = logt.copy()
+    y = logt.copy()
 
     tau = config.tau_init
     step = 0
-    loss, _, _, exploit = _lle_step(ops, y, tau, logt)
+    loss, exploit = _qre_gap(ops, y, tau, logt)
     trace = [TraceRecord(step, tau, loss, exploit)]
     termination = None
     if config.epsilon_ne > 0 and exploit <= config.epsilon_ne:
@@ -515,7 +501,7 @@ def solve_lle(
         step += its
         if not solved and (step >= config.max_steps or not config.force_anneal_on_stall):
             break
-        loss, _, _, exploit = _lle_step(ops, y, tau, logt)
+        loss, exploit = _qre_gap(ops, y, tau, logt)
         trace.append(TraceRecord(step, tau, loss, exploit))
         if solved and config.epsilon_ne > 0 and exploit <= config.epsilon_ne:
             termination = "epsilon_ne"
@@ -834,7 +820,6 @@ def enumerate_nes(
     seed: int = 0,
     replicas: int | None = None,
     lle_config: QREConfig | None = None,
-    dedup_tol: float = 1e-3,
 ) -> EnumerationResult:
     """Collect up to ``count`` distinct approximate Nash equilibria.
 
@@ -850,7 +835,7 @@ def enumerate_nes(
     cf. Porter, Nudelman & Shoham (2008), and kept traced where the polish
     fails.  Candidates after element 0 with exploitability above
     ``epsilon`` are dropped, and profiles whose rating vectors differ by
-    less than ``dedup_tol`` in L2 are considered the same equilibrium.
+    less than ``DEDUP_TOL`` in L2 are considered the same equilibrium.
     Priors are traced in turn only until ``count`` equilibria are kept.
     Raises ``ConvergenceError`` if the LLE cannot be traced.
     """
@@ -889,7 +874,7 @@ def enumerate_nes(
         rv = ops.regrets(x, dev)
         if pos > 0 and ex > epsilon:
             continue
-        if any(np.linalg.norm(rv - prev) < dedup_tol for prev in ratings):
+        if any(np.linalg.norm(rv - prev) < DEDUP_TOL for prev in ratings):
             continue
         profiles.append(ProductProfile(tuple(_split(x, ops.sizes))))
         ratings.append(rv)

@@ -10,7 +10,26 @@ by ``tau_decay`` at each ``interval``-step check where the loss is at most
 
 import numpy as np
 
-from eqrate.solvers import QREConfig, _Contraction, _lle_step, _validate_targets
+from eqrate.solvers import QREConfig, _Contraction, _validate_targets
+
+
+def _lle_step(ops: _Contraction, z: np.ndarray, tau: float, logt: np.ndarray):
+    """Loss, logit-gradient and exploitability of the annealed
+    best-response-gap objective, flat over every player's actions.
+
+    The chain rule through each opponent's soft best response is exact: the
+    gradient of the log-partition value with respect to the deviation
+    payoffs is the best response itself.
+    """
+    logx, _ = ops.log_softmax(z)
+    x = np.exp(logx)
+    dev = ops.contract(x)
+    log_br, lse = ops.log_softmax(dev / tau + logt)
+    own = tau * (logx - logt) - dev
+    loss = tau * float(lse.sum()) + float(x @ own)
+    g = own + ops.pull(np.exp(log_br) - x)
+    gz = x * (g - ops.seg_sum(x * g)[ops.seg])
+    return loss, gz, ops.exploitability(x, dev)
 
 
 class _Adam:
@@ -50,7 +69,7 @@ def solve_lle_adam(game, config: QREConfig, interval=250, gate=1e-5, learning_ra
     best_loss = np.inf
     last_progress = 0
     while step < config.max_steps:
-        loss, gz, _, exploit = _lle_step(ops, z, tau, logt)
+        loss, gz, exploit = _lle_step(ops, z, tau, logt)
         at_check = step % interval == 0
         if config.epsilon_ne > 0 and exploit <= config.epsilon_ne:
             termination = "epsilon_ne"

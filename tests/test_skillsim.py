@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from eqrate import koth, ratings, skillsim
+from eqrate import koth, ratings, skillsim, solvers
 from eqrate.errors import ParameterError
+from eqrate.games import all_regrets
+from eqrate.kernels import affinity_targets
 
 
 def test_cce_arm_runs():
@@ -55,7 +57,24 @@ def test_convergence_fallback_is_recorded():
         assert event["iteration"] in (1, 2)
         assert len(event["shape"]) == 3
         assert np.isfinite(event["exploitability"]) and event["exploitability"] >= 0
-    assert json.loads(json.dumps(traj.to_dict()))["trials"][0]["fallbacks"] == trial.fallbacks
+    saved = json.loads(json.dumps(traj.to_dict()))
+    assert saved["trials"][0]["fallbacks"] == trial.fallbacks
+    assert saved["config"]["solver"] == solver
+
+
+def test_ne_rating_is_one_cold_lle_trace():
+    rng = np.random.default_rng(11)
+    prompts = rng.dirichlet(np.ones(4), size=12)
+    models = rng.dirichlet(np.ones(4), size=5)
+    rater = skillsim._EquilibriumRater(skillsim.SimConfig(rating_method="ne"))
+    r_p, r_m = rater.rate(prompts, models, 1)
+    u_k = skillsim._king_tensor(prompts, models)
+    game = skillsim._skill_game(u_k / np.abs(u_k).max())
+    config = solvers.QREConfig(targets=affinity_targets(game), tau_terminal=0.1)
+    expected = all_regrets(game, solvers.solve_lle(game, config).profile)
+    assert np.array_equal(r_p, expected[0])
+    assert np.array_equal(r_m, expected[1])
+    assert rater.fallbacks == []
 
 
 def test_default_trial_records_no_fallback():

@@ -23,8 +23,8 @@ from eqrate.solvers import (
     _cce_loss_alpha,
     _Contraction,
     _indifference,
-    _lle_step,
     _newton_direction,
+    _qre_gap,
     _qre_residual,
     cce_dual_logit,
     enumerate_nes,
@@ -38,7 +38,7 @@ from eqrate.solvers import (
     target_log_joint,
     uniform_targets,
 )
-from adam_lle import solve_lle_adam
+from adam_lle import _lle_step, solve_lle_adam
 from conftest import random_game
 
 # toy payoffs reach -12, so approximating the infinite-temperature start
@@ -106,7 +106,7 @@ class TestLLEGradient:
         logt = np.log(np.concatenate(targets))
         ops = _Contraction(game)
         z = np.concatenate([rng.normal(size=n) for n in shape])
-        _, gz, _, _ = _lle_step(ops, z, tau, logt)
+        _, gz, _ = _lle_step(ops, z, tau, logt)
         h = 1e-6
         for a in range(z.size):
             zp = z.copy()
@@ -145,8 +145,9 @@ class TestLLEStep:
             targets = tuple(rng.dirichlet(np.ones(n)) for n in game.shape)
             tau = float(rng.uniform(0.02, 2.0))
             z = rng.normal(scale=2.0, size=sum(game.shape))
-            loss, _, dev, exploit = _lle_step(ops, z, tau, np.log(np.concatenate(targets)))
+            loss, exploit = _qre_gap(ops, z, tau, np.log(np.concatenate(targets)))
             profile = ops.profile(z)
+            dev = ops.contract(np.concatenate(profile.marginals))
             assert abs(loss - qre_loss(game, profile, tau, targets)) <= 1e-12
             for i, d in enumerate(np.split(dev, np.cumsum(game.shape)[:-1])):
                 assert np.abs(d - deviation_payoff(game, profile, i)).max() <= 1e-12
