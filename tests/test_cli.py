@@ -91,6 +91,16 @@ def test_clone_test_elo_ranking_matches_rate(tmp_path):
     assert row["ranking"] == order
 
 
+def test_simulate_rejects_zero_check_interval(tmp_path, capsys):
+    # the Newton trace has no check interval, so the key is unknown
+    config = tmp_path / "sim.json"
+    solver = {"anneal_check_interval": 0}
+    raw = {"rating_method": "ne", "trials": 1, "iterations": 1, "solver": solver}
+    config.write_text(json.dumps(raw))
+    assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path)]) == 2
+    assert repr("anneal_check_interval") in capsys.readouterr().err
+
+
 def test_simulate_rejects_unknown_keys(tmp_path, capsys):
     base = {"rating_method": "ne", "trials": 1, "iterations": 1}
     cases = (
@@ -98,8 +108,6 @@ def test_simulate_rejects_unknown_keys(tmp_path, capsys):
         ({"bogus": 3}, "bogus"),
         # the NE arm always solves from scratch
         ({"warm_start": True}, "warm_start"),
-        # the Newton trace has no check interval
-        ({"solver": {"anneal_check_interval": 0}}, "anneal_check_interval"),
     )
     for extra, key in cases:
         config = tmp_path / "sim.json"
