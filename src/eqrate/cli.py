@@ -195,6 +195,8 @@ def cmd_solve(args) -> int:
             "steps": result.trace[-1].step,
             "termination": result.termination,
             "stages": len({r.tau for r in result.trace if r.tau is not None}),
+            "restarts": result.restarts,
+            "forced_anneals": result.forced_anneals,
             "timings": timings,
         },
     )

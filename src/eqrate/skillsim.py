@@ -139,8 +139,10 @@ class TrialResult:
     snapshots: list[dict]
     aborted: bool = False
     abort_info: dict | None = None
-    # one entry per solve rated with an unconverged iterate: the iteration,
-    # the game shape and the iterate's exploitability
+    # one entry per ne solve rated with an unconverged iterate (kind
+    # "convergence_error") or traced past a stall by the forced anneal
+    # (kind "forced_anneal", with the count): the iteration, the game shape
+    # and the rated profile's exploitability
     fallbacks: list[dict] = field(default_factory=list)
 
 
@@ -204,15 +206,17 @@ class _EquilibriumRater:
     and kernel bandwidth operate at their design scale; ratings are used
     only ordinally here and positive rescaling preserves the order.  An ne
     solve that raises ``ConvergenceError`` rates with its unconverged
-    iterate, and the event is kept in ``fallbacks``.
+    iterate; that event, and a solve that forced an anneal past a stalled
+    temperature, are kept in ``fallbacks``.
     """
 
     # desk-scale overrides of the ne arm's QREConfig; pass solver={} for the
     # pure paper schedule.  A soft terminal temperature is enough here:
     # ratings only pick argmax candidates.  The forced anneal carries a
     # trace past a fold of the QRE branch instead of falling back to the
-    # unconverged iterate.  It fires on 30-iteration trials at SimConfig
-    # seeds 5, 7 and 8 (2 of 11,868, 6 of 11,040 and 9 of 15,226
+    # unconverged iterate; each solve it fires in is kept in ``fallbacks``.
+    # On 30-iteration trials it fires at SimConfig seeds 5, 7 and 8, in
+    # 1, 1 and 3 solves (2 of 11,868, 6 of 11,040 and 9 of 15,226
     # temperatures), never at seeds 0-4 and 6, nor on the 5-iteration
     # trial at seed 0.
     DEFAULT_OVERRIDES = {
@@ -228,19 +232,23 @@ class _EquilibriumRater:
 
     def _solve_ne(self, game, targets, iteration) -> ProductProfile:
         config = solvers.QREConfig(targets=targets, **self.overrides)
+        event = {"iteration": iteration, "shape": list(game.shape)}
         try:
-            return solvers.solve_lle(game, config).profile
+            result = solvers.solve_lle(game, config)
         except ConvergenceError as exc:
             # rate with the furthest-annealed iterate rather than dying;
             # candidate selection only needs the rating order
-            self.fallbacks.append(
-                {
-                    "iteration": iteration,
-                    "shape": list(game.shape),
-                    "exploitability": exc.trace[-1].exploitability,
-                }
-            )
+            event.update(kind="convergence_error", exploitability=exc.trace[-1].exploitability)
+            self.fallbacks.append(event)
             return exc.iterate
+        if result.forced_anneals:
+            event.update(
+                kind="forced_anneal",
+                exploitability=result.exploitability,
+                forced_anneals=result.forced_anneals,
+            )
+            self.fallbacks.append(event)
+        return result.profile
 
     def rate(self, prompts: np.ndarray, models: np.ndarray, t: int):
         u_k = _king_tensor(prompts, models)

@@ -4,8 +4,10 @@ Two selection routes:
 
 * ``solve_lle`` follows the principal branch of logit quantal-response
   equilibria, from the target profile at infinite temperature toward the
-  zero-temperature limit (McKelvey & Palfrey 1995), by Newton continuation
-  on the QRE fixed point over a geometric temperature grid (Turocy 2005).
+  zero-temperature limit (McKelvey & Palfrey 1995), by predictor-corrector
+  continuation on the QRE fixed point over a geometric temperature grid
+  (Turocy 2005; Allgower & Georg 1990): polynomial extrapolation in 1/tau,
+  then Newton.
   The logits are tilted by per-player target distributions, so a
   max-affinity-entropy target makes the traced equilibrium invariant to
   cloned actions.  A fold of the branch, where no nearby fixed point is
@@ -24,10 +26,12 @@ multiplicative belief updates over a set of equilibria.
 """
 
 import json
+from collections import deque
 from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
+from scipy.linalg import lapack
 from scipy.optimize import minimize
 from scipy.special import logsumexp, softmax
 
@@ -88,6 +92,8 @@ class QREConfig:
     # stop early once the true exploitability is at most this; 0 turns the
     # early exit off, so the trace always runs to tau_terminal
     epsilon_ne: float = DEFAULT_EPSILON_NE
+    # Newton iterations in all, counting those spent from a rejected
+    # prediction before a temperature is rerun from the last solution
     max_steps: int = 200_000
     targets: tuple[np.ndarray, ...] | None = None
     # past a fold of the QRE branch no nearby fixed point is left, so the
@@ -151,6 +157,11 @@ class EquilibriumResult:
     duals: list[np.ndarray] | None = None
     config: dict | None = None
     seed: int | None = None
+    # LLE only: temperatures rerun from the last solution after the
+    # corrector failed from the extrapolated start, and stalled
+    # temperatures annealed past (``force_anneal_on_stall``)
+    restarts: int = 0
+    forced_anneals: int = 0
 
     def to_dict(self) -> dict:
         if isinstance(self.profile, ProductProfile):
@@ -184,6 +195,8 @@ class EquilibriumResult:
             else [t.tolist() for t in self.targets],
             "config": self.config,
             "seed": self.seed,
+            "restarts": self.restarts,
+            "forced_anneals": self.forced_anneals,
         }
 
     def save(self, path) -> None:
@@ -216,7 +229,8 @@ class _Contraction:
 
     For the Newton corrector the actions split into the largest player's,
     ``big``, and the ``rest``; ``schur_blocks`` gathers the pair blocks
-    between and within the two groups.
+    between and within the two groups, the rest's rows stacked over the
+    columns ``cols``: big, then rest.
     """
 
     def __init__(self, game: Game):
@@ -237,10 +251,11 @@ class _Contraction:
         at = {i: self.slices[i].start - (shape[big] if i > big else 0) for i in range(n)}
         self.rest_starts = np.array([at[i] for i in range(n) if i != big], dtype=int)
         self.rest_seg = np.repeat(np.arange(n - 1), [s for i, s in enumerate(shape) if i != big])
-        self._b_rm = stacks[big]
+        self.cols = np.concatenate([np.arange(offsets[-1])[self.big], self.rest])
+        self._b_r = np.zeros((self.rest.size, offsets[-1]))
         self._b_mr = np.empty((shape[big], self.rest.size))
-        self._b_rr = np.zeros((self.rest.size, self.rest.size))
-        self._gather = []
+        b_rr = self._b_r[:, shape[big] :]
+        self._gather = [(self._b_r[:, : shape[big]], stacks[big])]
         self._refresh = []
         for j in range(n):
             row = 0
@@ -251,7 +266,7 @@ class _Contraction:
                 row += shape[i]
                 if j != big:
                     cols = slice(at[j], at[j] + shape[j])
-                    dest = self._b_mr if i == big else self._b_rr[at[i] : at[i] + shape[i]]
+                    dest = self._b_mr if i == big else b_rr[at[i] : at[i] + shape[i]]
                     self._gather.append((dest[:, cols], block))
                 rest = [k for k in range(n) if k not in (i, j)]
                 mat = np.transpose(game.utilities[i], (*rest, i, j)).reshape(-1, block.size)
@@ -272,12 +287,12 @@ class _Contraction:
         ]
 
     def schur_blocks(self):
-        """The pair blocks at the last ``contract``, gathered into three
-        matrices: rest rows by big columns, big rows by rest columns, and
-        rest by rest (zero within a player)."""
+        """The pair blocks at the last ``contract``, gathered into two
+        matrices: rest rows by ``cols`` (big then rest; zero within a
+        player), and big rows by rest columns."""
         for dest, block in self._gather:
             np.copyto(dest, block)
-        return self._b_rm, self._b_mr, self._b_rr
+        return self._b_r, self._b_mr
 
     def seg_sum(self, v: np.ndarray) -> np.ndarray:
         return np.add.reduceat(v, self.starts)
@@ -412,18 +427,17 @@ def _newton_direction(ops: _Contraction, f, x, br, tau: float) -> np.ndarray:
     m, r = ops.big, ops.rest
     if r.size == 0:
         return -f
-    b_rm, b_mr, b_rr = ops.schur_blocks()
-    br_r = br[r]
-
-    def p_rest(b):
-        # apply I - 1 br_i^T within each rest player's rows
-        return b - np.add.reduceat(br_r[:, None] * b, ops.rest_starts, axis=0)[ops.rest_seg]
-
-    k_rm = p_rest(b_rm) * (x[m] / tau)
+    b_r, b_mr = ops.schur_blocks()
+    # apply I - 1 br_i^T within each rest player's rows
+    k_r = b_r - np.add.reduceat(br[r][:, None] * b_r, ops.rest_starts, axis=0)[ops.rest_seg]
+    k_r *= x[ops.cols] / tau
+    k_rm, k_rr = k_r[:, : b_mr.shape[0]], k_r[:, b_mr.shape[0] :]
     k_mr = (b_mr - br[m] @ b_mr) * (x[r] / tau)
-    k_rr = p_rest(b_rr) * (x[r] / tau)
-    schur = np.eye(r.size) - k_rr - k_rm @ k_mr
-    d_r = np.linalg.solve(schur, -f[r] - k_rm @ f[m])
+    schur = -k_rr - k_rm @ k_mr
+    schur.flat[:: r.size + 1] += 1.0
+    _, _, d_r, info = lapack.dgesv(schur, -f[r] - k_rm @ f[m], overwrite_a=True, overwrite_b=True)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"singular Newton system (LAPACK gesv info {info})")
     d = np.empty_like(f)
     d[r] = d_r
     d[m] = k_mr @ d_r - f[m]
@@ -458,19 +472,39 @@ def _correct(ops: _Contraction, y: np.ndarray, tau: float, logt: np.ndarray, cap
     return y, its, True
 
 
+def _extrapolate(history, lam: float) -> np.ndarray:
+    """The Lagrange interpolant through the ``(lam_k, y_k)`` of history,
+    evaluated at lam."""
+    pred = np.zeros_like(history[0][1])
+    for k, (lam_k, y_k) in enumerate(history):
+        weight = 1.0
+        for j, (lam_j, _) in enumerate(history):
+            if j != k:
+                weight *= (lam - lam_j) / (lam_k - lam_j)
+        pred += weight * y_k
+    return pred
+
+
 def solve_lle(game: Game, config: QREConfig | None = None) -> EquilibriumResult:
     """Trace the principal branch of the logit QRE toward its
     low-temperature limit, the LLE.
 
     The temperature starts at ``tau_init`` and is multiplied by
     ``tau_decay`` down to ``tau_terminal``.  At each temperature the QRE
-    fixed point is solved by damped Newton in the log-marginals, from the
-    previous temperature's solution (``_correct``).  A temperature whose
-    residual misses ``NEWTON_TOL`` within ``NEWTON_STAGE_ITERS`` iterations
-    has stalled: with ``force_anneal_on_stall`` the trace anneals anyway
-    and the result still reads converged, otherwise ``ConvergenceError``
-    is raised at once.  ``max_steps`` caps
-    the Newton iterations in all.  Stops once the terminal temperature is
+    fixed point is solved by damped Newton in the log-marginals
+    (``_correct``), from a prediction: the Lagrange interpolant in
+    ``lambda = 1/tau`` through the last three solved temperatures'
+    log-marginals, a line through two, the solution itself after one (the
+    trace's first temperature starts from the target profile).  A
+    temperature whose residual misses ``NEWTON_TOL`` within
+    ``NEWTON_STAGE_ITERS`` iterations from a prediction is rerun from the
+    last solution with a fresh cap, and counted in ``restarts``; one that
+    misses it from the last solution too has stalled.  With
+    ``force_anneal_on_stall`` the trace then anneals anyway from the
+    stalled iterate, counted in ``forced_anneals``, and the predictor's
+    history starts afresh; otherwise ``ConvergenceError`` is raised at
+    once.  ``max_steps`` caps the Newton iterations in all, those of
+    rejected predictions included.  Stops once the terminal temperature is
     solved, or as soon as the start's or a solved temperature's true
     (unregularized) exploitability reaches ``epsilon_ne``; with
     ``epsilon_ne=0`` that early exit is off and the trace always runs to
@@ -487,20 +521,35 @@ def solve_lle(game: Game, config: QREConfig | None = None) -> EquilibriumResult:
 
     ops = _Contraction(game)
     y = logt.copy()
+    history = deque(maxlen=3)  # (1/tau, y) of the last solved temperatures
 
     tau = config.tau_init
-    step = 0
+    step = restarts = forced_anneals = 0
     loss, exploit = _qre_gap(ops, y, tau, logt)
     trace = [TraceRecord(step, tau, loss, exploit)]
     termination = None
     if config.epsilon_ne > 0 and exploit <= config.epsilon_ne:
         termination = "epsilon_ne"
     while termination is None:
-        cap = min(NEWTON_STAGE_ITERS, config.max_steps - step)
-        y, its, solved = _correct(ops, y, tau, logt, cap)
+        start = _extrapolate(history, 1.0 / tau) if len(history) > 1 else y
+        y_next, its, solved = _correct(
+            ops, start, tau, logt, min(NEWTON_STAGE_ITERS, config.max_steps - step)
+        )
         step += its
+        if not solved and start is not y and step < config.max_steps:
+            restarts += 1
+            y_next, its, solved = _correct(
+                ops, y, tau, logt, min(NEWTON_STAGE_ITERS, config.max_steps - step)
+            )
+            step += its
+        y = y_next
         if not solved and (step >= config.max_steps or not config.force_anneal_on_stall):
             break
+        if solved:
+            history.append((1.0 / tau, y))
+        else:
+            forced_anneals += 1
+            history.clear()
         loss, exploit = _qre_gap(ops, y, tau, logt)
         trace.append(TraceRecord(step, tau, loss, exploit))
         if solved and config.epsilon_ne > 0 and exploit <= config.epsilon_ne:
@@ -510,10 +559,11 @@ def solve_lle(game: Game, config: QREConfig | None = None) -> EquilibriumResult:
         else:
             tau = max(tau * config.tau_decay, config.tau_terminal)
 
+    if termination is None:
+        # the stalled iterate gets its own record
+        loss, exploit = _qre_gap(ops, y, tau, logt)
+    trace.append(TraceRecord(step, tau, loss, exploit))
     profile = ops.profile(y)
-    final_exploit = exploitability(game, profile)
-    final_loss = qre_loss(game, profile, tau, targets)
-    trace.append(TraceRecord(step, tau, final_loss, final_exploit))
     if termination is None:
         reason = (
             f"all {config.max_steps} Newton iterations spent"
@@ -521,14 +571,14 @@ def solve_lle(game: Game, config: QREConfig | None = None) -> EquilibriumResult:
             else f"Newton stalled above residual {NEWTON_TOL:g}"
         )
         raise ConvergenceError(
-            f"solve_lle: {reason} (tau={tau:.4g}, loss={final_loss:.3e}, "
-            f"exploitability={final_exploit:.3e}, step {step})",
+            f"solve_lle: {reason} (tau={tau:.4g}, loss={loss:.3e}, "
+            f"exploitability={exploit:.3e}, step {step})",
             iterate=profile,
             trace=trace,
         )
     return EquilibriumResult(
         profile=profile,
-        exploitability=final_exploit,
+        exploitability=exploit,
         trace=trace,
         converged=True,
         method="ne",
@@ -541,6 +591,8 @@ def solve_lle(game: Game, config: QREConfig | None = None) -> EquilibriumResult:
             "epsilon_ne": config.epsilon_ne,
             "max_steps": config.max_steps,
         },
+        restarts=restarts,
+        forced_anneals=forced_anneals,
     )
 
 
@@ -764,11 +816,10 @@ def _indifference(ops: _Contraction, x: np.ndarray, v: np.ndarray, support: np.n
     dev = ops.contract(x)
     seg = ops.seg[support]
     f = np.concatenate([dev[support] - v[seg], ops.seg_sum(x) - 1.0])
-    b_rm, b_mr, b_rr = ops.schur_blocks()
+    b_r, b_mr = ops.schur_blocks()
     pairs = np.zeros((x.size, x.size))
-    pairs[ops.rest, ops.big] = b_rm
+    pairs[np.ix_(ops.rest, ops.cols)] = b_r
     pairs[ops.big, ops.rest] = b_mr
-    pairs[np.ix_(ops.rest, ops.rest)] = b_rr
     member = (seg[:, None] == np.arange(len(ops.sizes))).astype(float)
     jac = np.block([
         [pairs[np.ix_(support, support)], -member],

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from eqrate import koth
 from eqrate.games import Game
 
 RPS_U1 = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
@@ -59,3 +60,18 @@ def random_game(shape, seed, scale=1.0):
         action_labels=tuple(tuple(f"a{i}_{j}" for j in range(s)) for i, s in enumerate(shape)),
         utilities=tuple(scale * rng.normal(size=shape) for _ in range(n)),
     )
+
+
+def fold_game():
+    """A 4x3 KOTH game of seeded judge scores whose principal QRE branch
+    folds back between tau 0.122 and 0.116, so a temperature-monotone LLE
+    trace stalls there."""
+    rng = np.random.default_rng(2)
+    models = ["m_a", "m_b", "m_c"]
+    records = [
+        koth.PreferenceRecord(f"q{p}", models[a], models[b], float(rng.choice(koth.SCORES)))
+        for p in range(4)
+        for a in range(3)
+        for b in range(a + 1, 3)
+    ]
+    return koth.build_koth(records).game

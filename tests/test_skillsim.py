@@ -5,8 +5,9 @@ import pytest
 
 from eqrate import koth, ratings, skillsim, solvers
 from eqrate.errors import ParameterError
-from eqrate.games import all_regrets
+from eqrate.games import all_regrets, exploitability
 from eqrate.kernels import affinity_targets
+from conftest import fold_game
 
 
 def test_cce_arm_runs():
@@ -54,6 +55,7 @@ def test_convergence_fallback_is_recorded():
     assert not trial.aborted
     assert trial.fallbacks
     for event in trial.fallbacks:
+        assert event["kind"] == "convergence_error"
         assert event["iteration"] in (1, 2)
         assert len(event["shape"]) == 3
         assert np.isfinite(event["exploitability"]) and event["exploitability"] >= 0
@@ -75,6 +77,19 @@ def test_ne_rating_is_one_cold_lle_trace():
     assert np.array_equal(r_p, expected[0])
     assert np.array_equal(r_m, expected[1])
     assert rater.fallbacks == []
+
+
+def test_forced_anneal_is_recorded():
+    # the QRE branch folds near tau 0.12, above the default overrides'
+    # terminal temperature, so the trace anneals past it
+    game = fold_game()
+    rater = skillsim._EquilibriumRater(skillsim.SimConfig(rating_method="ne"))
+    profile = rater._solve_ne(game, affinity_targets(game), 3)
+    (event,) = rater.fallbacks
+    assert event["kind"] == "forced_anneal"
+    assert event["forced_anneals"] >= 1
+    assert event["iteration"] == 3 and event["shape"] == list(game.shape)
+    assert event["exploitability"] == pytest.approx(exploitability(game, profile), abs=1e-12)
 
 
 def test_default_trial_records_no_fallback():

@@ -39,7 +39,7 @@ from eqrate.solvers import (
     uniform_targets,
 )
 from adam_lle import _lle_step, solve_lle_adam
-from conftest import random_game
+from conftest import fold_game, random_game
 
 # toy payoffs reach -12, so approximating the infinite-temperature start
 # needs a hotter initial temperature than the [-1, 1]-scale default
@@ -282,6 +282,51 @@ class TestSolveLLE:
         assert isinstance(exc.value.iterate, ProductProfile)
         assert exc.value.trace[-1].step < 2000
         assert exc.value.trace[-1].tau < 0.2
+
+    def test_rejected_prediction_reruns_from_last_solution(self):
+        # the extrapolated start misses this game's Newton basin at one
+        # temperature; a trace without the rerun stalls there, at tau 0.440
+        game = random_game((3, 4, 2), 7)
+        res = solve_lle(game, QREConfig(epsilon_ne=0.0))
+        assert res.termination == "terminal_tau"
+        assert res.restarts > 0
+        assert res.forced_anneals == 0
+
+    def test_predictor_passes_a_corrector_stall(self):
+        # tracing from each last solution stalls at tau 0.277, but the
+        # Jacobian's smallest singular value there dips only to 2.1e-2 (at
+        # tau 0.287, on a 0.995 grid), against 3e-7 at the fold of
+        # test_fold_raises_fast: the branch goes on, the start was outside
+        # the corrector's basin
+        game = random_game((6, 3, 3), 19)
+        for tau_terminal in (1e-2, 1e-3):
+            config = QREConfig(epsilon_ne=0.0, tau_terminal=tau_terminal)
+            res = solve_lle(game, config)
+            assert res.termination == "terminal_tau"
+            assert qre_residual(game, res.profile, tau_terminal, res.targets) <= 1e-9
+
+    def test_predictor_cuts_newton_steps(self):
+        # 286 Newton iterations over 91 temperatures from each last solution
+        game = _koth_clone_game(8, 4, 0)
+        res = solve_lle(game, QREConfig(epsilon_ne=0.0))
+        assert res.termination == "terminal_tau"
+        assert res.trace[-1].step <= 200
+
+    def test_final_record_repeats_the_last_temperature(self, chicken):
+        config = QREConfig(targets=uniform_targets(chicken), epsilon_ne=0.0, **HOT)
+        res = solve_lle(chicken, config)
+        assert res.trace[-1] == res.trace[-2]
+        assert res.exploitability == res.trace[-1].exploitability
+        assert res.exploitability == pytest.approx(exploitability(chicken, res.profile), abs=1e-12)
+
+    def test_forced_anneal_is_counted(self):
+        game = fold_game()
+        res = solve_lle(game, QREConfig(force_anneal_on_stall=True))
+        assert res.converged and res.termination == "terminal_tau"
+        assert res.forced_anneals >= 1
+        saved = res.to_dict()
+        assert saved["forced_anneals"] == res.forced_anneals
+        assert saved["restarts"] == res.restarts
 
     def test_serialization_round_trip(self, tmp_path, rps):
         res = solve_lle(rps, QREConfig(targets=affinity_targets(rps)))
