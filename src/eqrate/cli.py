@@ -15,6 +15,17 @@ full format of ``games.save_game``, with one flat tensor per player under
 commands that need a prompt/king/rebel game (``build --game``, ``rate
 --method elo``, ``clone-test``) check that its prompt and rebel tensors
 are the ones its king tensor defines.
+
+Equilibrium files from ``solve`` are ``EquilibriumResult.to_dict`` JSON:
+``method``, ``profile``, ``exploitability``, the ``trace``, the per-player
+``targets`` and the solver ``config``.  An NE profile holds its marginals.
+A CCE profile holds its dual multipliers, ``{"type": "cce_dual", "duals":
+[...], "shape": [...]}`` with one list per player, not the joint: the
+multipliers and targets fix the joint, which ``rate`` and ``decompose``
+rebuild bit for bit (``solvers.profile_from_dict``).  They also read CCE
+files that hold the joint itself (``"type": "joint"``), and they reject a
+CCE whose exploitability on ``--game`` exceeds the file's ``epsilon_cce``,
+one solved on another game.
 """
 
 import argparse
@@ -152,18 +163,15 @@ def cmd_build(args) -> int:
 
 
 def _solve(game, method, targets, epsilon, max_steps):
-    if method == "ne":
-        kwargs = {"targets": targets}
-        if epsilon is not None:
-            kwargs["epsilon_ne"] = epsilon
-        if max_steps is not None:
-            kwargs["max_steps"] = max_steps
-        return solvers.solve_lle(game, solvers.QREConfig(**kwargs))
-    kwargs = {"target_log_joint": solvers.target_log_joint(targets)}
-    if epsilon is not None:
-        kwargs["epsilon_cce"] = epsilon
+    kwargs = {"targets": targets}
     if max_steps is not None:
         kwargs["max_steps"] = max_steps
+    if method == "ne":
+        if epsilon is not None:
+            kwargs["epsilon_ne"] = epsilon
+        return solvers.solve_lle(game, solvers.QREConfig(**kwargs))
+    if epsilon is not None:
+        kwargs["epsilon_cce"] = epsilon
     return solvers.solve_mre_cce(game, solvers.CCEConfig(**kwargs))
 
 
@@ -227,7 +235,7 @@ def cmd_rate(args) -> int:
         with open(args.equilibrium, encoding="utf-8") as fh:
             eq = json.load(fh)
         inputs.append(args.equilibrium)
-        profile = solvers.profile_from_dict(eq)
+        profile = solvers.profile_from_dict(eq, game)
         report = ratings.rate(game, profile, eq.get("method", "eq").upper())
     report.save_json(args.out)
     csv_path = str(args.out) + ".csv"
@@ -308,7 +316,7 @@ def cmd_decompose(args) -> int:
     game, _ = _read_game(args.game)
     with open(args.equilibrium, encoding="utf-8") as fh:
         eq = json.load(fh)
-    profile = solvers.profile_from_dict(eq)
+    profile = solvers.profile_from_dict(eq, game)
     grouping = None
     inputs = [args.game, args.equilibrium]
     if args.families:

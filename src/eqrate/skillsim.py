@@ -126,7 +126,7 @@ class SimConfig:
         if self.solver is not None and self.rating_method != "elo":
             arm = solvers.QREConfig if self.rating_method == "ne" else solvers.CCEConfig
             # the rater sets the targets itself
-            allowed = {f.name for f in fields(arm)} - {"targets", "target_log_joint"}
+            allowed = {f.name for f in fields(arm)} - {"targets"}
             for key in self.solver:
                 if key not in allowed:
                     raise ParameterError(f"solver key {key!r} is not a {arm.__name__} setting")
@@ -260,9 +260,7 @@ class _EquilibriumRater:
         if self.method == "ne":
             profile = self._solve_ne(game, targets, t)
         else:
-            config = solvers.CCEConfig(
-                target_log_joint=solvers.target_log_joint(targets), **self.overrides
-            )
+            config = solvers.CCEConfig(targets=targets, **self.overrides)
             profile = solvers.solve_mre_cce(game, config).profile
         regs = all_regrets(game, profile)
         return regs[0], regs[1]

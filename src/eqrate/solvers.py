@@ -116,13 +116,14 @@ class QREConfig:
 
 @dataclass(frozen=True)
 class CCEConfig:
-    """Settings of the dual-space CCE solve.
+    """Settings of the dual-space CCE solve: the per-player ``targets``
+    whose product joint the CCE is the relative-entropy projection of
+    (default: uniform; checked against the game by the solver, as
+    ``QREConfig.targets`` is); the cap ``max_steps`` on L-BFGS-B
+    iterations; and ``epsilon_cce``, the exploitability a returned joint
+    may have at most."""
 
-    ``max_steps`` caps the L-BFGS-B iterations; ``epsilon_cce`` is the
-    exploitability a returned joint may have at most.
-    """
-
-    target_log_joint: np.ndarray | None = None
+    targets: tuple[np.ndarray, ...] | None = None
     max_steps: int = 200_000
     epsilon_cce: float = 1e-3
 
@@ -131,10 +132,6 @@ class CCEConfig:
             raise ParameterError("epsilon_cce must be nonnegative")
         if self.max_steps < 1:
             raise ParameterError("max_steps must be at least 1")
-        if self.target_log_joint is not None:
-            total = np.exp(self.target_log_joint).sum()
-            if not np.isclose(total, 1.0, atol=1e-6):
-                raise ParameterError(f"target joint sums to {total}, not 1")
 
 
 @dataclass
@@ -164,6 +161,11 @@ class EquilibriumResult:
     forced_anneals: int = 0
 
     def to_dict(self) -> dict:
+        """JSON-ready dict.  A product profile is stored as its
+        ``marginals``; a CCE as its dual multipliers, ``{"type": "cce_dual",
+        "duals": [...], "shape": [...]}`` with one list per player, since
+        the multipliers and ``targets`` fix the joint (``profile_from_dict``
+        rebuilds it)."""
         if isinstance(self.profile, ProductProfile):
             prof = {
                 "type": "product",
@@ -171,8 +173,8 @@ class EquilibriumResult:
             }
         else:
             prof = {
-                "type": "joint",
-                "joint": self.profile.joint.ravel().tolist(),
+                "type": "cce_dual",
+                "duals": [a.tolist() for a in self.duals],
                 "shape": list(self.profile.joint.shape),
             }
         return {
@@ -204,14 +206,47 @@ class EquilibriumResult:
             fh.write(json.dumps(self.to_dict()))
 
 
-def profile_from_dict(data: dict) -> ProductProfile | JointDistribution:
-    """Rebuild the profile stored in an equilibrium result dict."""
+def profile_from_dict(data: dict, game: Game) -> ProductProfile | JointDistribution:
+    """Rebuild the profile stored in an equilibrium result dict of ``game``.
+
+    A ``product`` profile holds its ``marginals``.  A ``cce_dual`` profile
+    holds the CCE's multipliers, one list per player under ``duals``, and
+    its ``shape``; the joint is the dual's softmax at those multipliers and
+    the dict's per-player ``targets``, rebuilt by one ``_CCEDual``
+    evaluation.  JSON floats round-trip exactly, so it equals the solved
+    joint bit for bit.  A ``joint`` profile (``joint`` flat and row-major,
+    and ``shape``) is the format written before CCEs were stored as their
+    multipliers; it still loads.
+
+    A profile whose shape is not the game's raises ``ParameterError``, and
+    so does a joint whose exploitability on ``game`` exceeds the dict's
+    ``config.epsilon_cce``: that CCE was solved on another game.
+    """
     prof = data["profile"]
-    if prof["type"] == "product":
+    product = prof["type"] == "product"
+    shape = tuple(len(m) for m in prof["marginals"]) if product else tuple(prof["shape"])
+    if shape != game.shape:
+        raise ParameterError(f"equilibrium of shape {shape} does not fit game {game.shape}")
+    if product:
         return ProductProfile(tuple(np.asarray(m, dtype=float) for m in prof["marginals"]))
-    return JointDistribution(
-        np.asarray(prof["joint"], dtype=float).reshape(prof["shape"])
-    )
+    if prof["type"] == "cce_dual":
+        if [len(a) for a in prof["duals"]] != list(shape):
+            raise ParameterError("one multiplier per player and action required")
+        targets = tuple(np.asarray(t, dtype=float) for t in data["targets"])
+        _validate_targets(game, targets)
+        # the stored targets are the solve's own; validation may renormalise
+        # them by an ulp, so the joint is built from them as stored
+        _, x, _ = _CCEDual(game, targets).evaluate(np.concatenate(prof["duals"], dtype=float))
+        profile = JointDistribution(x)
+    else:
+        profile = JointDistribution(np.asarray(prof["joint"], dtype=float).reshape(shape))
+    bound = (data.get("config") or {}).get("epsilon_cce")
+    if bound is not None and (gap := exploitability(game, profile)) > bound:
+        raise ParameterError(
+            f"the stored CCE has exploitability {gap:.3e} on this game, above its bound "
+            f"{bound:.1e}: it was solved on another game"
+        )
+    return profile
 
 
 class _Contraction:
@@ -646,46 +681,75 @@ def _cce_loss_alpha(game: Game, alphas, t: np.ndarray) -> float:
 class _CCEDual:
     """The dual objective over the flat multiplier vector, and its gradient.
 
-    Each player's payoff tensor is kept laid out as ``(A_i, prod(rest))``
-    so the deviation gains and deviation payoffs are one matvec apiece.
+    With ``s_i`` the sum of player i's multipliers and ``g_i`` its
+    multiplier-weighted deviation payoffs, a function of the co-players'
+    actions, the logit is ``t + sum_i s_i u_i - sum_i g_i``.  It is formed
+    in one preallocated flat buffer: one matvec over the payoff tensors and
+    the target log-joint ``t``, stacked as rows, then each player's ``g_i``
+    subtracted in place by broadcasting; the buffer is then exponentiated
+    and normalised in place into the joint.  Each player's payoff tensor is
+    also kept laid out as ``(A_i, prod(rest))``, so ``g_i`` and the
+    deviation payoffs are one matvec apiece, and each co-marginal is one
+    matvec of the buffer with a ones vector over the player's axis.
+    ``evaluate`` returns the joint as a view of the buffer, valid until the
+    next evaluation.
     """
 
-    def __init__(self, game: Game, target_log_joint: np.ndarray):
-        self.game = game
-        self.target_log_joint = target_log_joint
-        self.sizes = [game.num_actions(i) for i in range(game.num_players)]
+    def __init__(self, game: Game, targets):
+        shape = game.shape
+        self.sizes = list(shape)
+        self._stack = np.empty((len(shape) + 1, np.prod(shape, dtype=int)))
+        for row, u in zip(self._stack, game.utilities):
+            row[:] = u.ravel()
+        self._stack[-1] = target_log_joint(targets).ravel()
+        # the target row's coefficient stays 1
+        self._coef = np.ones(len(shape) + 1)
+        self._buf = np.empty(self._stack.shape[1])
+        self._joint = self._buf.reshape(shape)
         self.perms = [
-            np.ascontiguousarray(np.moveaxis(u, i, 0)).reshape(self.sizes[i], -1)
+            np.ascontiguousarray(np.moveaxis(u, i, 0)).reshape(shape[i], -1)
             for i, u in enumerate(game.utilities)
         ]
-        self.rest_shapes = [
-            tuple(s for k, s in enumerate(game.shape) if k != i) for i in range(game.num_players)
+        # the buffer as (actions before, A_i, actions after) for player i
+        self._views = [
+            self._buf.reshape(np.prod(shape[:i], dtype=int), s, -1) for i, s in enumerate(shape)
         ]
+        self._ones = [np.ones(s) for s in shape]
         self._last = None
+
+    def _co_marginal(self, i: int) -> np.ndarray:
+        view, ones = self._views[i], self._ones[i]
+        # over the last axis one matvec covers every row; over another, one
+        # matvec per index of the axes before it
+        if view.shape[2] == 1:
+            return view[:, :, 0] @ ones
+        return (ones @ view).ravel()
 
     def evaluate(self, flat: np.ndarray):
         """Dual loss, implied joint and every player's deviation regrets."""
         if self._last is not None and np.array_equal(flat, self._last[0]):
             return self._last[1]
-        logit = self.target_log_joint.copy()
-        for i, a in enumerate(_split(flat, self.sizes)):
-            u = self.game.utilities[i]
-            gains = (a @ self.perms[i]).reshape(self.rest_shapes[i])
-            logit -= np.expand_dims(gains, i) - a.sum() * u
-        peak = logit.max()
-        x = np.exp(logit - peak)
-        total = x.sum()
+        alphas = _split(flat, self.sizes)
+        n, buf = len(alphas), self._buf
+        for i, a in enumerate(alphas):
+            self._coef[i] = a.sum()
+        np.dot(self._coef, self._stack, out=buf)
+        for a, perm, view in zip(alphas, self.perms, self._views):
+            view -= (a @ perm).reshape(view.shape[0], 1, view.shape[2])
+        peak = buf.max()
+        buf -= peak
+        np.exp(buf, out=buf)
+        # taken before the scaling, the co-marginals also give the total
+        co = [self._co_marginal(i) for i in range(n)]
+        total = co[0].sum()
+        buf *= 1.0 / total
+        values = self._stack[:n] @ buf
+        regrets = [perm @ (c / total) - v for perm, c, v in zip(self.perms, co, values)]
         lse = float(peak + np.log(total))
-        x /= total
-        xflat = x.ravel()
-        regrets = [
-            self.perms[i] @ x.sum(axis=i).ravel() - float(u.ravel() @ xflat)
-            for i, u in enumerate(self.game.utilities)
-        ]
         # L-BFGS-B reports each iterate after evaluating it; keep that
         # evaluation so recording the iterate costs nothing
-        self._last = (flat.copy(), (lse, x, regrets))
-        return lse, x, regrets
+        self._last = (flat.copy(), (lse, self._joint, regrets))
+        return lse, self._joint, regrets
 
     def loss_grad(self, flat: np.ndarray):
         """The gradient in the multipliers is minus the deviation regret."""
@@ -719,14 +783,10 @@ def solve_mre_cce(
     trace.  Deterministic.
     """
     config = config or CCEConfig()
-    if config.target_log_joint is None:
-        t = target_log_joint(uniform_targets(game))
-    else:
-        t = np.asarray(config.target_log_joint, dtype=float)
-        if t.shape != game.shape:
-            raise DimensionError("target log joint shape mismatch")
-
-    dual = _CCEDual(game, t)
+    targets = _validate_targets(
+        game, uniform_targets(game) if config.targets is None else config.targets
+    )
+    dual = _CCEDual(game, targets)
     if init_alphas is not None:
         alphas = [np.asarray(a, dtype=float) for a in init_alphas]
         if [len(a) for a in alphas] != dual.sizes:
@@ -781,6 +841,7 @@ def solve_mre_cce(
         converged=True,
         method="cce",
         termination="epsilon_cce",
+        targets=targets,
         duals=duals,
         config={
             "max_steps": config.max_steps,

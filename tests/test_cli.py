@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from eqrate import games, koth, ratings
-from eqrate.cli import main
+from eqrate import games, kernels, koth, ratings, solvers
+from eqrate.cli import _read_game, main
 from eqrate.games import save_game
 
 
@@ -73,6 +73,42 @@ def test_rate_elo_writes_a_rating_report(tmp_path):
     assert [r["label"] for r in rows] == list(kg.models)
     assert [float(r["rating"]) for r in rows] == expected.tolist()
     assert all(r["mass"] == "" for r in rows)
+
+
+def test_cce_file_rates_and_decomposes_like_the_solver(tmp_path):
+    game_path, _ = _build_game(tmp_path, prompts=5, models=4)
+    eq, out, table = tmp_path / "cce.json", tmp_path / "cce_rate.json", tmp_path / "dec.csv"
+    assert main(["solve", "--game", str(game_path), "--method", "cce", "--out", str(eq)]) == 0
+    assert main(["rate", "--game", str(game_path), "--equilibrium", str(eq), "--out", str(out)]) == 0
+    argv = ["decompose", "--game", str(game_path), "--equilibrium", str(eq)]
+    argv += ["--player", "1", "--action", "m2", "--co-player", "0", "--out", str(table)]
+    assert main(argv) == 0
+    game, _ = _read_game(game_path)
+    result = solvers.solve_mre_cce(game, solvers.CCEConfig(targets=kernels.affinity_targets(game)))
+    expected = ratings.rate(game, result.profile, "CCE")
+    with open(out, encoding="utf-8") as fh:
+        tables = json.load(fh)["tables"]
+    assert [t["ratings"] for t in tables] == [r.tolist() for r in expected.ratings]
+    assert [t["ranks"] for t in tables] == [r.tolist() for r in expected.ranks]
+    dec = ratings.decompose(game, result.profile, 1, game.action_labels[1].index("m2"), 0)
+    with open(table, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["contribution"]) for r in rows] == [*dec.contributions.tolist(), dec.rating]
+
+
+def test_rate_rejects_a_cce_of_another_game(tmp_path, capsys):
+    game_path, _ = _build_game(tmp_path, prompts=4, models=3)
+    eq = tmp_path / "cce.json"
+    assert main(["solve", "--game", str(game_path), "--method", "cce", "--out", str(eq)]) == 0
+    with open(game_path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["king"] = [-v for v in data["king"]]
+    other = tmp_path / "negated.json"
+    other.write_text(json.dumps(data))
+    argv = ["rate", "--equilibrium", str(eq), "--out", str(tmp_path / "r.json")]
+    assert main(argv + ["--game", str(other)]) == 2
+    assert "another game" in capsys.readouterr().err
+    assert main(argv + ["--game", str(game_path)]) == 0
 
 
 def test_clone_test_elo_ranking_matches_rate(tmp_path):

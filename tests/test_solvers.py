@@ -1,7 +1,9 @@
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 import eqrate.solvers as solvers_mod
 from eqrate import koth
@@ -21,6 +23,7 @@ from eqrate.solvers import (
     CCEConfig,
     QREConfig,
     _cce_loss_alpha,
+    _CCEDual,
     _Contraction,
     _indifference,
     _newton_direction,
@@ -332,11 +335,9 @@ class TestSolveLLE:
         res = solve_lle(rps, QREConfig(targets=affinity_targets(rps)))
         path = tmp_path / "eq.json"
         res.save(path)
-        import json
-
         with open(path) as fh:
             data = json.load(fh)
-        prof = profile_from_dict(data)
+        prof = profile_from_dict(data, rps)
         for a, b in zip(prof.marginals, res.profile.marginals):
             assert np.allclose(a, b)
         assert data["method"] == "ne"
@@ -465,6 +466,63 @@ class TestAgainstAdamReference:
 
 
 class TestCCE:
+    # the co-marginal layouts: nothing before or after the collapsed axis,
+    # both, and a one-action player
+    @pytest.mark.parametrize(
+        "shape", [(3,), (1, 4), (4, 1, 3), (3, 4, 2), (2, 3, 2, 2), "koth"], ids=str
+    )
+    def test_dual_evaluation_matches_reference(self, shape):
+        game = _koth_clone_game(60, 8, 0) if shape == "koth" else random_game(shape, seed=5)
+        rng = np.random.default_rng(8)
+        targets = tuple(rng.dirichlet(np.ones(n)) for n in game.shape)
+        dual = _CCEDual(game, targets)
+        points = [[rng.uniform(0.0, 1.0, n) for n in game.shape] for _ in range(2)]
+        expected = []
+        for alphas in points:
+            logit = cce_dual_logit(game, alphas, target_log_joint(targets))
+            loss = logsumexp(logit)
+            joint = np.exp(logit - loss)
+            expected.append((loss, joint, all_regrets(game, JointDistribution(joint))))
+        # in turn, so a stale buffer or cache would show
+        for alphas, (loss, joint, regrets) in [*zip(points, expected)] * 2:
+            got_loss, got_joint, got_regrets = dual.evaluate(np.concatenate(alphas))
+            assert got_loss == pytest.approx(loss, abs=1e-12)
+            assert got_joint.shape == game.shape
+            assert np.abs(got_joint - joint).max() <= 1e-12
+            for r, e in zip(got_regrets, regrets):
+                assert np.abs(r - e).max() <= 1e-12
+
+    @pytest.mark.parametrize("name", ["chicken", "koth"])
+    def test_serialization_round_trip(self, tmp_path, name, chicken):
+        game = chicken if name == "chicken" else _koth_clone_game(60, 8, 0)
+        res = solve_mre_cce(game, CCEConfig(targets=affinity_targets(game)))
+        path = tmp_path / "cce.json"
+        res.save(path)
+        with open(path) as fh:
+            data = json.load(fh)
+        assert data["profile"]["type"] == "cce_dual"
+        assert "joint" not in data["profile"]
+        assert np.array_equal(profile_from_dict(data, game).joint, res.profile.joint)
+        # the format written before CCEs were stored as their multipliers
+        legacy = {
+            **data,
+            "targets": None,
+            "profile": {
+                "type": "joint",
+                "joint": res.profile.joint.ravel().tolist(),
+                "shape": list(game.shape),
+            },
+        }
+        assert np.array_equal(profile_from_dict(legacy, game).joint, res.profile.joint)
+
+    def test_stored_cce_of_another_game_rejected(self, chicken):
+        data = solve_mre_cce(chicken).to_dict()
+        flipped = Game(chicken.players, chicken.action_labels, tuple(-u for u in chicken.utilities))
+        with pytest.raises(ParameterError, match="another game"):
+            profile_from_dict(data, flipped)
+        with pytest.raises(ParameterError, match="does not fit"):
+            profile_from_dict(data, random_game((2, 3), seed=0))
+
     def test_dual_logit_zero_alphas(self, rps):
         t = target_log_joint(uniform_targets(rps))
         l = cce_dual_logit(rps, [np.zeros(3), np.zeros(3)], t)
@@ -514,7 +572,7 @@ class TestCCE:
         # cloning an action moves no original action's rating
         def solve(game):
             targets = affinity_targets(game)
-            config = CCEConfig(target_log_joint=target_log_joint(targets), epsilon_cce=1e-3)
+            config = CCEConfig(targets=targets, epsilon_cce=1e-3)
             res = solve_mre_cce(game, config)
             return res, all_regrets(game, res.profile)
 
@@ -545,13 +603,11 @@ class TestCCE:
     def test_dual_gradient_matches_finite_differences(self, chicken):
         # the gradient the solver descends: minus the regret under the joint
         from eqrate.games import deviation_payoff, expected_utility
-        from eqrate.solvers import _CCEDual
-        from scipy.special import logsumexp
 
         rng = np.random.default_rng(11)
         t = target_log_joint(uniform_targets(chicken))
         alphas = [rng.uniform(0.1, 2.0, size=2), rng.uniform(0.1, 2.0, size=2)]
-        loss, grad = _CCEDual(chicken, t).loss_grad(np.concatenate(alphas))
+        loss, grad = _CCEDual(chicken, uniform_targets(chicken)).loss_grad(np.concatenate(alphas))
         assert loss == pytest.approx(_cce_loss_alpha(chicken, alphas, t), abs=1e-12)
         logit = cce_dual_logit(chicken, alphas, t)
         joint = JointDistribution(np.exp(logit - logsumexp(logit)))
