@@ -24,7 +24,6 @@ from .kernels import (
     dissimilarity_factorized,
     dissimilarity_joint,
     max_affinity_entropy,
-    shannon_affinity_entropy,
     similarity_kernel,
 )
 from .koth import (
@@ -36,15 +35,12 @@ from .koth import (
     inject_clones,
 )
 from .ratings import DecompositionTable, RatingReport, decompose, elo_ratings, rate, separability
-from .skillsim import SimConfig, SkillWorld, build_skill_game, entropy_trace, run_simulation, skill_utility
+from .skillsim import SimConfig, entropy_trace, run_simulation
 from .solvers import (
     CCEConfig,
     EquilibriumResult,
     QREConfig,
-    cce_dual_logit,
     enumerate_nes,
-    qre_best_response,
-    qre_loss,
     risk_dominance_beliefs,
     solve_lle,
     solve_mre_cce,

@@ -137,11 +137,6 @@ def _check_player(game: Game, player: int) -> None:
         raise DimensionError(f"player index {player} out of range")
 
 
-def joint_co_marginal(joint: np.ndarray, player: int) -> np.ndarray:
-    """Marginal of a joint tensor over everyone but ``player``."""
-    return joint.sum(axis=player)
-
-
 def expected_utility(game: Game, profile: Profile, player: int) -> float:
     """Expected payoff to ``player`` when actions are drawn from ``profile``."""
     _check_profile(game, profile)
@@ -167,7 +162,7 @@ def deviation_payoff(game: Game, profile: Profile, player: int) -> np.ndarray:
     u = np.moveaxis(game.utilities[player], player, 0)
     n = game.num_actions(player)
     if isinstance(profile, JointDistribution):
-        co = joint_co_marginal(profile.joint, player)
+        co = profile.joint.sum(axis=player)
         return u.reshape(n, -1) @ co.ravel()
     out = u
     for j in reversed([j for j in range(game.num_players) if j != player]):

@@ -6,18 +6,15 @@ instead of multiplying it.  Its maximizer is the target distribution used
 by the equilibrium solvers.
 """
 
-import csv
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import ConvergenceError, DimensionError, ParameterError
 from .games import Game, _freeze
 
 DEFAULT_VARIANCE = 1e-6  # the (2*sigma)^2 denominator of the RBF kernel
-CLONE_TOL = 1e-12
 
 
 def _pairwise_sq(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -81,20 +78,12 @@ def dissimilarity_factorized(game: Game, player: int) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
-def similarity_kernel(
-    D: np.ndarray, sigma: float | None = None, variance: float | None = None
-) -> np.ndarray:
-    """RBF kernel ``K = exp(-D / (2*sigma)^2)`` with an exactly-unit diagonal.
+def similarity_kernel(D: np.ndarray, variance: float) -> np.ndarray:
+    """RBF kernel ``K = exp(-D / variance)`` with an exactly-unit diagonal.
 
-    ``variance`` names the squared denominator ``(2*sigma)^2`` directly,
-    sidestepping the sigma-vs-sigma^2 ambiguity; pass one of the two.
+    ``variance`` is the squared denominator ``(2*sigma)^2`` itself, which
+    sidesteps the sigma-vs-sigma^2 ambiguity of a bandwidth.
     """
-    if (sigma is None) == (variance is None):
-        raise ParameterError("pass exactly one of sigma or variance")
-    if sigma is not None:
-        if sigma <= 0:
-            raise ParameterError("sigma must be positive")
-        variance = (2.0 * sigma) ** 2
     if variance <= 0:
         raise ParameterError("kernel variance must be positive")
     D = np.asarray(D, dtype=float)
@@ -178,24 +167,6 @@ def affinity_entropy_gradient(kernel: AffinityKernel, x: np.ndarray) -> np.ndarr
     p = kernel.p
     y = kernel.U @ np.asarray(x, dtype=float)
     return -((p + 1.0) / p) * (kernel.U.T @ np.power(y, p))
-
-
-def shannon_affinity_entropy(K: np.ndarray, x: np.ndarray) -> float:
-    """The p -> 0 limit of the affinity entropy, in closed form.
-
-    Uses the column-sum-normalized kernel and the convention
-    ``K log K = 0`` at ``K = 0``.
-    """
-    K = np.asarray(K, dtype=float)
-    x = np.asarray(x, dtype=float)
-    col = K.sum(axis=0)
-    if np.any(col <= 0):
-        raise ParameterError("kernel columns must have positive sums")
-    U0 = K / col
-    y = U0 @ x
-    shannon = -xlogy(y, y).sum()
-    correction = np.log(col) - xlogy(K, K).sum(axis=0) / col
-    return float(shannon - correction @ x)
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -314,32 +285,3 @@ def affinity_targets(
         t = np.maximum(t, floor)
         out.append(t / t.sum())
     return tuple(out)
-
-
-def clone_groups(D: np.ndarray, tol: float = CLONE_TOL) -> list[list[int]]:
-    """Connected components of the "is an exact clone" relation D <= tol."""
-    n = D.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    groups = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack, members = [start], []
-        seen[start] = True
-        while stack:
-            i = stack.pop()
-            members.append(i)
-            neighbors = np.flatnonzero((D[i] <= tol) & ~seen)
-            seen[neighbors] = True
-            stack.extend(neighbors.tolist())
-        groups.append(sorted(members))
-    return groups
-
-
-def kernel_to_csv(K: np.ndarray, labels: list[str], path) -> None:
-    """Write a kernel (or dissimilarity) matrix with labels on both axes."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([""] + list(labels))
-        for lbl, row in zip(labels, np.asarray(K)):
-            writer.writerow([lbl] + [repr(float(v)) for v in row])

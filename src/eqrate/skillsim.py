@@ -18,46 +18,10 @@ import numpy as np
 
 from . import koth as koth_mod
 from . import solvers
-from .errors import ConvergenceError, DimensionError, ParameterError, SimulationAbort
-from .games import Game, ProductProfile, all_regrets
+from .errors import ConvergenceError, ParameterError, SimulationAbort
+from .games import Game, Profile, all_regrets
 from .kernels import affinity_targets
 from .ratings import elo_ratings, separability
-
-
-def skill_utility(p: np.ndarray, m_i: np.ndarray, m_j: np.ndarray) -> float:
-    """Margin of model i over model j on a prompt: ``p . (m_i - m_j)``."""
-    p = np.asarray(p, dtype=float)
-    m_i = np.asarray(m_i, dtype=float)
-    m_j = np.asarray(m_j, dtype=float)
-    if not p.shape == m_i.shape == m_j.shape:
-        raise DimensionError("prompt and model vectors must share one length")
-    return float(p @ (m_i - m_j))
-
-
-@dataclass
-class SkillWorld:
-    """Simulation state: prompt vectors and models as increment sums."""
-
-    prompts: list[np.ndarray]
-    model_increments: list[list[np.ndarray]]
-    seed: int = 0
-
-    def __post_init__(self):
-        for p in self.prompts:
-            if abs(float(np.sum(p)) - 1.0) > 1e-9 or np.any(p < -1e-12):
-                raise DimensionError("prompts must lie on the skill simplex")
-        for incs in self.model_increments:
-            for d in incs:
-                if np.any(d < -1e-12):
-                    raise DimensionError("model increments must be nonnegative")
-
-    @property
-    def models(self) -> list[np.ndarray]:
-        return [np.sum(incs, axis=0) for incs in self.model_increments]
-
-    @property
-    def num_skills(self) -> int:
-        return len(self.prompts[0])
 
 
 def _king_tensor(prompts: np.ndarray, models: np.ndarray) -> np.ndarray:
@@ -72,25 +36,23 @@ def _skill_game(u_k: np.ndarray) -> Game:
     return koth_mod._koth_game(u_k, labels_p, labels_m, [None] * P).game
 
 
-def build_skill_game(world: SkillWorld) -> Game:
-    """The 3-player evaluation game implied by a skill world."""
-    if len(world.prompts) < 1 or len(world.model_increments) < 2:
-        raise DimensionError("need at least 1 prompt and 2 models")
-    return _skill_game(_king_tensor(np.stack(world.prompts), np.stack(world.models)))
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Knobs for the evolutionary selection procedure.
 
-    Every equilibrium rating call solves its game from scratch, so each
-    rates by the equilibrium its arm selects: the LLE traced from the
-    targets, or the MRE CCE.
+    The elo arm rates prompts by separability and models by the Elo
+    (Bradley-Terry) fit of the prompt-averaged win matrix.  Every
+    equilibrium rating call solves its game from scratch, so each rates by
+    the equilibrium its arm selects: the LLE traced from the targets, or
+    the MRE CCE.
 
     ``solver`` overrides fields of the arm's solver config (``QREConfig``
     for ne, ``CCEConfig`` for cce) and is passed on as given.  Left None,
     the ne arm uses ``_EquilibriumRater.DEFAULT_OVERRIDES`` and the cce arm
     the ``CCEConfig`` defaults.
+
+    With ``n_jobs > 1`` the trials run in ``min(n_jobs, trials)`` worker
+    processes.  Every count, ``n_jobs`` included, must be at least 1.
     """
 
     num_skills: int = 4
@@ -103,7 +65,6 @@ class SimConfig:
     additional_prompts: bool = True
     trials: int = 32
     seed: int = 0
-    model_rating: str = "bt"  # elo arm: bt | mean_utility
     inner_round_cap: int = 1000
     solver: dict | None = None  # solver config overrides for ne/cce
     n_jobs: int = 1
@@ -117,12 +78,11 @@ class SimConfig:
             self.candidate_increments,
             self.iterations,
             self.trials,
+            self.n_jobs,
         ) < 1:
             raise ParameterError("all counts must be at least 1")
         if self.rating_method not in ("elo", "ne", "cce"):
             raise ParameterError(f"unknown rating method {self.rating_method!r}")
-        if self.model_rating not in ("bt", "mean_utility"):
-            raise ParameterError(f"unknown model rating {self.model_rating!r}")
         if self.solver is not None and self.rating_method != "elo":
             arm = solvers.QREConfig if self.rating_method == "ne" else solvers.CCEConfig
             # the rater sets the targets itself
@@ -139,7 +99,7 @@ class TrialResult:
     snapshots: list[dict]
     aborted: bool = False
     abort_info: dict | None = None
-    # one entry per ne solve rated with an unconverged iterate (kind
+    # one entry per ne or cce solve rated with an unconverged iterate (kind
     # "convergence_error") or traced past a stall by the forced anneal
     # (kind "forced_anneal", with the count): the iteration, the game shape
     # and the rated profile's exploitability
@@ -193,21 +153,15 @@ def _snapshot(t: int, prompts: list, models: list) -> dict:
     }
 
 
-def _elo_model_ratings(u_k: np.ndarray, mode: str) -> np.ndarray:
-    if mode == "mean_utility":
-        return np.clip(u_k, -1.0, 1.0).mean(axis=(0, 2))
-    return elo_ratings(koth_mod._win_matrix(u_k))
-
-
 class _EquilibriumRater:
     """Per-trial equilibrium rating: one cold solve per call.
 
     Payoffs are scaled to max-abs 1 before solving so the solver schedule
     and kernel bandwidth operate at their design scale; ratings are used
     only ordinally here and positive rescaling preserves the order.  An ne
-    solve that raises ``ConvergenceError`` rates with its unconverged
-    iterate; that event, and a solve that forced an anneal past a stalled
-    temperature, are kept in ``fallbacks``.
+    or cce solve that raises ``ConvergenceError`` rates with its
+    unconverged iterate; that event, and an ne solve that forced an anneal
+    past a stalled temperature, are kept in ``fallbacks``.
     """
 
     # desk-scale overrides of the ne arm's QREConfig; pass solver={} for the
@@ -230,14 +184,17 @@ class _EquilibriumRater:
         self.overrides = dict(defaults if config.solver is None else config.solver)
         self.fallbacks: list[dict] = []
 
-    def _solve_ne(self, game, targets, iteration) -> ProductProfile:
-        config = solvers.QREConfig(targets=targets, **self.overrides)
+    def _solve(self, game, targets, iteration) -> Profile:
+        if self.method == "ne":
+            solve, arm = solvers.solve_lle, solvers.QREConfig
+        else:
+            solve, arm = solvers.solve_mre_cce, solvers.CCEConfig
         event = {"iteration": iteration, "shape": list(game.shape)}
         try:
-            result = solvers.solve_lle(game, config)
+            result = solve(game, arm(targets=targets, **self.overrides))
         except ConvergenceError as exc:
-            # rate with the furthest-annealed iterate rather than dying;
-            # candidate selection only needs the rating order
+            # rate with the last iterate rather than dying; candidate
+            # selection only needs the rating order
             event.update(kind="convergence_error", exploitability=exc.trace[-1].exploitability)
             self.fallbacks.append(event)
             return exc.iterate
@@ -257,12 +214,7 @@ class _EquilibriumRater:
             u_k = u_k / scale
         game = _skill_game(u_k)
         targets = affinity_targets(game)
-        if self.method == "ne":
-            profile = self._solve_ne(game, targets, t)
-        else:
-            config = solvers.CCEConfig(targets=targets, **self.overrides)
-            profile = solvers.solve_mre_cce(game, config).profile
-        regs = all_regrets(game, profile)
+        regs = all_regrets(game, self._solve(game, targets, t))
         return regs[0], regs[1]
 
 
@@ -279,7 +231,7 @@ def _run_trial(
             return rater.rate(p_stack, m_stack, t)
         u_k = _king_tensor(p_stack, m_stack)
         r_p = np.array([separability(u_k, i) for i in range(u_k.shape[0])])
-        r_m = _elo_model_ratings(u_k, config.model_rating)
+        r_m = elo_ratings(koth_mod._win_matrix(u_k))
         return r_p, r_m
 
     snapshots = [_snapshot(0, prompts, models)]
@@ -339,7 +291,7 @@ def run_simulation(config: SimConfig) -> SimTrajectory:
     """Run all trials of the evolutionary selection procedure.
 
     Trials are independent; with ``n_jobs > 1`` they run in parallel
-    worker processes.  Per-trial seeds are spawned from the config seed,
+    worker processes, at most one per trial.  Per-trial seeds are spawned from the config seed,
     so results are reproducible regardless of parallelism.
     """
     seeds = [
@@ -348,7 +300,7 @@ def run_simulation(config: SimConfig) -> SimTrajectory:
     ]
     tasks = [(config, trial, seeds[trial]) for trial in range(config.trials)]
     if config.n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.n_jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(config.n_jobs, config.trials)) as pool:
             results = list(pool.map(_trial_task, tasks))
     else:
         results = [_trial_task(t) for t in tasks]

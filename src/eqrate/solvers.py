@@ -33,11 +33,11 @@ from itertools import combinations
 import numpy as np
 from scipy.linalg import lapack
 from scipy.optimize import minimize
-from scipy.special import logsumexp, softmax
+from scipy.special import softmax
 
 from . import kernels
 from .errors import ConvergenceError, DimensionError, ParameterError
-from .games import Game, JointDistribution, ProductProfile, deviation_payoff, exploitability
+from .games import Game, JointDistribution, ProductProfile, exploitability
 
 # Solver defaults.
 DEFAULT_TAU_INIT = 1.0
@@ -399,40 +399,9 @@ def uniform_targets(game: Game) -> tuple[np.ndarray, ...]:
 # QRE / LLE
 
 
-def qre_best_response(
-    game: Game, profile, player: int, tau: float, target: np.ndarray
-) -> np.ndarray:
-    """Softened best response ``softmax(dev/tau + log target)``."""
-    if tau <= 0:
-        raise ParameterError("tau must be positive")
-    target = np.asarray(target, dtype=float)
-    if np.any(target <= 0):
-        raise ParameterError("target must be strictly positive")
-    dev = deviation_payoff(game, profile, player)
-    return softmax(dev / tau + np.log(target))
-
-
-def qre_loss(game: Game, profile: ProductProfile, tau: float, targets) -> float:
-    """Summed gap between each player's soft best-response value and its
-    current KL-regularized payoff; zero exactly at a QRE of temperature tau."""
-    if tau <= 0:
-        raise ParameterError("tau must be positive")
-    targets = _validate_targets(game, targets)
-    total = 0.0
-    for i in range(game.num_players):
-        dev = deviation_payoff(game, profile, i)
-        logt = np.log(targets[i])
-        x = profile.marginals[i]
-        best = tau * logsumexp(dev / tau + logt)
-        lx = np.where(x > 0, np.log(np.maximum(x, 1e-300)), 0.0)
-        kl = float(np.sum(np.where(x > 0, x * (lx - logt), 0.0)))
-        total += best - float(x @ dev) + tau * kl
-    return float(total)
-
-
 def _qre_gap(ops: _Contraction, z: np.ndarray, tau: float, logt: np.ndarray):
-    """QRE loss (``qre_loss``) and exploitability at the flat logits z,
-    for a trace record."""
+    """QRE loss (``qre_loss`` of ``tests/reference.py``) and
+    exploitability at the flat logits z, for a trace record."""
     logx, _ = ops.log_softmax(z)
     x = np.exp(logx)
     dev = ops.contract(x)
@@ -631,16 +600,6 @@ def solve_lle(game: Game, config: QREConfig | None = None) -> EquilibriumResult:
     )
 
 
-def qre_residual(game: Game, profile: ProductProfile, tau: float, targets) -> float:
-    """Max-norm distance of each marginal from its soft best response."""
-    targets = _validate_targets(game, targets)
-    worst = 0.0
-    for i in range(game.num_players):
-        br = qre_best_response(game, profile, i, tau, targets[i])
-        worst = max(worst, float(np.abs(profile.marginals[i] - br).max()))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # Max-relative-entropy CCE
 
@@ -652,30 +611,6 @@ def target_log_joint(targets) -> np.ndarray:
     for lt in logs[1:]:
         out = np.add.outer(out, lt)
     return out
-
-
-def cce_dual_logit(game: Game, alphas, target_log_joint: np.ndarray) -> np.ndarray:
-    """Logit tensor of the dual: the target log-joint tilted by the
-    payoff-weighted deviation multipliers."""
-    t = np.asarray(target_log_joint, dtype=float)
-    if t.shape != game.shape:
-        raise DimensionError("target log joint shape mismatch")
-    logit = t.copy()
-    for i in range(game.num_players):
-        a = np.asarray(alphas[i], dtype=float)
-        if a.shape != (game.num_actions(i),):
-            raise DimensionError(f"alpha {i} has wrong length")
-        if np.any(a < 0):
-            raise ParameterError("alphas must be nonnegative")
-        u = game.utilities[i]
-        gains = np.tensordot(a, np.moveaxis(u, i, 0), axes=(0, 0))
-        logit -= np.expand_dims(gains, i) - a.sum() * u
-    return logit
-
-
-def _cce_loss_alpha(game: Game, alphas, t: np.ndarray) -> float:
-    """Dual loss as a function of the nonnegative multipliers; convex."""
-    return float(logsumexp(cce_dual_logit(game, alphas, t)))
 
 
 class _CCEDual:
@@ -757,24 +692,20 @@ class _CCEDual:
         return lse, -np.concatenate(regrets)
 
 
-def solve_mre_cce(
-    game: Game,
-    config: CCEConfig | None = None,
-    init_alphas: list[np.ndarray] | None = None,
-) -> EquilibriumResult:
+def solve_mre_cce(game: Game, config: CCEConfig | None = None) -> EquilibriumResult:
     """Max-relative-entropy CCE via bounded L-BFGS-B on the convex dual.
 
     The dual variables are one multiplier ``alpha >= 0`` per player and
     deviation action; the joint is the softmax of the target log-joint
-    tilted by the multipliers (``cce_dual_logit``), and the dual loss is
+    tilted by the multipliers (``_CCEDual``), and the dual loss is
     its log-partition.  The gradient of that loss in ``alpha`` is minus the
     deviation regret under the implied joint.  At the minimum the KKT
     conditions hold: every regret is at most zero, and a multiplier is
     positive only where its regret is zero, so the joint is the
     KL-projection of the target onto the CCE polytope.
 
-    L-BFGS-B runs from ``init_alphas`` (default all zero, i.e. the target
-    itself) until its projected gradient is ``CCE_GTOL_FRACTION`` of
+    L-BFGS-B runs from all-zero multipliers, i.e. the target itself,
+    until its projected gradient is ``CCE_GTOL_FRACTION`` of
     ``epsilon_cce``, until the loss stops decreasing in floating point, or
     for ``max_steps`` iterations; the trace holds one record per
     iteration.  The joint is then accepted only if the solve stopped short
@@ -787,15 +718,7 @@ def solve_mre_cce(
         game, uniform_targets(game) if config.targets is None else config.targets
     )
     dual = _CCEDual(game, targets)
-    if init_alphas is not None:
-        alphas = [np.asarray(a, dtype=float) for a in init_alphas]
-        if [len(a) for a in alphas] != dual.sizes:
-            raise DimensionError("init_alphas shapes do not match game")
-        if any(np.any(a < 0) for a in alphas):
-            raise ParameterError("init_alphas must be nonnegative")
-        start = np.concatenate(alphas)
-    else:
-        start = np.zeros(sum(dual.sizes))
+    start = np.zeros(sum(dual.sizes))
 
     trace: list[TraceRecord] = []
 

@@ -1,0 +1,77 @@
+"""Per-player reference implementations that the solvers' flat, buffered
+code is checked against: the logit soft best response, the QRE loss and
+residual over a product profile, and the CCE dual's logit tensor and loss
+over the per-player multipliers.  None of them runs in the solvers.
+"""
+
+import numpy as np
+from scipy.special import logsumexp, softmax
+
+from eqrate.errors import DimensionError, ParameterError
+from eqrate.games import Game, ProductProfile, deviation_payoff
+from eqrate.solvers import _validate_targets
+
+
+def qre_best_response(
+    game: Game, profile, player: int, tau: float, target: np.ndarray
+) -> np.ndarray:
+    """Softened best response ``softmax(dev/tau + log target)``."""
+    if tau <= 0:
+        raise ParameterError("tau must be positive")
+    target = np.asarray(target, dtype=float)
+    if np.any(target <= 0):
+        raise ParameterError("target must be strictly positive")
+    dev = deviation_payoff(game, profile, player)
+    return softmax(dev / tau + np.log(target))
+
+
+def qre_loss(game: Game, profile: ProductProfile, tau: float, targets) -> float:
+    """Summed gap between each player's soft best-response value and its
+    current KL-regularized payoff; zero exactly at a QRE of temperature tau."""
+    if tau <= 0:
+        raise ParameterError("tau must be positive")
+    targets = _validate_targets(game, targets)
+    total = 0.0
+    for i in range(game.num_players):
+        dev = deviation_payoff(game, profile, i)
+        logt = np.log(targets[i])
+        x = profile.marginals[i]
+        best = tau * logsumexp(dev / tau + logt)
+        lx = np.where(x > 0, np.log(np.maximum(x, 1e-300)), 0.0)
+        kl = float(np.sum(np.where(x > 0, x * (lx - logt), 0.0)))
+        total += best - float(x @ dev) + tau * kl
+    return float(total)
+
+
+def qre_residual(game: Game, profile: ProductProfile, tau: float, targets) -> float:
+    """Max-norm distance of each marginal from its soft best response."""
+    targets = _validate_targets(game, targets)
+    worst = 0.0
+    for i in range(game.num_players):
+        br = qre_best_response(game, profile, i, tau, targets[i])
+        worst = max(worst, float(np.abs(profile.marginals[i] - br).max()))
+    return worst
+
+
+def cce_dual_logit(game: Game, alphas, target_log_joint: np.ndarray) -> np.ndarray:
+    """Logit tensor of the dual: the target log-joint tilted by the
+    payoff-weighted deviation multipliers."""
+    t = np.asarray(target_log_joint, dtype=float)
+    if t.shape != game.shape:
+        raise DimensionError("target log joint shape mismatch")
+    logit = t.copy()
+    for i in range(game.num_players):
+        a = np.asarray(alphas[i], dtype=float)
+        if a.shape != (game.num_actions(i),):
+            raise DimensionError(f"alpha {i} has wrong length")
+        if np.any(a < 0):
+            raise ParameterError("alphas must be nonnegative")
+        u = game.utilities[i]
+        gains = np.tensordot(a, np.moveaxis(u, i, 0), axes=(0, 0))
+        logit -= np.expand_dims(gains, i) - a.sum() * u
+    return logit
+
+
+def _cce_loss_alpha(game: Game, alphas, t: np.ndarray) -> float:
+    """Dual loss as a function of the nonnegative multipliers; convex."""
+    return float(logsumexp(cce_dual_logit(game, alphas, t)))

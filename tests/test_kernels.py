@@ -8,13 +8,10 @@ from eqrate.kernels import (
     AffinityKernel,
     affinity_entropy,
     affinity_entropy_gradient,
-    clone_groups,
     dissimilarity_factorized,
     dissimilarity_joint,
-    kernel_to_csv,
     max_affinity_entropy,
     project_simplex,
-    shannon_affinity_entropy,
     similarity_kernel,
 )
 from conftest import random_game
@@ -95,14 +92,8 @@ class TestDissimilarity:
 
 class TestSimilarityKernel:
     def test_zero_dissimilarity_gives_all_ones(self):
-        K = similarity_kernel(np.zeros((3, 3)), sigma=1.0)
+        K = similarity_kernel(np.zeros((3, 3)), variance=(2 * 1.0) ** 2)
         assert np.allclose(K, 1.0)
-
-    def test_exact_substitution(self):
-        sigma = 0.35
-        D = np.array([[0.0, (2 * sigma) ** 2], [(2 * sigma) ** 2, 0.0]])
-        K = similarity_kernel(D, sigma=sigma)
-        assert K[0, 1] == pytest.approx(np.exp(-1.0))
 
     def test_variance_names_denominator(self):
         D = np.array([[0.0, 2e-6], [2e-6, 0.0]])
@@ -116,8 +107,8 @@ class TestSimilarityKernel:
 
     def test_invalid_sigma(self):
         with pytest.raises(ParameterError):
-            similarity_kernel(np.zeros((2, 2)), sigma=0.0)
-        with pytest.raises(ParameterError):
+            similarity_kernel(np.zeros((2, 2)), variance=(2 * 0.0) ** 2)
+        with pytest.raises(TypeError):
             similarity_kernel(np.zeros((2, 2)))
 
     def test_monotone_in_dissimilarity(self):
@@ -125,7 +116,7 @@ class TestSimilarityKernel:
         D = rng.uniform(0, 2, size=(5, 5))
         D = (D + D.T) / 2
         np.fill_diagonal(D, 0.0)
-        K = similarity_kernel(D, sigma=0.7)
+        K = similarity_kernel(D, variance=(2 * 0.7) ** 2)
         order = np.argsort(D[0])
         assert np.all(np.diff(K[0][order]) <= 1e-15)
 
@@ -215,32 +206,6 @@ class TestAffinityEntropy:
         )
 
 
-class TestShannonAffinity:
-    def test_identity_kernel_recovers_shannon(self):
-        x = np.array([0.5, 0.3, 0.2])
-        expected = -np.sum(x * np.log(x))
-        assert shannon_affinity_entropy(np.eye(3), x) == pytest.approx(expected)
-
-    def test_agreement_with_small_p(self):
-        rng = np.random.default_rng(5)
-        for _ in range(5):
-            n = 4
-            K = rng.uniform(0.05, 1, size=(n, n))
-            K = (K + K.T) / 2
-            np.fill_diagonal(K, 1.0)
-            x = rng.dirichlet(np.ones(n))
-            kern = AffinityKernel.from_matrix(K, p=1e-4)
-            assert shannon_affinity_entropy(K, x) == pytest.approx(
-                affinity_entropy(kern, x), abs=1e-3
-            )
-
-    def test_clone_blocks_give_log_group_count(self):
-        for sizes, masses in [([2, 1], [0.25, 0.25, 0.5]), ([3, 2], [1/6, 1/6, 1/6, 1/4, 1/4])]:
-            K = block_kernel(sizes)
-            val = shannon_affinity_entropy(K, np.array(masses))
-            assert val == pytest.approx(np.log(len(sizes)), abs=1e-12)
-
-
 class TestMaxAffinityEntropy:
     def test_identity_kernel_uniform(self):
         kern = AffinityKernel.from_matrix(np.eye(3), p=1.0)
@@ -250,8 +215,12 @@ class TestMaxAffinityEntropy:
         D = dissimilarity_joint(rps_dup_rock, 0)
         kern = AffinityKernel.from_dissimilarity(D)
         t = max_affinity_entropy(kern)
-        groups = clone_groups(D)
-        assert groups == [[0, 1], [2], [3]]
+        groups = [[0, 1], [2], [3]]
+        # the rock copies are exact clones and no other pair is
+        off = ~np.eye(4, dtype=bool)
+        off[0, 1] = off[1, 0] = False
+        assert D[0, 1] == D[1, 0] == 0.0
+        assert np.all(D[off] > 1e-12)
         masses = [t[g].sum() for g in groups]
         assert np.allclose(masses, 1 / 3, atol=1e-4)
 
@@ -276,26 +245,3 @@ def test_project_simplex_basics():
     assert out.sum() == pytest.approx(1.0)
     assert np.all(out >= 0)
     assert out[0] == pytest.approx(1.0)
-
-
-def test_clone_groups_transitivity():
-    D = np.array(
-        [
-            [0.0, 0.0, 0.3],
-            [0.0, 0.0, 0.3],
-            [0.3, 0.3, 0.0],
-        ]
-    )
-    assert clone_groups(D) == [[0, 1], [2]]
-
-
-def test_kernel_csv_round_trip(tmp_path):
-    K = np.array([[1.0, 0.25], [0.25, 1.0]])
-    path = tmp_path / "kernel.csv"
-    kernel_to_csv(K, ["a", "b"], path)
-    import csv
-
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["", "a", "b"]
-    assert float(rows[1][2]) == 0.25

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,14 +34,12 @@ def test_solver_overrides_per_arm():
 
 def test_bt_model_ratings_are_elo_of_the_skill_game():
     rng = np.random.default_rng(3)
-    world = skillsim.SkillWorld(
-        prompts=list(rng.dirichlet(np.ones(4), size=5)),
-        model_increments=[[m] for m in rng.dirichlet(np.ones(4), size=3)],
-    )
-    game = skillsim.build_skill_game(world)
+    prompts = rng.dirichlet(np.ones(4), size=5)
+    models = rng.dirichlet(np.ones(4), size=3)
+    game = skillsim._skill_game(skillsim._king_tensor(prompts, models))
     kg = koth.KOTHGame(game=game, clone_sources=(None,) * game.shape[0])
     expected = ratings.elo_ratings(koth.prompt_average_win_matrix(kg))
-    got = skillsim._elo_model_ratings(game.utilities[1], "bt")
+    got = ratings.elo_ratings(koth._win_matrix(game.utilities[1]))
     assert np.array_equal(got, expected)
 
 
@@ -64,6 +63,53 @@ def test_convergence_fallback_is_recorded():
     assert saved["config"]["solver"] == solver
 
 
+def test_cce_convergence_fallback_is_recorded():
+    # one L-BFGS-B iteration cannot finish a dual solve, so every cce
+    # solve falls back to its last joint instead of aborting the run
+    traj = skillsim.run_simulation(
+        skillsim.SimConfig(rating_method="cce", trials=1, iterations=2, solver={"max_steps": 1})
+    )
+    (trial,) = traj.trials
+    assert not trial.aborted
+    assert [s["t"] for s in trial.snapshots] == [0, 1, 2]
+    assert trial.fallbacks
+    for event in trial.fallbacks:
+        assert event["kind"] == "convergence_error"
+        assert event["iteration"] in (1, 2)
+        assert len(event["shape"]) == 3
+        assert np.isfinite(event["exploitability"]) and event["exploitability"] >= 0
+    saved = json.loads(json.dumps(traj.to_dict()))
+    assert saved["trials"][0]["fallbacks"] == trial.fallbacks
+
+
+def test_n_jobs_checked_and_capped_at_trials(monkeypatch):
+    with pytest.raises(ParameterError, match="at least 1"):
+        skillsim.SimConfig(n_jobs=0)
+    pools = []
+
+    class SequentialPool:
+        # stands in for ProcessPoolExecutor: records its size, starts no process
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(skillsim, "ProcessPoolExecutor", SequentialPool)
+    config = skillsim.SimConfig(trials=2, iterations=1, n_jobs=64)
+    traj = skillsim.run_simulation(config)
+    assert pools == [2]
+    serial = skillsim.run_simulation(replace(config, n_jobs=1))
+    assert pools == [2]
+    assert traj.to_dict()["trials"] == serial.to_dict()["trials"]
+
+
 def test_ne_rating_is_one_cold_lle_trace():
     rng = np.random.default_rng(11)
     prompts = rng.dirichlet(np.ones(4), size=12)
@@ -84,7 +130,7 @@ def test_forced_anneal_is_recorded():
     # terminal temperature, so the trace anneals past it
     game = fold_game()
     rater = skillsim._EquilibriumRater(skillsim.SimConfig(rating_method="ne"))
-    profile = rater._solve_ne(game, affinity_targets(game), 3)
+    profile = rater._solve(game, affinity_targets(game), 3)
     (event,) = rater.fallbacks
     assert event["kind"] == "forced_anneal"
     assert event["forced_anneals"] >= 1

@@ -22,19 +22,14 @@ from eqrate.ratings import DEFAULT_TIE_TOL, elo_ratings, rate
 from eqrate.solvers import (
     CCEConfig,
     QREConfig,
-    _cce_loss_alpha,
     _CCEDual,
     _Contraction,
     _indifference,
     _newton_direction,
     _qre_gap,
     _qre_residual,
-    cce_dual_logit,
     enumerate_nes,
     profile_from_dict,
-    qre_best_response,
-    qre_loss,
-    qre_residual,
     risk_dominance_beliefs,
     solve_lle,
     solve_mre_cce,
@@ -42,6 +37,7 @@ from eqrate.solvers import (
     uniform_targets,
 )
 from adam_lle import _lle_step, solve_lle_adam
+from reference import _cce_loss_alpha, cce_dual_logit, qre_best_response, qre_loss, qre_residual
 from conftest import fold_game, random_game
 
 # toy payoffs reach -12, so approximating the infinite-temperature start
