@@ -246,13 +246,13 @@ def cmd_rate(args) -> int:
     return 0
 
 
-def _method_report(kg: koth.KOTHGame, method: str) -> ratings.RatingReport:
-    """The rating report of one clone-test method tag."""
+def _method_report(kg: koth.KOTHGame, method: str, affinity) -> ratings.RatingReport:
+    """The rating report of one clone-test method tag; ``affinity`` holds
+    the game's affinity targets, shared by its ne and cce methods."""
     if method == "elo":
         return _elo_report(kg)
-    entropy = "shannon" if method.endswith("shannon") else "affinity"
+    targets = solvers.uniform_targets(kg.game) if method.endswith("shannon") else affinity
     base = "ne" if method.startswith("ne") else "cce"
-    targets = _targets_for(kg.game, entropy, kernels.DEFAULT_VARIANCE, "joint")
     result = _solve(kg.game, base, targets, None, None)
     return ratings.rate(kg.game, result.profile, method.upper())
 
@@ -273,8 +273,9 @@ def cmd_clone_test(args) -> int:
             injected = koth.inject_clones(kg, idx, noise_halfwidth=args.noise, seed=args.seed)
         else:
             injected = kg
+        affinity = _targets_for(injected.game, "affinity", kernels.DEFAULT_VARIANCE, "joint")
         for method in CLONE_TEST_METHODS:
-            report = _method_report(injected, method)
+            report = _method_report(injected, method, affinity)
             order = report.ranking(report.player_index("king"))
             path = f"{args.out_dir}/ranking_{method}_{count}.csv"
             with open(path, "w", newline="", encoding="utf-8") as fh:

@@ -7,6 +7,7 @@ by the equilibrium solvers.
 """
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,8 @@ from .errors import ConvergenceError, DimensionError, ParameterError
 from .games import Game, _freeze
 
 DEFAULT_VARIANCE = 1e-6  # the (2*sigma)^2 denominator of the RBF kernel
+# rounds of power iteration for the targets' step size
+POWER_ROUNDS = 50
 
 
 def _pairwise_sq(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -183,17 +186,32 @@ def _max_entropy_pg(kernel: AffinityKernel, tolerance: float, max_iters: int):
     """Accelerated projected gradient for p = 1, where the negated entropy
     is a simplex QP.  Projection pins boundary coordinates exactly and
     Nesterov momentum (with gradient restarts) handles the ill-conditioned
-    kernels that arise from clusters of nearly-identical actions."""
+    kernels that arise from clusters of nearly-identical actions.
+
+    The step is the inverse Lipschitz constant of the gradient, twice the
+    top eigenvalue of ``U'U``, found by ``POWER_ROUNDS`` rounds of power
+    iteration.  Once an iterate repeats one of the last three exactly, the
+    iteration has entered a cycle in floating point and the iterate of the
+    last round is known, so it stops there: the step is bit for bit that of
+    the full run.  A kernel that is the identity cycles from round 1 or 2.
+    """
     U = kernel.U
     n = kernel.size
-    # Lipschitz constant of the gradient of ||Ux||^2 via power iteration
     v = np.full(n, 1.0 / np.sqrt(n))
-    for _ in range(50):
+    recent = deque([v.tobytes()], maxlen=3)  # the last iterates' bits
+    for k in range(1, POWER_ROUNDS + 1):
         w = U.T @ (U @ v)
         nw = np.linalg.norm(w)
         if nw == 0:
             break
         v = w / nw
+        bits = v.tobytes()
+        if bits in recent:
+            # rounds k - period to k - 1 repeat until the last one
+            period = len(recent) - recent.index(bits)
+            v = np.frombuffer(recent[(POWER_ROUNDS - k) % period - period])
+            break
+        recent.append(bits)
     lip = 2.0 * max(float(v @ (U.T @ (U @ v))), 1e-12)
     eta = 1.0 / lip
     x = np.full(n, 1.0 / n)

@@ -62,6 +62,12 @@ NEWTON_MIN_DAMPING = 2.0**-30
 # errors of a few 1e-4, above the rating tie tolerance, so a clone injection
 # could move a rank through where the solve happened to stop.
 CCE_GTOL_FRACTION = 1e-5
+# L-BFGS-B can stop where a line search no longer lowers the loss in
+# floating point while regrets are still above epsilon_cce: its curvature
+# pairs have gone stale.  It then starts again from the stopped multipliers
+# with an empty memory, at most this many times.  On three skill-world games
+# stopped at exploitability 4e-3 to 9e-3, one restart reached 1e-8 or less.
+CCE_MAX_RESTARTS = 3
 
 # ``enumerate_nes`` traces each candidate to ENUM_TAU_TERMINAL and takes as
 # its support the actions with more than SUPPORT_FRACTION of the player's
@@ -154,9 +160,10 @@ class EquilibriumResult:
     duals: list[np.ndarray] | None = None
     config: dict | None = None
     seed: int | None = None
-    # LLE only: temperatures rerun from the last solution after the
-    # corrector failed from the extrapolated start, and stalled
-    # temperatures annealed past (``force_anneal_on_stall``)
+    # LLE: temperatures rerun from the last solution after the corrector
+    # failed from the extrapolated start; CCE: L-BFGS-B runs restarted from
+    # the last multipliers.  LLE only: stalled temperatures annealed past
+    # (``force_anneal_on_stall``)
     restarts: int = 0
     forced_anneals: int = 0
 
@@ -276,9 +283,8 @@ class _Contraction:
         self.seg = np.repeat(np.arange(n), shape)
         self.slices = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
         self._x = np.empty(offsets[-1])
-        self._dev = game.utilities[0].astype(float) if n == 1 else np.empty(offsets[-1])
-        self._pulled = np.empty(offsets[-1])
-        stacks = [np.empty((offsets[-1] - shape[j], shape[j])) for j in range(n)]
+        self.dev = game.utilities[0].astype(float) if n == 1 else np.empty(offsets[-1])
+        self.stacks = stacks = [np.empty((offsets[-1] - shape[j], shape[j])) for j in range(n)]
         big = int(np.argmax(shape))
         self.big = self.slices[big]
         self.rest = np.flatnonzero(self.seg != big)
@@ -313,12 +319,8 @@ class _Contraction:
         # player 0's stack times x_0 is every co-player's deviation payoffs;
         # player 0's own come from its block against player 1
         self._devs = [] if n == 1 else [
-            (stacks[0], self._x[self.slices[0]], self._dev[offsets[1] :]),
-            (stacks[1][: shape[0]], self._x[self.slices[1]], self._dev[self.slices[0]]),
-        ]
-        self._pulls = [
-            (np.flatnonzero(self.seg != j), stacks[j], self._pulled[self.slices[j]])
-            for j in range(n)
+            (stacks[0], self._x[self.slices[0]], self.dev[offsets[1] :]),
+            (stacks[1][: shape[0]], self._x[self.slices[1]], self.dev[self.slices[0]]),
         ]
 
     def schur_blocks(self):
@@ -350,13 +352,7 @@ class _Contraction:
             np.matmul(w, mat, out=out)
         for block, xj, out in self._devs:
             np.matmul(block, xj, out=out)
-        return self._dev
-
-    def pull(self, d: np.ndarray) -> np.ndarray:
-        """Segment j of the result is ``sum over i != j of d_i @ E[u_i | a_i, a_j]``."""
-        for idx, stack, out in self._pulls:
-            np.matmul(d[idx], stack, out=out)
-        return self._pulled
+        return self.dev
 
     def regrets(self, x: np.ndarray, dev: np.ndarray) -> np.ndarray:
         return dev - self.seg_sum(x * dev)[self.seg]
@@ -401,7 +397,10 @@ def uniform_targets(game: Game) -> tuple[np.ndarray, ...]:
 
 def _qre_gap(ops: _Contraction, z: np.ndarray, tau: float, logt: np.ndarray):
     """QRE loss (``qre_loss`` of ``tests/reference.py``) and
-    exploitability at the flat logits z, for a trace record."""
+    exploitability at the flat logits z, evaluated from scratch at the
+    normalised profile: the trace's exact record.  ``solve_lle`` takes it
+    for the start, a stalled iterate, the terminal temperature and any
+    temperature whose record from the corrector could end the trace."""
     logx, _ = ops.log_softmax(z)
     x = np.exp(logx)
     dev = ops.contract(x)
@@ -450,42 +449,52 @@ def _newton_direction(ops: _Contraction, f, x, br, tau: float) -> np.ndarray:
 
 def _correct(ops: _Contraction, y: np.ndarray, tau: float, logt: np.ndarray, cap: int):
     """Damped Newton on the QRE residual at tau from y, backtracking on
-    max|F|.  Returns the last iterate, the iterations taken, and whether
-    max|F| reached ``NEWTON_TOL`` within ``cap`` iterations."""
+    max|F|.  Returns the last iterate, the iterations taken, and, when
+    max|F| reached ``NEWTON_TOL`` within ``cap`` iterations, what the
+    residual at that iterate computed: ``x = e^y``, the deviation payoffs
+    at x (``ops.dev``, valid until the next ``contract``) and each player's
+    log-partition of its soft best response; None when it did not."""
     f, x, br = _qre_residual(ops, y, tau, logt)
     res = np.abs(f).max()
     its = 0
     while res > NEWTON_TOL:
         if its == cap:
-            return y, its, False
+            return y, its, None
         d = _newton_direction(ops, f, x, br, tau)
         its += 1
         alpha = 1.0
-        while True:
-            trial = y + alpha * d
-            # an overlong step may overflow e^y; its residual is then nan
-            # and the step is halved
-            with np.errstate(over="ignore", invalid="ignore"):
+        # an overlong step may overflow e^y; its residual is then nan and
+        # the step is halved
+        with np.errstate(over="ignore", invalid="ignore"):
+            while True:
+                trial = y + alpha * d
                 f, x, br = _qre_residual(ops, trial, tau, logt)
-            if np.abs(f).max() <= (1.0 - 1e-4 * alpha) * res:
-                break
-            alpha *= 0.5
-            if alpha < NEWTON_MIN_DAMPING:
-                return y, its, False
-        y, res = trial, np.abs(f).max()
-    return y, its, True
+                trial_res = np.abs(f).max()
+                if trial_res <= (1.0 - 1e-4 * alpha) * res:
+                    break
+                alpha *= 0.5
+                if alpha < NEWTON_MIN_DAMPING:
+                    return y, its, None
+        y, res = trial, trial_res
+    # y - f is the log soft best response v - lse_i, v = dev/tau + log t
+    # being the logits, so one action of each player gives its lse_i
+    at = ops.starts
+    lse = ops.dev[at] / tau + logt[at] - (y[at] - f[at])
+    return y, its, (x, ops.dev, lse)
 
 
 def _extrapolate(history, lam: float) -> np.ndarray:
     """The Lagrange interpolant through the ``(lam_k, y_k)`` of history,
     evaluated at lam."""
-    pred = np.zeros_like(history[0][1])
     for k, (lam_k, y_k) in enumerate(history):
         weight = 1.0
         for j, (lam_j, _) in enumerate(history):
             if j != k:
                 weight *= (lam - lam_j) / (lam_k - lam_j)
-        pred += weight * y_k
+        if k == 0:
+            pred = weight * y_k
+        else:
+            pred += weight * y_k
     return pred
 
 
@@ -516,6 +525,14 @@ def solve_lle(game: Game, config: QREConfig | None = None) -> EquilibriumResult:
     point at infinite temperature.  The trace holds the start, one record
     per temperature and the final profile, ``step`` counting Newton
     iterations.  Deterministic.
+
+    A solved temperature's record comes from the corrector's last
+    residual, at ``x = e^y`` before normalisation, so it is exact up to
+    the residual (about 1e-11).  The exact record (``_qre_gap``) is taken
+    at the start, on a stalled iterate, at the terminal temperature and
+    wherever the corrector's exploitability is at most ``2 * epsilon_ne``;
+    the early exit, ``exploitability`` and the final record all come from
+    it.
     """
     config = config or QREConfig()
     if config.targets is None:
@@ -536,29 +553,37 @@ def solve_lle(game: Game, config: QREConfig | None = None) -> EquilibriumResult:
         termination = "epsilon_ne"
     while termination is None:
         start = _extrapolate(history, 1.0 / tau) if len(history) > 1 else y
-        y_next, its, solved = _correct(
+        y_next, its, parts = _correct(
             ops, start, tau, logt, min(NEWTON_STAGE_ITERS, config.max_steps - step)
         )
         step += its
-        if not solved and start is not y and step < config.max_steps:
+        if parts is None and start is not y and step < config.max_steps:
             restarts += 1
-            y_next, its, solved = _correct(
+            y_next, its, parts = _correct(
                 ops, y, tau, logt, min(NEWTON_STAGE_ITERS, config.max_steps - step)
             )
             step += its
         y = y_next
+        solved = parts is not None
         if not solved and (step >= config.max_steps or not config.force_anneal_on_stall):
             break
+        terminal = tau <= config.tau_terminal * (1 + 1e-12)
         if solved:
             history.append((1.0 / tau, y))
+            x, dev, lse = parts
+            loss = tau * float(lse.sum()) + float(x @ (tau * (y - logt) - dev))
+            exploit = ops.exploitability(x, dev)
         else:
             forced_anneals += 1
             history.clear()
-        loss, exploit = _qre_gap(ops, y, tau, logt)
+        # the corrector's exploitability is off by the residual only, far
+        # below epsilon_ne, so the exit is decided on the exact record
+        if not solved or terminal or exploit <= 2.0 * config.epsilon_ne:
+            loss, exploit = _qre_gap(ops, y, tau, logt)
         trace.append(TraceRecord(step, tau, loss, exploit))
         if solved and config.epsilon_ne > 0 and exploit <= config.epsilon_ne:
             termination = "epsilon_ne"
-        elif tau <= config.tau_terminal * (1 + 1e-12):
+        elif terminal:
             termination = "terminal_tau"
         else:
             tau = max(tau * config.tau_decay, config.tau_terminal)
@@ -707,11 +732,15 @@ def solve_mre_cce(game: Game, config: CCEConfig | None = None) -> EquilibriumRes
     L-BFGS-B runs from all-zero multipliers, i.e. the target itself,
     until its projected gradient is ``CCE_GTOL_FRACTION`` of
     ``epsilon_cce``, until the loss stops decreasing in floating point, or
-    for ``max_steps`` iterations; the trace holds one record per
-    iteration.  The joint is then accepted only if the solve stopped short
-    of ``max_steps`` and its exploitability is at most ``epsilon_cce``;
-    otherwise ``ConvergenceError`` carries the final iterate and the
-    trace.  Deterministic.
+    for ``max_steps`` iterations.  A stop short of ``max_steps`` that
+    leaves the exploitability above ``epsilon_cce`` starts L-BFGS-B again
+    from its last multipliers with an empty memory, at most
+    ``CCE_MAX_RESTARTS`` times within the same ``max_steps``, counted in
+    ``restarts``.  The trace holds one record per iteration.  The joint is
+    then accepted only if the solve stopped short of ``max_steps`` and its
+    exploitability is at most ``epsilon_cce``; otherwise
+    ``ConvergenceError`` carries the final iterate and the trace.
+    Deterministic.
     """
     config = config or CCEConfig()
     targets = _validate_targets(
@@ -728,32 +757,39 @@ def solve_mre_cce(game: Game, config: CCEConfig | None = None) -> EquilibriumRes
         trace.append(TraceRecord(len(trace), None, lse, exploit))
 
     record(start)
-    opt = minimize(
-        dual.loss_grad,
-        start,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=[(0.0, None)] * len(start),
-        callback=lambda intermediate_result: record(intermediate_result.x),
-        options={
-            "maxiter": config.max_steps,
-            # an iteration makes at most maxls + 1 = 21 evaluations, so only
-            # maxiter binds
-            "maxfun": 21 * config.max_steps,
-            "gtol": CCE_GTOL_FRACTION * config.epsilon_cce,
-            "ftol": 0.0,
-        },
-    )
-    _, x, _ = dual.evaluate(opt.x)
-    profile = JointDistribution(x)
-    final_exploit = exploitability(game, profile)
+    flat, nit = start, 0
+    for restarts in range(CCE_MAX_RESTARTS + 1):
+        opt = minimize(
+            dual.loss_grad,
+            flat,
+            jac=True,
+            method="L-BFGS-B",
+            bounds=[(0.0, None)] * len(start),
+            callback=lambda intermediate_result: record(intermediate_result.x),
+            options={
+                "maxiter": config.max_steps - nit,
+                # an iteration makes at most maxls + 1 = 21 evaluations, so
+                # only maxiter binds
+                "maxfun": 21 * (config.max_steps - nit),
+                "gtol": CCE_GTOL_FRACTION * config.epsilon_cce,
+                "ftol": 0.0,
+            },
+        )
+        nit += opt.nit
+        _, x, _ = dual.evaluate(opt.x)
+        profile = JointDistribution(x)
+        final_exploit = exploitability(game, profile)
+        # status 1: an iteration or evaluation cap stopped the solve, so even
+        # a feasible joint is not yet the entropy maximiser
+        if opt.status == 1 or final_exploit <= config.epsilon_cce or nit >= config.max_steps:
+            break
+        flat = opt.x
     duals = _split(opt.x.copy(), dual.sizes)
-    # status 1: an iteration or evaluation cap stopped the solve, so even a
-    # feasible joint is not yet the entropy maximiser
     if opt.status == 1 or final_exploit > config.epsilon_cce:
         raise ConvergenceError(
             f"solve_mre_cce: exploitability {final_exploit:.3e} "
-            f"(bound {config.epsilon_cce:.1e}) after {opt.nit} iterations: {opt.message}",
+            f"(bound {config.epsilon_cce:.1e}) after {nit} iterations and "
+            f"{restarts} restarts: {opt.message}",
             iterate=profile,
             trace=trace,
         )
@@ -770,6 +806,7 @@ def solve_mre_cce(game: Game, config: CCEConfig | None = None) -> EquilibriumRes
             "max_steps": config.max_steps,
             "epsilon_cce": config.epsilon_cce,
         },
+        restarts=restarts,
     )
 
 

@@ -1,6 +1,7 @@
 """The annealed Adam descent that traced the LLE before the Newton
-continuation, kept as a reference for the selected equilibrium, and the
-``_Adam`` optimizer it runs (the solvers no longer use one).
+continuation, kept as a reference for the selected equilibrium, with the
+``_Adam`` optimizer it runs and the gradient's pull through the pair
+blocks (the solvers use neither).
 
 It descends the QRE loss over per-player logits with Adam, multiplying tau
 by ``tau_decay`` at each ``interval``-step check where the loss is at most
@@ -11,6 +12,15 @@ by ``tau_decay`` at each ``interval``-step check where the loss is at most
 import numpy as np
 
 from eqrate.solvers import QREConfig, _Contraction, _validate_targets
+
+
+def _pull(ops: _Contraction, d: np.ndarray) -> np.ndarray:
+    """Segment j of the result is ``sum over i != j of d_i @ E[u_i | a_i, a_j]``,
+    from the pair blocks of the last ``contract``."""
+    out = np.empty_like(d)
+    for j, stack in enumerate(ops.stacks):
+        np.matmul(d[ops.seg != j], stack, out=out[ops.slices[j]])
+    return out
 
 
 def _lle_step(ops: _Contraction, z: np.ndarray, tau: float, logt: np.ndarray):
@@ -27,7 +37,7 @@ def _lle_step(ops: _Contraction, z: np.ndarray, tau: float, logt: np.ndarray):
     log_br, lse = ops.log_softmax(dev / tau + logt)
     own = tau * (logx - logt) - dev
     loss = tau * float(lse.sum()) + float(x @ own)
-    g = own + ops.pull(np.exp(log_br) - x)
+    g = own + _pull(ops, np.exp(log_br) - x)
     gz = x * (g - ops.seg_sum(x * g)[ops.seg])
     return loss, gz, ops.exploitability(x, dev)
 

@@ -1,7 +1,9 @@
 """Per-player reference implementations that the solvers' flat, buffered
 code is checked against: the logit soft best response, the QRE loss and
 residual over a product profile, and the CCE dual's logit tensor and loss
-over the per-player multipliers.  None of them runs in the solvers.
+over the per-player multipliers; and the affinity targets' projected
+gradient with a fixed-length power iteration.  None of them runs in the
+solvers.
 """
 
 import numpy as np
@@ -9,6 +11,7 @@ from scipy.special import logsumexp, softmax
 
 from eqrate.errors import DimensionError, ParameterError
 from eqrate.games import Game, ProductProfile, deviation_payoff
+from eqrate.kernels import AffinityKernel, project_simplex
 from eqrate.solvers import _validate_targets
 
 
@@ -75,3 +78,53 @@ def cce_dual_logit(game: Game, alphas, target_log_joint: np.ndarray) -> np.ndarr
 def _cce_loss_alpha(game: Game, alphas, t: np.ndarray) -> float:
     """Dual loss as a function of the nonnegative multipliers; convex."""
     return float(logsumexp(cce_dual_logit(game, alphas, t)))
+
+
+def lipschitz_50(U: np.ndarray) -> float:
+    """Twice the top eigenvalue of ``U'U`` after 50 rounds of power
+    iteration."""
+    n = U.shape[0]
+    v = np.full(n, 1.0 / np.sqrt(n))
+    for _ in range(50):
+        w = U.T @ (U @ v)
+        nw = np.linalg.norm(w)
+        if nw == 0:
+            break
+        v = w / nw
+    return 2.0 * max(float(v @ (U.T @ (U @ v))), 1e-12)
+
+
+def max_entropy_pg_50(kernel: AffinityKernel, tolerance: float, max_iters: int) -> np.ndarray:
+    """``kernels._max_entropy_pg`` with its power iteration always run for
+    50 rounds."""
+    U = kernel.U
+    n = kernel.size
+    eta = 1.0 / lipschitz_50(U)
+    x = np.full(n, 1.0 / n)
+    y = x
+    t_mom = 1.0
+    for _ in range(max_iters):
+        grad = 2.0 * (U.T @ (U @ y))
+        nxt = project_simplex(y - eta * grad)
+        if np.abs(nxt - x).max() / eta <= tolerance:
+            return nxt
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
+        momentum = (t_mom - 1.0) / t_next
+        step = nxt - x
+        if float(grad @ step) > 0:
+            t_next, momentum = 1.0, 0.0
+        y = nxt + momentum * step
+        x = nxt
+        t_mom = t_next
+    raise AssertionError("projected gradient did not converge")
+
+
+def affinity_targets_50(game: Game) -> tuple[np.ndarray, ...]:
+    """``kernels.affinity_targets`` at its defaults, through
+    ``max_entropy_pg_50``."""
+    out = []
+    for i in range(game.num_players):
+        t = max_entropy_pg_50(AffinityKernel.from_game(game, i), 1e-7, 100_000)
+        t = np.maximum(t, 1e-6)
+        out.append(t / t.sum())
+    return tuple(out)

@@ -128,6 +128,22 @@ def test_clone_test_elo_ranking_matches_rate(tmp_path):
     assert row["ranking"] == order
 
 
+def test_clone_test_computes_affinity_targets_once_per_count(tmp_path, monkeypatch):
+    # the ne and cce methods of one count share their targets
+    game, _ = _build_game(tmp_path, prompts=3, models=3)
+    shapes = []
+    real = kernels.affinity_targets
+
+    def spy(g, *args, **kwargs):
+        shapes.append(g.shape)
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "affinity_targets", spy)
+    argv = ["clone-test", "--game", str(game), "--target", "m0", "--counts", "0,2"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    assert shapes == [(3, 3, 3), (5, 3, 3)]
+
+
 def test_simulate_rejects_zero_check_interval(tmp_path, capsys):
     # the Newton trace has no check interval, so the key is unknown
     config = tmp_path / "sim.json"

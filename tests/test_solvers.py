@@ -6,7 +6,7 @@ import pytest
 from scipy.special import logsumexp
 
 import eqrate.solvers as solvers_mod
-from eqrate import koth
+from eqrate import kernels, koth, skillsim
 from eqrate.errors import ConvergenceError, ParameterError
 from eqrate.games import (
     Game,
@@ -17,7 +17,7 @@ from eqrate.games import (
     exploitability,
     uniform_product,
 )
-from eqrate.kernels import affinity_targets
+from eqrate.kernels import AffinityKernel, affinity_targets
 from eqrate.ratings import DEFAULT_TIE_TOL, elo_ratings, rate
 from eqrate.solvers import (
     CCEConfig,
@@ -37,7 +37,16 @@ from eqrate.solvers import (
     uniform_targets,
 )
 from adam_lle import _lle_step, solve_lle_adam
-from reference import _cce_loss_alpha, cce_dual_logit, qre_best_response, qre_loss, qre_residual
+from reference import (
+    _cce_loss_alpha,
+    affinity_targets_50,
+    cce_dual_logit,
+    lipschitz_50,
+    max_entropy_pg_50,
+    qre_best_response,
+    qre_loss,
+    qre_residual,
+)
 from conftest import fold_game, random_game
 
 # toy payoffs reach -12, so approximating the infinite-temperature start
@@ -840,3 +849,201 @@ class TestRiskDominance:
         for pi in res.priors:
             assert pi.sum() == pytest.approx(1.0)
         assert res.payoff_table.shape == (3, 2)
+
+
+def _solved_stages(monkeypatch):
+    """Wrap ``solvers._correct`` to keep (tau, y, ops, logt) of every solved
+    temperature."""
+    stages = []
+    real = solvers_mod._correct
+
+    def spy(ops, y, tau, logt, cap):
+        out = real(ops, y, tau, logt, cap)
+        if out[2] is not None:
+            stages.append((tau, out[0].copy(), ops, logt))
+        return out
+
+    monkeypatch.setattr(solvers_mod, "_correct", spy)
+    return stages
+
+
+class TestTraceRecords:
+    """A solved temperature's record comes from the corrector's last
+    residual; the exact ``_qre_gap`` is kept for the records that decide or
+    end the trace."""
+
+    def games(self, chicken):
+        return {
+            "chicken": (chicken, QREConfig(targets=uniform_targets(chicken), **HOT)),
+            "random": (random_game((3, 4, 2), seed=3), QREConfig()),
+            "koth": (_koth_clone_game(8, 4, 0), QREConfig()),
+        }
+
+    @pytest.mark.parametrize("name", ["chicken", "random", "koth"])
+    def test_records_match_the_exact_gap(self, name, chicken, monkeypatch):
+        game, config = self.games(chicken)[name]
+        stages = _solved_stages(monkeypatch)
+        res = solve_lle(game, replace(config, epsilon_ne=0.0))
+        assert res.termination == "terminal_tau"
+        records = res.trace[1:-1]
+        assert len(records) == len(stages) > 1
+        for record, (tau, y, ops, logt) in zip(records, stages):
+            loss, exploit = _qre_gap(ops, y, tau, logt)
+            assert record.tau == tau
+            assert abs(record.loss - loss) <= 1e-9
+            assert abs(record.exploitability - exploit) <= 1e-9
+        tau, y, ops, logt = stages[-1]
+        assert (records[-1].loss, records[-1].exploitability) == _qre_gap(ops, y, tau, logt)
+        assert res.trace[-1] == res.trace[-2]
+
+    def test_early_exit_is_decided_on_the_exact_exploitability(self, monkeypatch):
+        game = _koth_clone_game(8, 4, 0)
+        stages = _solved_stages(monkeypatch)
+        full = solve_lle(game, QREConfig(epsilon_ne=0.0))
+        cheap = [r.exploitability for r in full.trace[1:-1]]
+        exact = [_qre_gap(ops, y, tau, logt)[1] for tau, y, ops, logt in stages]
+        # a stage whose record from the corrector reads below its exact
+        # value and below every earlier record: an exit decided on that
+        # record would stop there, one decided on the exact value may not
+        k = next(
+            k
+            for k in range(len(cheap) // 4, len(cheap))
+            if cheap[k] < exact[k] and cheap[k] < min(cheap[:k]) and cheap[k] < min(exact[:k])
+        )
+        eps = cheap[k]
+        first = next((j for j, e in enumerate(exact) if e <= eps), None)
+        assert first != k
+        stages.clear()
+        res = solve_lle(game, QREConfig(epsilon_ne=eps))
+        if first is None:
+            assert res.termination == "terminal_tau"
+            assert len(res.trace) == len(full.trace)
+        else:
+            assert res.termination == "epsilon_ne"
+            assert len(res.trace) == first + 3
+            assert res.trace[-1].tau == stages[first][0]
+            assert res.exploitability == exact[first]
+        assert abs(res.exploitability - exploitability(game, res.profile)) <= 1e-12
+
+    def test_exact_gap_only_at_the_start_and_the_terminal_temperature(self, monkeypatch):
+        calls = []
+        real = solvers_mod._qre_gap
+
+        def spy(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(solvers_mod, "_qre_gap", spy)
+        res = solve_lle(_koth_clone_game(8, 4, 0), QREConfig(epsilon_ne=0.0))
+        assert res.termination == "terminal_tau"
+        assert calls == [res.trace[0].tau, res.trace[-1].tau]
+
+
+class TestTargetsPowerIteration:
+    """The targets' power iteration stops once its iterate cycles in
+    floating point; the targets equal those of a fixed 50-round iteration."""
+
+    @pytest.mark.parametrize("name", ["rps_dup_rock", "koth_clones", "random", "skillworld"])
+    def test_targets_match_fifty_rounds(self, name, rps_dup_rock):
+        game = {
+            "rps_dup_rock": lambda: rps_dup_rock,
+            "koth_clones": lambda: _koth_clone_game(8, 4, 5),
+            "random": lambda: random_game((3, 4, 2), seed=3),
+            "skillworld": _stale_curvature_game,
+        }[name]()
+        for ours, ref in zip(affinity_targets(game), affinity_targets_50(game)):
+            assert np.array_equal(ours, ref)
+
+    # the iterate of size 13 cycles with period 3 from round 3, and that of
+    # size 29 with period 2, in the other phase from the last round
+    @pytest.mark.parametrize("n", [5, 13, 29])
+    def test_identity_kernel(self, n, monkeypatch):
+        kern = AffinityKernel.from_matrix(np.eye(n))
+        ref = max_entropy_pg_50(kern, 1e-7, 100_000)
+        U, x = kern.U, np.full(n, 1.0 / n)
+        first_step = x - (1.0 / lipschitz_50(U)) * (2.0 * (U.T @ (U @ x)))
+        rounds, points = [], []
+        norm, project = kernels.np.linalg.norm, kernels.project_simplex
+        monkeypatch.setattr(kernels.np.linalg, "norm", lambda v: rounds.append(v) or norm(v))
+        monkeypatch.setattr(kernels, "project_simplex", lambda v: points.append(v) or project(v))
+        ours = kernels.max_affinity_entropy(kern, tolerance=1e-7)
+        assert np.array_equal(ours, ref)
+        assert np.array_equal(points[0], first_step)
+        assert len(rounds) <= 3
+
+
+def _stale_curvature_game():
+    """The 21x20x20 skill-world game of ``_STALE_PROMPTS`` and
+    ``_STALE_MODELS``, scaled as the skill-world rater scales it."""
+    u = skillsim._king_tensor(np.array(_STALE_PROMPTS), np.array(_STALE_MODELS))
+    return skillsim._skill_game(u / np.abs(u).max())
+
+
+class TestCCERestart:
+    def test_stale_curvature_stop_is_restarted(self):
+        # L-BFGS-B stops on a relative reduction of the loss at
+        # exploitability 4.16e-3 on this game (trial 4, iteration 11 of the
+        # cce arm at the SimConfig defaults); a restart from its last
+        # multipliers solves it
+        game = _stale_curvature_game()
+        config = CCEConfig(targets=affinity_targets(game))
+        res = solve_mre_cce(game, config)
+        assert res.converged and res.restarts >= 1
+        assert res.exploitability <= config.epsilon_cce
+        assert res.exploitability == exploitability(game, res.profile)
+        assert [r.step for r in res.trace] == list(range(len(res.trace)))
+        assert res.to_dict()["restarts"] == res.restarts
+
+    def test_no_restart_below_epsilon(self):
+        # this solve also stops on a relative reduction of the loss, but
+        # within epsilon_cce
+        game = _koth_clone_game(60, 8, 0)
+        res = solve_mre_cce(game, CCEConfig(targets=affinity_targets(game)))
+        assert res.restarts == 0
+
+
+_STALE_PROMPTS = [
+    [0.6079485698431857, 0.2879312280208058, 0.09218363214100095, 0.011936569995007711],
+    [0.26589352094995833, 0.11057120411476022, 0.08353317210823594, 0.5400021028270455],
+    [0.2918964155219503, 0.1618501705893673, 0.200250794889609, 0.3460026189990733],
+    [0.2850103370666264, 0.028509278016737267, 0.3309326302488254, 0.35554775466781113],
+    [0.08111315717970854, 0.45987712862164104, 0.40444705345656307, 0.05456266074208732],
+    [0.5563622592210427, 0.08877185852108446, 0.018572172830346737, 0.3362937094275261],
+    [0.47467101556385866, 0.31024268012953543, 0.1557236025232154, 0.05936270178339055],
+    [0.09200338042038925, 0.3529374552552245, 0.4286886718933678, 0.12637049243101847],
+    [0.23257180176723952, 0.1165769292108817, 0.1623522762790502, 0.4884989927428286],
+    [0.20449518913611167, 0.015431265415600774, 0.32771044616814865, 0.45236309928013896],
+    [0.9196495508584394, 0.04505436126601042, 0.012243704280004663, 0.023052383595545504],
+    [0.6807707369650491, 0.06196445537924827, 0.02961265826809527, 0.22765214938760742],
+    [0.7180063206634373, 0.01958733219395948, 0.14381268847207623, 0.11859365867052697],
+    [0.0026344994818154267, 0.0814092722215357, 0.8664768953664048, 0.049479332930244126],
+    [0.05025621031806408, 0.03167751505688161, 0.8050163761751307, 0.11304989844992377],
+    [0.023489607479474577, 0.10619226030694225, 0.757095896021499, 0.1132222361920843],
+    [0.019588838073634353, 0.040846702583498776, 0.8520364185559169, 0.08752804078695002],
+    [0.08522608185232755, 0.12534254274053516, 0.7848949512922803, 0.00453642411485708],
+    [0.2119614914002625, 0.07073927133735577, 0.6902441163377016, 0.027055120924679998],
+    [0.17371953597231207, 0.015491837809017873, 0.8031155376182089, 0.007673088600461105],
+    [0.7739650114727643, 0.21851261834961297, 0.005678991181416332, 0.0018433789962063619],
+]
+_STALE_MODELS = [
+    [0.27863796755130804, 0.2906262986460716, 1.041551607560982, 0.3891841262416383],
+    [0.4432215064735438, 0.47149066992065153, 0.6573608012772867, 0.4279270223285179],
+    [0.4923585581508156, 0.5680245645323292, 0.7067611315328033, 0.23285574578405208],
+    [0.16787127240393088, 0.8464433992729861, 0.8289404377933212, 0.15674489052976187],
+    [0.6162315133924139, 0.5300634875557193, 0.6831036717774119, 0.1706013272744548],
+    [0.6099445353839136, 0.23406863724319865, 0.914549904874795, 0.24143692249809273],
+    [0.20049400354691843, 0.6798556755151037, 0.6639088622556876, 0.45574145868229027],
+    [0.09982383999496655, 0.3537746422672589, 1.357931994741301, 0.18846952299647318],
+    [0.3443995062619607, 0.13254001014681827, 0.11470888067692778, 0.40835160291429323],
+    [0.02967843256101355, 0.09996979964521698, 0.13852586037696688, 0.7318259074168026],
+    [0.48628553925846063, 0.09881933613348698, 0.005007131198375217, 0.4098879934096771],
+    [1.1278363183135094, 0.17576630248913885, 0.055191489587291975, 0.6412058896100596],
+    [0.8937553402309761, 0.21835301746046165, 0.7610558351536074, 0.12683580715495463],
+    [1.089616851787619, 0.1746489590242592, 0.37586937873190146, 0.3598648104562202],
+    [1.771492930309965, 0.8767621442342552, 0.10554057531170499, 0.24620435014407482],
+    [0.995474652954858, 0.5529964232237445, 1.8909610076530547, 0.5605679161683428],
+    [2.368717027913186, 1.1216427803486, 0.9546319377547041, 0.5550082539835097],
+    [1.001467573243551, 0.4054802598727356, 3.015844280947089, 0.5772078859366241],
+    [2.4280650719700567, 0.9532056798429827, 2.3433915634359943, 0.2753376847509663],
+    [0.3353398679937831, 0.49080653502164434, 3.407820130239465, 1.7660334667451074],
+]
