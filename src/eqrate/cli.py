@@ -6,6 +6,8 @@ enumeration experiments, and drive the skill-world simulation.  Every
 randomized command takes an explicit ``--seed`` (default 0, never
 wall-clock), all plot-ready outputs are CSV/JSON, and each run writes a
 manifest with input hashes so results can be reproduced bit-exactly.
+``solve`` is deterministic; its manifest adds ``restarts``: LLE arclength
+detours past a stalled temperature, or CCE L-BFGS-B restarts.
 
 Game files are JSON.  ``build`` writes a prompt/king/rebel game as its
 king tensor alone: ``players``, ``actions``, ``king`` (flat, row-major),
@@ -182,7 +184,6 @@ def cmd_solve(args) -> int:
     targets = _targets_for(game, args.entropy, args.variance, args.mode)
     t_targets = time.perf_counter()
     result = _solve(game, args.method, targets, args.epsilon, args.max_steps)
-    result.seed = args.seed
     t_solve = time.perf_counter()
     result.save(args.out)
     timings = {
@@ -204,7 +205,6 @@ def cmd_solve(args) -> int:
             "termination": result.termination,
             "stages": len({r.tau for r in result.trace if r.tau is not None}),
             "restarts": result.restarts,
-            "forced_anneals": result.forced_anneals,
             "timings": timings,
         },
     )
@@ -438,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dissimilarity closed form")
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--max-steps", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_solve)
 

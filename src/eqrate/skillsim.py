@@ -99,10 +99,9 @@ class TrialResult:
     snapshots: list[dict]
     aborted: bool = False
     abort_info: dict | None = None
-    # one entry per ne or cce solve rated with an unconverged iterate (kind
-    # "convergence_error") or traced past a stall by the forced anneal
-    # (kind "forced_anneal", with the count): the iteration, the game shape
-    # and the rated profile's exploitability
+    # one entry per ne or cce solve that raised ConvergenceError and was
+    # rated with its unconverged iterate (kind "convergence_error"): the
+    # iteration, the game shape and the iterate's exploitability
     fallbacks: list[dict] = field(default_factory=list)
 
 
@@ -160,23 +159,14 @@ class _EquilibriumRater:
     and kernel bandwidth operate at their design scale; ratings are used
     only ordinally here and positive rescaling preserves the order.  An ne
     or cce solve that raises ``ConvergenceError`` rates with its
-    unconverged iterate; that event, and an ne solve that forced an anneal
-    past a stalled temperature, are kept in ``fallbacks``.
+    unconverged iterate, and that event is kept in ``fallbacks``; an ne
+    solve passes a fold of the QRE branch by its arclength detour.
     """
 
     # desk-scale overrides of the ne arm's QREConfig; pass solver={} for the
     # pure paper schedule.  A soft terminal temperature is enough here:
-    # ratings only pick argmax candidates.  The forced anneal carries a
-    # trace past a fold of the QRE branch instead of falling back to the
-    # unconverged iterate; each solve it fires in is kept in ``fallbacks``.
-    # On 30-iteration trials it fires at SimConfig seeds 5, 7 and 8, in
-    # 1, 1 and 3 solves (2 of 11,868, 6 of 11,040 and 9 of 15,226
-    # temperatures), never at seeds 0-4 and 6, nor on the 5-iteration
-    # trial at seed 0.
-    DEFAULT_OVERRIDES = {
-        "tau_terminal": 0.1,
-        "force_anneal_on_stall": True,
-    }
+    # ratings only pick argmax candidates.
+    DEFAULT_OVERRIDES = {"tau_terminal": 0.1}
 
     def __init__(self, config: SimConfig):
         self.method = config.rating_method
@@ -191,21 +181,13 @@ class _EquilibriumRater:
             solve, arm = solvers.solve_mre_cce, solvers.CCEConfig
         event = {"iteration": iteration, "shape": list(game.shape)}
         try:
-            result = solve(game, arm(targets=targets, **self.overrides))
+            return solve(game, arm(targets=targets, **self.overrides)).profile
         except ConvergenceError as exc:
             # rate with the last iterate rather than dying; candidate
             # selection only needs the rating order
             event.update(kind="convergence_error", exploitability=exc.trace[-1].exploitability)
             self.fallbacks.append(event)
             return exc.iterate
-        if result.forced_anneals:
-            event.update(
-                kind="forced_anneal",
-                exploitability=result.exploitability,
-                forced_anneals=result.forced_anneals,
-            )
-            self.fallbacks.append(event)
-        return result.profile
 
     def rate(self, prompts: np.ndarray, models: np.ndarray, t: int):
         u_k = _king_tensor(prompts, models)

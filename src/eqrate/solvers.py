@@ -7,11 +7,11 @@ Two selection routes:
   zero-temperature limit (McKelvey & Palfrey 1995), by predictor-corrector
   continuation on the QRE fixed point over a geometric temperature grid
   (Turocy 2005; Allgower & Georg 1990): polynomial extrapolation in 1/tau,
-  then Newton.
+  then Newton.  A temperature where the branch folds back, or whose
+  prediction misses, is reached by pseudo-arclength continuation.
   The logits are tilted by per-player target distributions, so a
   max-affinity-entropy target makes the traced equilibrium invariant to
-  cloned actions.  A fold of the branch, where no nearby fixed point is
-  left at the next temperature, stops the trace with ``ConvergenceError``.
+  cloned actions.
 * ``solve_mre_cce`` finds the coarse correlated equilibrium of maximum
   relative entropy to a target joint, by bounded L-BFGS-B on the convex
   dual of the problem.  The result satisfies the KKT conditions: no
@@ -55,6 +55,18 @@ DEFAULT_EPSILON_NE = 1e-3
 NEWTON_TOL = 1e-10
 NEWTON_STAGE_ITERS = 30
 NEWTON_MIN_DAMPING = 2.0**-30
+# The arclength detour past such a temperature (``_detour``) starts with step
+# length h = min(lambda gap, ARC_MAX_STEP).  A step's corrector takes at most
+# ARC_CORRECTOR_ITERS Newton steps, the first at most ARC_FIRST_CORRECTION * h
+# long and each later one at most half the one before, and its new tangent
+# keeps a cosine of ARC_MIN_COSINE with the last; h grows by half, to
+# ARC_MAX_STEP at most, after a corrector of at most two steps.  Every fold
+# and stall met in tests and benchmarks passes with these.
+ARC_CORRECTOR_ITERS = 8
+ARC_FIRST_CORRECTION = 0.1
+ARC_MIN_COSINE = 0.995
+ARC_MAX_STEP = 1.0
+ARC_MIN_STEP = 1e-10
 
 # The CCE dual is solved until L-BFGS-B's projected gradient, which bounds
 # every positive regret and every complementary-slackness residual, is this
@@ -87,10 +99,8 @@ DEDUP_TOL = 1e-3
 class QREConfig:
     """Settings of the LLE trace: the temperature grid from ``tau_init``,
     times ``tau_decay``, down to ``tau_terminal``; the early exit
-    ``epsilon_ne``; the cap ``max_steps`` on Newton iterations in all; the
-    per-player ``targets`` (default: affinity targets); and whether a
-    stalled temperature anneals anyway (``force_anneal_on_stall``) instead
-    of raising ``ConvergenceError``."""
+    ``epsilon_ne``; the cap ``max_steps`` on Newton iterations in all; and
+    the per-player ``targets`` (default: affinity targets)."""
 
     tau_init: float = DEFAULT_TAU_INIT
     tau_decay: float = DEFAULT_TAU_DECAY
@@ -99,13 +109,9 @@ class QREConfig:
     # early exit off, so the trace always runs to tau_terminal
     epsilon_ne: float = DEFAULT_EPSILON_NE
     # Newton iterations in all, counting those spent from a rejected
-    # prediction before a temperature is rerun from the last solution
+    # prediction and on the arclength detour past it
     max_steps: int = 200_000
     targets: tuple[np.ndarray, ...] | None = None
-    # past a fold of the QRE branch no nearby fixed point is left, so the
-    # corrector stalls; optionally continue annealing from where it stopped
-    # instead of raising
-    force_anneal_on_stall: bool = False
 
     def __post_init__(self):
         if self.tau_init <= 0 or self.tau_terminal <= 0:
@@ -159,13 +165,9 @@ class EquilibriumResult:
     targets: tuple[np.ndarray, ...] | None = None
     duals: list[np.ndarray] | None = None
     config: dict | None = None
-    seed: int | None = None
-    # LLE: temperatures rerun from the last solution after the corrector
-    # failed from the extrapolated start; CCE: L-BFGS-B runs restarted from
-    # the last multipliers.  LLE only: stalled temperatures annealed past
-    # (``force_anneal_on_stall``)
+    # LLE: arclength detours past stalled temperatures; CCE: L-BFGS-B runs
+    # restarted from the last multipliers
     restarts: int = 0
-    forced_anneals: int = 0
 
     def to_dict(self) -> dict:
         """JSON-ready dict.  A product profile is stored as its
@@ -203,9 +205,7 @@ class EquilibriumResult:
             if self.targets is None
             else [t.tolist() for t in self.targets],
             "config": self.config,
-            "seed": self.seed,
             "restarts": self.restarts,
-            "forced_anneals": self.forced_anneals,
         }
 
     def save(self, path) -> None:
@@ -418,17 +418,19 @@ def _qre_residual(ops: _Contraction, y: np.ndarray, tau: float, logt: np.ndarray
     return y - log_br, x, np.exp(log_br)
 
 
-def _newton_direction(ops: _Contraction, f, x, br, tau: float) -> np.ndarray:
+def _newton_direction(ops: _Contraction, f, x, br, tau: float, border=None) -> np.ndarray:
     """Solve ``J d = -f`` for the Jacobian ``J = I - P B diag(x) / tau`` of
     the QRE residual, B holding the pair blocks at x and
     ``P = blockdiag(I - 1 br_i^T)`` the log-softmax derivative.
 
     No player has a block against itself, so J's diagonal blocks are I; the
     largest player's actions are eliminated by a Schur complement, leaving
-    a dense solve over the rest.
+    a dense solve over the rest.  With ``border = (c, t, q)``, the bordered
+    system ``[[J, c], [t^T]] [d; e] = -[f; q]`` is solved instead, after
+    the same elimination, and ``[d; e]`` returned.
     """
     m, r = ops.big, ops.rest
-    if r.size == 0:
+    if r.size == 0 and border is None:
         return -f
     b_r, b_mr = ops.schur_blocks()
     # apply I - 1 br_i^T within each rest player's rows
@@ -438,12 +440,26 @@ def _newton_direction(ops: _Contraction, f, x, br, tau: float) -> np.ndarray:
     k_mr = (b_mr - br[m] @ b_mr) * (x[r] / tau)
     schur = -k_rr - k_rm @ k_mr
     schur.flat[:: r.size + 1] += 1.0
-    _, _, d_r, info = lapack.dgesv(schur, -f[r] - k_rm @ f[m], overwrite_a=True, overwrite_b=True)
+    rhs = -f[r] - k_rm @ f[m]
+    if border is not None:
+        # d_m = k_mr d_r - c_m e - f_m, substituted into the rest's rows and
+        # the border row
+        c, t, q = border
+        t_m, t_r = t[:-1][m], t[:-1][r]
+        schur = np.block([
+            [schur, (c[r] + k_rm @ c[m])[:, None]],
+            [t_r + t_m @ k_mr, t[-1] - t_m @ c[m]],
+        ])
+        rhs = np.append(rhs, t_m @ f[m] - q)
+    _, _, d_r, info = lapack.dgesv(schur, rhs, overwrite_a=True, overwrite_b=True)
     if info != 0:
         raise np.linalg.LinAlgError(f"singular Newton system (LAPACK gesv info {info})")
-    d = np.empty_like(f)
-    d[r] = d_r
-    d[m] = k_mr @ d_r - f[m]
+    d = np.empty(f.size + (border is not None))
+    d[r] = d_r[: r.size]
+    d[m] = k_mr @ d_r[: r.size] - f[m]
+    if border is not None:
+        d[m] -= c[m] * d_r[-1]
+        d[-1] = d_r[-1]
     return d
 
 
@@ -498,6 +514,76 @@ def _extrapolate(history, lam: float) -> np.ndarray:
     return pred
 
 
+def _branch_residual(ops: _Contraction, v: np.ndarray, logt: np.ndarray):
+    """``_qre_residual`` at ``v = [y; lambda]``, lambda = 1/tau being 0 at
+    infinite temperature, with tau and the residual's derivative in
+    lambda, ``-(dev_i - br_i . dev_i)`` per player."""
+    tau = 1.0 / v[-1] if v[-1] else np.inf
+    f, x, br = _qre_residual(ops, v[:-1], tau, logt)
+    return f, x, br, tau, -ops.regrets(br, ops.dev)
+
+
+def _tangent(ops: _Contraction, v: np.ndarray, t: np.ndarray, logt: np.ndarray) -> np.ndarray:
+    """The branch's unit tangent at v, oriented along t: the bordered
+    Newton system with t as its last row and right-hand side ``[0; 1]``."""
+    f, x, br, tau, c = _branch_residual(ops, v, logt)
+    d = _newton_direction(ops, np.zeros_like(f), x, br, tau, (c, t, -1.0))
+    return d / np.linalg.norm(d)
+
+
+def _detour(ops: _Contraction, y, lam: float, tau_end: float, logt: np.ndarray, budget: int):
+    """Follow the QRE branch from its solved point (y, lam) by
+    pseudo-arclength continuation in ``(y, lambda)`` (Allgower & Georg
+    1990, ch. 6) until it crosses ``1/tau_end`` going forward, then solve
+    tau_end by ``_correct`` from the line through the two branch points
+    that bracket the crossing.  Each step predicts along the unit tangent
+    and corrects by Newton on the hyperplane normal to it; a step whose
+    corrector fails, whose tangent turns too far, or whose crossing
+    ``_correct`` fails is retried at half the length.
+
+    Returns the solution at tau_end, its ``_correct`` parts, the
+    bracketing ``(lambda, y)`` pairs and the Newton iterations taken, at
+    most ``budget``; the first three are None once the budget is spent or
+    the step length is below ``ARC_MIN_STEP``.
+    """
+    lam_end = 1.0 / tau_end
+    v = np.append(y, lam)
+    t = _tangent(ops, v, np.append(np.zeros_like(y), 1.0), logt)
+    h = min(lam_end - lam, ARC_MAX_STEP)
+    its = 0
+    while h >= ARC_MIN_STEP and its < budget:
+        w, limit = v + h * t, ARC_FIRST_CORRECTION * h
+        for k in range(ARC_CORRECTOR_ITERS + 1):
+            f, x, br, tau, c = _branch_residual(ops, w, logt)
+            if np.abs(f).max() <= NEWTON_TOL or k == ARC_CORRECTOR_ITERS or its == budget:
+                break
+            dw = _newton_direction(ops, f, x, br, tau, (c, t, 0.0))
+            its += 1
+            size = np.linalg.norm(dw)
+            if not size <= limit:  # also rejects a nan step
+                break
+            w, limit = w + dw, 0.5 * size
+        accepted = np.abs(f).max() <= NEWTON_TOL
+        if accepted:
+            t_w = _tangent(ops, w, t, logt)
+            accepted = t_w @ t >= ARC_MIN_COSINE
+        if accepted and v[-1] < lam_end <= w[-1]:
+            bracket = [(v[-1], v[:-1]), (w[-1], w[:-1])]
+            cap = min(NEWTON_STAGE_ITERS, budget - its)
+            y_end, k_end, parts = _correct(ops, _extrapolate(bracket, lam_end), tau_end, logt, cap)
+            its += k_end
+            if parts is not None:
+                return y_end, parts, bracket, its
+            accepted = False
+        if not accepted:
+            h *= 0.5
+            continue
+        v, t = w, t_w
+        if k <= 2:
+            h = min(1.5 * h, ARC_MAX_STEP)
+    return None, None, None, its
+
+
 def solve_lle(game: Game, config: QREConfig | None = None) -> EquilibriumResult:
     """Trace the principal branch of the logit QRE toward its
     low-temperature limit, the LLE.
@@ -510,21 +596,21 @@ def solve_lle(game: Game, config: QREConfig | None = None) -> EquilibriumResult:
     log-marginals, a line through two, the solution itself after one (the
     trace's first temperature starts from the target profile).  A
     temperature whose residual misses ``NEWTON_TOL`` within
-    ``NEWTON_STAGE_ITERS`` iterations from a prediction is rerun from the
-    last solution with a fresh cap, and counted in ``restarts``; one that
-    misses it from the last solution too has stalled.  With
-    ``force_anneal_on_stall`` the trace then anneals anyway from the
-    stalled iterate, counted in ``forced_anneals``, and the predictor's
-    history starts afresh; otherwise ``ConvergenceError`` is raised at
-    once.  ``max_steps`` caps the Newton iterations in all, those of
-    rejected predictions included.  Stops once the terminal temperature is
-    solved, or as soon as the start's or a solved temperature's true
-    (unregularized) exploitability reaches ``epsilon_ne``; with
-    ``epsilon_ne=0`` that early exit is off and the trace always runs to
-    ``tau_terminal``.  The trace starts at the target profile, the fixed
-    point at infinite temperature.  The trace holds the start, one record
-    per temperature and the final profile, ``step`` counting Newton
-    iterations.  Deterministic.
+    ``NEWTON_STAGE_ITERS`` iterations from its prediction (the branch folds
+    back there, or the prediction left the corrector's basin) is reached
+    by an arclength detour along the branch from the last solved
+    temperature (``_detour``), counted in ``restarts``; the predictor's
+    history then holds the two branch points bracketing the crossing, and
+    the solution.  ``ConvergenceError`` is raised when the detour's step
+    falls below ``ARC_MIN_STEP``, or once ``max_steps`` caps the Newton
+    iterations in all, those of rejected predictions and detours included.
+    Stops once the terminal temperature is solved, or as soon as the
+    start's or a solved temperature's true (unregularized) exploitability
+    reaches ``epsilon_ne``; with ``epsilon_ne=0`` that early exit is off
+    and the trace always runs to ``tau_terminal``.  The trace starts at
+    the target profile, the fixed point at infinite temperature.  The
+    trace holds the start, one record per temperature and the final
+    profile, ``step`` counting Newton iterations.  Deterministic.
 
     A solved temperature's record comes from the corrector's last
     residual, at ``x = e^y`` before normalisation, so it is exact up to
@@ -545,7 +631,7 @@ def solve_lle(game: Game, config: QREConfig | None = None) -> EquilibriumResult:
     history = deque(maxlen=3)  # (1/tau, y) of the last solved temperatures
 
     tau = config.tau_init
-    step = restarts = forced_anneals = 0
+    step = restarts = 0
     loss, exploit = _qre_gap(ops, y, tau, logt)
     trace = [TraceRecord(step, tau, loss, exploit)]
     termination = None
@@ -557,31 +643,29 @@ def solve_lle(game: Game, config: QREConfig | None = None) -> EquilibriumResult:
             ops, start, tau, logt, min(NEWTON_STAGE_ITERS, config.max_steps - step)
         )
         step += its
-        if parts is None and start is not y and step < config.max_steps:
+        if parts is None and step < config.max_steps:
             restarts += 1
-            y_next, its, parts = _correct(
-                ops, y, tau, logt, min(NEWTON_STAGE_ITERS, config.max_steps - step)
-            )
+            # before any temperature is solved, y is the point at lambda 0
+            lam = history[-1][0] if history else 0.0
+            found, parts, bracket, its = _detour(ops, y, lam, tau, logt, config.max_steps - step)
             step += its
+            if parts is not None:
+                y_next = found
+                history = deque(bracket, maxlen=3)
         y = y_next
-        solved = parts is not None
-        if not solved and (step >= config.max_steps or not config.force_anneal_on_stall):
+        if parts is None:
             break
+        history.append((1.0 / tau, y))
         terminal = tau <= config.tau_terminal * (1 + 1e-12)
-        if solved:
-            history.append((1.0 / tau, y))
-            x, dev, lse = parts
-            loss = tau * float(lse.sum()) + float(x @ (tau * (y - logt) - dev))
-            exploit = ops.exploitability(x, dev)
-        else:
-            forced_anneals += 1
-            history.clear()
+        x, dev, lse = parts
+        loss = tau * float(lse.sum()) + float(x @ (tau * (y - logt) - dev))
+        exploit = ops.exploitability(x, dev)
         # the corrector's exploitability is off by the residual only, far
         # below epsilon_ne, so the exit is decided on the exact record
-        if not solved or terminal or exploit <= 2.0 * config.epsilon_ne:
+        if terminal or exploit <= 2.0 * config.epsilon_ne:
             loss, exploit = _qre_gap(ops, y, tau, logt)
         trace.append(TraceRecord(step, tau, loss, exploit))
-        if solved and config.epsilon_ne > 0 and exploit <= config.epsilon_ne:
+        if config.epsilon_ne > 0 and exploit <= config.epsilon_ne:
             termination = "epsilon_ne"
         elif terminal:
             termination = "terminal_tau"
@@ -597,7 +681,7 @@ def solve_lle(game: Game, config: QREConfig | None = None) -> EquilibriumResult:
         reason = (
             f"all {config.max_steps} Newton iterations spent"
             if step >= config.max_steps
-            else f"Newton stalled above residual {NEWTON_TOL:g}"
+            else f"the arclength step fell below {ARC_MIN_STEP:g} past a stalled temperature"
         )
         raise ConvergenceError(
             f"solve_lle: {reason} (tau={tau:.4g}, loss={loss:.3e}, "
@@ -621,7 +705,6 @@ def solve_lle(game: Game, config: QREConfig | None = None) -> EquilibriumResult:
             "max_steps": config.max_steps,
         },
         restarts=restarts,
-        forced_anneals=forced_anneals,
     )
 
 
@@ -902,12 +985,13 @@ def enumerate_nes(
     ``default_rng(seed)``, so different priors can end on different
     equilibria.  Every trace runs with ``epsilon_ne=0`` down to the lower
     of ``tau_terminal`` and ``ENUM_TAU_TERMINAL``; a prior whose trace
-    stalls at a fold is counted in ``stalled`` and skipped.  Each candidate
-    is then polished to the exact equilibrium on its support (``_polish``),
-    cf. Porter, Nudelman & Shoham (2008), and kept traced where the polish
-    fails.  Candidates after element 0 with exploitability above
-    ``epsilon`` are dropped, and profiles whose rating vectors differ by
-    less than ``DEDUP_TOL`` in L2 are considered the same equilibrium.
+    raises ``ConvergenceError`` is counted in ``stalled`` and skipped.
+    Each candidate is then polished to the exact equilibrium on its
+    support (``_polish``), cf. Porter, Nudelman & Shoham (2008), and kept
+    traced where the polish fails.  Candidates after element 0 with
+    exploitability above ``epsilon`` are dropped, and profiles whose rating
+    vectors differ by less than ``DEDUP_TOL`` in L2 are considered the
+    same equilibrium.
     Priors are traced in turn only until ``count`` equilibria are kept.
     Raises ``ConvergenceError`` if the LLE cannot be traced.
     """
@@ -917,12 +1001,7 @@ def enumerate_nes(
     deep = replace(
         config, epsilon_ne=0.0, tau_terminal=min(config.tau_terminal, ENUM_TAU_TERMINAL)
     )
-    try:
-        lle = solve_lle(game, deep)
-    except ConvergenceError:
-        # the branch may fold past where the LLE itself stops; the LLE is
-        # then what lle_config traces, and its error is enumerate's
-        lle = solve_lle(game, config)
+    lle = solve_lle(game, deep)
     ops = _Contraction(game)
     R = replicas if replicas is not None else max(8, 4 * count)
     rng = np.random.default_rng(seed)

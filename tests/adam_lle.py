@@ -5,8 +5,7 @@ blocks (the solvers use neither).
 
 It descends the QRE loss over per-player logits with Adam, multiplying tau
 by ``tau_decay`` at each ``interval``-step check where the loss is at most
-``gate``; a stage whose loss stops falling halves the step, and with
-``force_anneal_on_stall`` anneals once the step is at its floor.
+``gate``; a stage whose loss stops falling halves the step.
 """
 
 import numpy as np
@@ -88,9 +87,7 @@ def solve_lle_adam(game, config: QREConfig, interval=250, gate=1e-5, learning_ra
             best_loss = loss
             last_progress = step
         stalled = step - last_progress > stall_window
-        if (at_check and loss <= gate) or (
-            stalled and adam.lr <= min_lr and config.force_anneal_on_stall
-        ):
+        if at_check and loss <= gate:
             if tau <= config.tau_terminal * (1 + 1e-12):
                 termination = "terminal_tau"
                 break

@@ -6,7 +6,7 @@ import pytest
 
 from eqrate import koth, ratings, skillsim, solvers
 from eqrate.errors import ParameterError
-from eqrate.games import all_regrets, exploitability
+from eqrate.games import all_regrets
 from eqrate.kernels import affinity_targets
 from conftest import fold_game
 
@@ -125,17 +125,19 @@ def test_ne_rating_is_one_cold_lle_trace():
     assert rater.fallbacks == []
 
 
-def test_forced_anneal_is_recorded():
+def test_fold_records_no_fallback():
     # the QRE branch folds near tau 0.12, above the default overrides'
-    # terminal temperature, so the trace anneals past it
+    # terminal temperature; the trace detours past the fold and rates with
+    # the solved profile
     game = fold_game()
+    targets = affinity_targets(game)
     rater = skillsim._EquilibriumRater(skillsim.SimConfig(rating_method="ne"))
-    profile = rater._solve(game, affinity_targets(game), 3)
-    (event,) = rater.fallbacks
-    assert event["kind"] == "forced_anneal"
-    assert event["forced_anneals"] >= 1
-    assert event["iteration"] == 3 and event["shape"] == list(game.shape)
-    assert event["exploitability"] == pytest.approx(exploitability(game, profile), abs=1e-12)
+    profile = rater._solve(game, targets, 3)
+    assert rater.fallbacks == []
+    result = solvers.solve_lle(game, solvers.QREConfig(targets=targets, tau_terminal=0.1))
+    assert result.restarts >= 1
+    for got, want in zip(profile.marginals, result.profile.marginals):
+        assert np.array_equal(got, want)
 
 
 def test_default_trial_records_no_fallback():
@@ -149,3 +151,5 @@ def test_solver_keys_checked_against_the_arm():
         skillsim.SimConfig(rating_method="cce", solver={"tau_init": 1.0})
     with pytest.raises(ParameterError, match="epsilon_cce"):
         skillsim.SimConfig(rating_method="ne", solver={"epsilon_cce": 1e-4})
+    with pytest.raises(ParameterError, match="force_anneal_on_stall"):
+        skillsim.SimConfig(rating_method="ne", solver={"force_anneal_on_stall": True})

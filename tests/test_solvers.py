@@ -1,4 +1,5 @@
 import json
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,7 @@ from eqrate.solvers import (
     QREConfig,
     _CCEDual,
     _Contraction,
+    _branch_residual,
     _indifference,
     _newton_direction,
     _qre_gap,
@@ -186,6 +188,19 @@ class TestNewtonDirection:
             f, x, br = _qre_residual(ops, y, tau, logt)
             d = _newton_direction(ops, f, x, br, tau)
             assert np.abs(jac @ d + f).max() <= 1e-6 * np.abs(f).max()
+            # the arclength detour's bordered system in (y, lambda = 1/tau),
+            # with a random last row
+            v = np.append(y, 1.0 / tau)
+            plus = _qre_residual(ops, y, 1.0 / (v[-1] + h), logt)[0]
+            minus = _qre_residual(ops, y, 1.0 / (v[-1] - h), logt)[0]
+            d_lam = (plus - minus) / (2 * h)
+            f, x, br, tau_v, c = _branch_residual(ops, v, logt)
+            assert np.abs(c - d_lam).max() <= 1e-7
+            t, q = rng.normal(size=v.size), float(rng.normal())
+            de = _newton_direction(ops, f, x, br, tau_v, (c, t, q))
+            scale = max(np.abs(f).max(), abs(q))
+            assert np.abs(jac @ de[:-1] + d_lam * de[-1] + f).max() <= 1e-6 * scale
+            assert abs(t @ de + q) <= 1e-9 * scale
 
 
 @pytest.mark.parametrize("field", ["max_steps"])
@@ -272,33 +287,47 @@ class TestSolveLLE:
         assert exc.value.trace is not None
         assert isinstance(exc.value.iterate, ProductProfile)
 
-    def test_fold_raises_fast(self):
-        # the principal QRE branch of this 4x3 KOTH game folds back between
-        # tau 0.122 and 0.116 (the Jacobian's smallest singular value falls
-        # from 3e-2 to 3e-7), so no temperature-monotone trace can pass it;
-        # the corrector must stall there rather than descend for 200k steps
-        rng = np.random.default_rng(2)
-        models = ["m_a", "m_b", "m_c"]
-        records = [
-            koth.PreferenceRecord(f"q{p}", models[a], models[b], float(rng.choice(koth.SCORES)))
-            for p in range(4)
-            for a in range(3)
-            for b in range(a + 1, 3)
-        ]
-        with pytest.raises(ConvergenceError) as exc:
-            solve_lle(koth.build_koth(records).game)
-        assert isinstance(exc.value.iterate, ProductProfile)
-        assert exc.value.trace[-1].step < 2000
-        assert exc.value.trace[-1].tau < 0.2
+    @pytest.mark.parametrize(
+        "case", ["fold", "3x3_18", "3x3_12", *(f"4x4_11_draw{k}" for k in (0, 7, 8, 10, 12, 14))]
+    )
+    def test_detour_passes_a_stalled_temperature(self, case):
+        # without the detour each trace stalls: the fold game's branch
+        # folds back between tau 0.122 and 0.116 (the Jacobian's smallest
+        # singular value falls from 3e-2 to 3e-7); random_game((3, 3), 18)
+        # takes a step too long for the corrector's basin at tau 0.377 and
+        # folds near lambda 2.76 and 16.9; random_game((3, 3), 12) folds
+        # below tau 1e-2; the random_game((4, 4), 11) priors of
+        # default_rng(0) stall between tau 0.104 and 0.056
+        config = QREConfig(epsilon_ne=0.0)
+        if case == "fold":
+            game = fold_game()
+        elif case.startswith("3x3"):
+            game = random_game((3, 3), int(case[4:]))
+            if case == "3x3_12":
+                config = replace(config, tau_terminal=1e-3)
+        else:
+            game = random_game((4, 4), 11)
+            rng = np.random.default_rng(0)
+            draws = [tuple(rng.dirichlet(np.ones(n)) for n in game.shape) for _ in range(16)]
+            config = replace(
+                config, targets=draws[int(case[11:])], tau_init=100.0, tau_terminal=1e-3
+            )
+        start = time.perf_counter()
+        res = solve_lle(game, config)
+        assert time.perf_counter() - start < 1.0
+        assert res.converged and res.termination == "terminal_tau"
+        assert res.trace[-1].tau == config.tau_terminal
+        assert qre_residual(game, res.profile, config.tau_terminal, res.targets) <= 1e-10
+        assert res.restarts >= 1
+        assert res.to_dict()["restarts"] == res.restarts
 
     def test_rejected_prediction_reruns_from_last_solution(self):
         # the extrapolated start misses this game's Newton basin at one
-        # temperature; a trace without the rerun stalls there, at tau 0.440
+        # temperature; a trace without the detour stalls there, at tau 0.440
         game = random_game((3, 4, 2), 7)
         res = solve_lle(game, QREConfig(epsilon_ne=0.0))
         assert res.termination == "terminal_tau"
         assert res.restarts > 0
-        assert res.forced_anneals == 0
 
     def test_predictor_passes_a_corrector_stall(self):
         # tracing from each last solution stalls at tau 0.277, but the
@@ -326,15 +355,6 @@ class TestSolveLLE:
         assert res.trace[-1] == res.trace[-2]
         assert res.exploitability == res.trace[-1].exploitability
         assert res.exploitability == pytest.approx(exploitability(chicken, res.profile), abs=1e-12)
-
-    def test_forced_anneal_is_counted(self):
-        game = fold_game()
-        res = solve_lle(game, QREConfig(force_anneal_on_stall=True))
-        assert res.converged and res.termination == "terminal_tau"
-        assert res.forced_anneals >= 1
-        saved = res.to_dict()
-        assert saved["forced_anneals"] == res.forced_anneals
-        assert saved["restarts"] == res.restarts
 
     def test_serialization_round_trip(self, tmp_path, rps):
         res = solve_lle(rps, QREConfig(targets=affinity_targets(rps)))
@@ -747,29 +767,30 @@ class TestEnumerate:
             assert exploitability(game, prof) <= 1e-9
 
     def test_stalled_priors_counted(self):
-        # some priors' branches fold on this game; they are skipped, and the
-        # equilibria the others reach are still polished
+        # 8 of this game's priors stall at a fold of their branch without
+        # the detour; with it none stalls, and the equilibria reached are
+        # polished
         game = random_game((4, 4), 11)
         result = enumerate_nes(game, count=5, seed=0)
-        assert result.stalled > 0
+        assert result.stalled == 0
         assert result.profiles
         for prof in result.profiles:
             assert exploitability(game, prof) <= 1e-9
 
     def test_lle_branch_folding_past_its_stop(self):
-        # element 0 is traced deeper than lle_config asks; this game's LLE
-        # branch folds between tau 1e-2 and 1e-3, so element 0 is the LLE
-        # that lle_config traces.  Only that trace's fold is enumerate's
-        # error: the second game's branch folds above tau 1e-2.
+        # element 0 is traced deeper than lle_config asks.  This game's LLE
+        # branch folds between tau 1e-2 and 1e-3, and the deep trace
+        # detours past the fold to a profile that polishes, where the LLE
+        # at tau 1e-2 is 5.2e-3 from an equilibrium.  The second game's
+        # branch folds above tau 1e-2.
         game = random_game((3, 3), 12)
-        with pytest.raises(ConvergenceError):
-            solve_lle(game, QREConfig(epsilon_ne=0.0, tau_terminal=1e-3))
-        lle = solve_lle(game)
+        assert solve_lle(game).exploitability > 1e-3
         result = enumerate_nes(game, count=1)
-        for got, want in zip(result.profiles[0].marginals, lle.profile.marginals):
-            assert np.array_equal(got, want)
-        with pytest.raises(ConvergenceError):
-            enumerate_nes(random_game((3, 3), 1), count=1)
+        assert exploitability(game, result.profiles[0]) <= 1e-9
+        game = random_game((3, 3), 1)
+        result = enumerate_nes(game, count=1)
+        assert len(result.profiles) == 1
+        assert exploitability(game, result.profiles[0]) <= 1e-9
 
     @pytest.mark.parametrize("shape", [(3, 3), (4, 3, 2), (2, 3, 2, 2), "koth"])
     def test_indifference_jacobian_matches_central_differences(self, shape):
