@@ -321,6 +321,40 @@ class TestSolveLLE:
         assert res.restarts >= 1
         assert res.to_dict()["restarts"] == res.restarts
 
+    def test_fold_raises_fast(self):
+        # the trace stalls at the fold at tau 0.116 after about 91 Newton
+        # iterations and the detour past it needs 56 more; with 100 in all
+        # the detour must stop at the cap and raise there, not overrun it
+        config = QREConfig(max_steps=100)
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="all 100 Newton iterations spent") as exc:
+            solve_lle(fold_game(), config)
+        assert time.perf_counter() - start < 1.0
+        assert isinstance(exc.value.iterate, ProductProfile)
+        assert exc.value.trace[-1].step == config.max_steps
+        assert 0.115 < exc.value.trace[-1].tau < 0.122
+
+    def test_forced_anneal_is_counted(self, tmp_path, monkeypatch):
+        # the fold that a forced anneal used to pass is now passed by a
+        # detour; each detour is counted in restarts and saved with it
+        detours = []
+        real = solvers_mod._detour
+
+        def spy(*args):
+            detours.append(args[3])
+            return real(*args)
+
+        monkeypatch.setattr(solvers_mod, "_detour", spy)
+        res = solve_lle(fold_game())
+        assert res.converged and res.termination == "terminal_tau"
+        assert res.restarts == len(detours) >= 1
+        path = tmp_path / "eq.json"
+        res.save(path)
+        with open(path) as fh:
+            saved = json.load(fh)
+        assert saved["restarts"] == res.restarts
+        assert "forced_anneals" not in saved
+
     def test_rejected_prediction_reruns_from_last_solution(self):
         # the extrapolated start misses this game's Newton basin at one
         # temperature; a trace without the detour stalls there, at tau 0.440
