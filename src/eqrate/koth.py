@@ -10,6 +10,7 @@ invariance experiments, with provenance recorded.
 """
 
 import csv
+import io
 import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -190,24 +191,56 @@ def build_koth(records: PreferenceTable | Iterable[PreferenceRecord]) -> KOTHGam
     return _koth_game(u_k, prompts, models, [None] * P)
 
 
+REQUIRED_COLUMNS = ("prompt_id", "model_a", "model_b", "score")
+
+
+def _column_positions(header) -> list[int]:
+    """Each required column's index; a repeated name means its last column."""
+    if not set(REQUIRED_COLUMNS).issubset(header):
+        raise ParameterError(f"preference CSV must have columns {sorted(REQUIRED_COLUMNS)}")
+    position = {name: i for i, name in enumerate(header)}
+    return [position[name] for name in REQUIRED_COLUMNS]
+
+
+def _bad_score(path, text: str, column: int) -> ParameterError:
+    """Name the line of the first score that is not a number."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next(reader)
+    for row in filter(None, reader):
+        try:
+            float(row[column])
+        except ValueError:
+            return ParameterError(f"{path}, line {reader.line_num}: score {row[column]!r} is not a number")
+
+
 def read_preference_csv(path) -> PreferenceTable:
     """Read a preference CSV into a ``PreferenceTable``.
 
     The header must name the columns ``prompt_id``, ``model_a``,
     ``model_b`` and ``score``, in any order and among any others; blank
     lines are skipped.  A row too short to reach every required column, a
-    score off the 5-point scale and a self-comparison raise
-    ``ParameterError``.
+    score that is not a number or off the 5-point scale and a
+    self-comparison raise ``ParameterError``.  A file with no ``"``, no
+    ``\\r`` and no blank first line whose non-blank rows all have the
+    header's width is split on ``\\n`` and ``,`` in bulk; any other file is
+    parsed row by row with ``csv.reader``; both give the same table.
     """
-    required = ("prompt_id", "model_a", "model_b", "score")
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or not set(required).issubset(header):
-            raise ParameterError(f"preference CSV must have columns {sorted(required)}")
-        # a repeated column name means its last column, as in csv.DictReader
-        position = {name: i for i, name in enumerate(header)}
-        columns = [position[name] for name in required]
+        text = fh.read()
+    # With no quote and no "\r", csv.reader splits on "," and "\n" alone.
+    # Blank lines are dropped (a blank first line is the header, so that
+    # file goes to csv.reader) and a "\n" field put between lines: they
+    # all have one width iff every stride-th field is that "\n".
+    bulk = not ('"' in text or "\r" in text or text.startswith("\n"))
+    fields = tuple(",\n,".join(filter(None, text.split("\n"))).split(",")) if bulk else ()
+    lines = fields.count("\n") + 1
+    stride = (len(fields) + 1) // lines
+    if bulk and len(fields) == stride * lines - 1 and fields[stride - 1 :: stride].count("\n") == lines - 1:
+        columns = _column_positions(fields[: stride - 1])
+        prompt_id, model_a, model_b, score = (fields[stride + c :: stride] for c in columns)
+    else:
+        reader = csv.reader(io.StringIO(text, newline=""))
+        columns = _column_positions(next(reader))
         width = max(columns) + 1
         rows = []
         for row in reader:
@@ -216,12 +249,14 @@ def read_preference_csv(path) -> PreferenceTable:
             elif row:
                 raise ParameterError(
                     f"{path}, line {reader.line_num}: {len(row)} fields, "
-                    f"too few to reach the columns {list(required)}"
+                    f"too few to reach the columns {list(REQUIRED_COLUMNS)}"
                 )
-    prompt_id, model_a, model_b, score = (tuple(map(operator.itemgetter(c), rows)) for c in columns)
-    return PreferenceTable(
-        prompt_id, model_a, model_b, np.fromiter(map(float, score), dtype=float, count=len(score))
-    )
+        prompt_id, model_a, model_b, score = (tuple(map(operator.itemgetter(c), rows)) for c in columns)
+    try:
+        values = np.fromiter(map(float, score), dtype=float, count=len(score))
+    except ValueError:
+        raise _bad_score(path, text, columns[3]) from None
+    return PreferenceTable(prompt_id, model_a, model_b, values)
 
 
 def mean_king_payoff(koth: KOTHGame, target_model: str) -> np.ndarray:

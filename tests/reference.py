@@ -3,8 +3,11 @@ code is checked against: the logit soft best response, the QRE loss and
 residual over a product profile, and the CCE dual's logit tensor and loss
 over the per-player multipliers; and the affinity targets' projected
 gradient with a fixed-length power iteration.  None of them runs in the
-solvers.
+solvers.  Also the row-by-row ``csv.reader`` parse that the bulk
+preference CSV reader must match.
 """
+
+import csv
 
 import numpy as np
 from scipy.special import logsumexp, softmax
@@ -12,6 +15,7 @@ from scipy.special import logsumexp, softmax
 from eqrate.errors import DimensionError, ParameterError
 from eqrate.games import Game, ProductProfile, deviation_payoff
 from eqrate.kernels import AffinityKernel, project_simplex
+from eqrate.koth import PreferenceTable
 from eqrate.solvers import _validate_targets
 
 
@@ -128,3 +132,23 @@ def affinity_targets_50(game: Game) -> tuple[np.ndarray, ...]:
         t = np.maximum(t, 1e-6)
         out.append(t / t.sum())
     return tuple(out)
+
+
+def read_preference_rows(path) -> PreferenceTable:
+    """``koth.read_preference_csv`` one ``csv.reader`` row at a time."""
+    required = ("prompt_id", "model_a", "model_b", "score")
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or not set(required).issubset(header):
+            raise ParameterError(f"preference CSV must have columns {sorted(required)}")
+        at = [max(i for i, name in enumerate(header) if name == col) for col in required]
+        rows = []
+        for row in filter(None, reader):
+            if len(row) <= max(at):
+                raise ParameterError(
+                    f"{path}, line {reader.line_num}: {len(row)} fields, too few to reach the columns {list(required)}"
+                )
+            rows.append([row[c] for c in at])
+    p, a, b, s = zip(*rows) if rows else ((), (), (), ())
+    return PreferenceTable(p, a, b, [float(x) for x in s])

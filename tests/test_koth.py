@@ -1,5 +1,10 @@
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from eqrate.cli import main
@@ -17,6 +22,7 @@ from eqrate.koth import (
     prompt_average_win_matrix,
     read_preference_csv,
 )
+from reference import read_preference_rows
 
 
 def rec(p, a, b, s):
@@ -309,5 +315,85 @@ def test_short_csv_row_names_its_line(tmp_path, capsys):
 def test_non_numeric_score_exits_2(tmp_path, capsys):
     path = _write_prefs(tmp_path, "q1,a,b,1\nq1,b,a,win\n")
     assert main(["build", "--prefs", str(path), "--out", str(tmp_path / "game.json")]) == 2
-    assert "'win'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "'win'" in err
+    assert "line 3" in err
     assert not (tmp_path / "game.json").exists()
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_non_numeric_score_line_counts_blank_lines(tmp_path, end):
+    path = tmp_path / "prefs.csv"
+    lines = ["prompt_id,model_a,model_b,score", "q1,a,b,1", "", "", "q1,b,a,win", "q2,a,b,x"]
+    path.write_text(end.join(lines) + end, encoding="utf-8", newline="")
+    with pytest.raises(ParameterError, match=r"prefs.csv, line 5: score 'win' is not a number$"):
+        read_preference_csv(path)
+
+
+HEADER = "prompt_id,model_a,model_b,score"
+CSV_CASES = {
+    "quoted": f'{HEADER}\n"q,1",a,b,1\n"q ""2""",a,b,-1\n"q\n3",b,a,0.5\na,"b,""c""",d,0\n',
+    "quoted_one_width": f'{HEADER}\n"q1",a,"b",1\n"q ""2""",a,b,-1\n',
+    "crlf": f"{HEADER}\r\nq1,a,b,1\r\nq1,b,a,-0.5\r\n",
+    "cr": f"{HEADER}\rq1,a,b,1\rq1,b,a,-0.5\r",
+    "blank_lines": f"{HEADER}\nq1,a,b,1\n\n\nq2,b,a,0\n\n\n",
+    "no_final_newline": f"{HEADER}\nq1,a,b,1\nq1,b,a,-1",
+    "extra_columns": "judge,score,model_b,prompt_id,model_a,note\nj1,0.5,b,q1,a,x\nj2,-1,a,q2,b,y\n",
+    "wider_rows": f"{HEADER}\nq1,a,b,1,x\nq2,a,b,1\nq3,b,a,0,y,z\n",
+    "all_rows_wider": f"{HEADER}\nq1,a,b,1,x\nq2,b,a,-1,y\n",
+    "rows_narrower_than_header": f"{HEADER},note\nq1,a,b,1\nq2,b,a,0\n",
+    "repeated_name": "score,prompt_id,model_a,model_b,score\nwin,q1,a,b,1\nlose,q2,b,a,-0.5\n",
+    "empty_fields": f"{HEADER}\n,a,b,1\nq1,,b,0\nq1,a,,-1\n",
+    "spaces": f"{HEADER}\n q1 ,a , b, 1 \n",
+    "signed_zero": f"{HEADER}\nq1,a,b,-0\nq1,b,a,0\n",
+    "header_only": f"{HEADER}\n",
+    "header_only_no_newline": HEADER,
+    "empty": "",
+    "blank_first_line": f"\n{HEADER}\nq1,a,b,1\n",
+    "missing_column": "prompt_id,model_a,score\nq1,a,1\n",
+    "short_row_after_blank": f"{HEADER}\nq1,a,b,1\n\nq1,a\n",
+    "short_and_wide_rows": f"{HEADER}\nq1,a,b,1,x\nq2,a,b\n",
+    "space_line": f"{HEADER}\nq1,a,b,1\n \n",
+    "off_scale": f"{HEADER}\nq1,a,b,0.3\n",
+    "self_comparison": f"{HEADER}\nq1,a,a,1\n",
+}
+
+
+def _read_outcome(read, path):
+    try:
+        table = read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return table.prompt_id, table.model_a, table.model_b, table.score.tobytes()
+
+
+@pytest.mark.parametrize("text", CSV_CASES.values(), ids=CSV_CASES.keys())
+def test_preference_csv_matches_csv_module(tmp_path, text):
+    path = tmp_path / "prefs.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert _read_outcome(read_preference_csv, path) == _read_outcome(read_preference_rows, path)
+
+
+@st.composite
+def preference_rows(draw):
+    """Rows whose labels are plain, or may hold ``"``, or also ``,``, ``\\r``
+    and ``\\n``."""
+    labels = st.text(alphabet=draw(st.sampled_from(["ab ", 'ab "', 'ab ,"\r\n'])), max_size=4)
+    row = st.tuples(labels, labels, labels, st.sampled_from(SCORES)).filter(lambda r: r[1] != r[2])
+    return draw(st.lists(row, max_size=6))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=preference_rows(), crlf=st.booleans())
+def test_preference_csv_round_trips_any_labels(tmp_path, rows, crlf):
+    # csv.writer quotes a "\r" only when its line terminator holds one
+    crlf = crlf or any("\r" in label for row in rows for label in row[:3])
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\r\n" if crlf else "\n").writerows([HEADER.split(","), *rows])
+    path = tmp_path / "prefs.csv"
+    path.write_text(out.getvalue(), encoding="utf-8", newline="")
+    table = read_preference_csv(path)
+    assert table.prompt_id == tuple(r[0] for r in rows)
+    assert table.model_a == tuple(r[1] for r in rows)
+    assert table.model_b == tuple(r[2] for r in rows)
+    assert np.array_equal(table.score, [r[3] for r in rows])
