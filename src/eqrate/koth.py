@@ -121,7 +121,7 @@ class KOTHGame:
 def _koth_tensors(u_k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Derive prompt and rebel tensors from the king tensor."""
     u_p = np.abs(u_k)
-    u_r = -u_k.copy()
+    u_r = -u_k
     m = u_k.shape[1]
     diag = np.arange(m)
     u_r[:, diag, diag] = -1.0
@@ -240,17 +240,20 @@ def read_preference_csv(path) -> PreferenceTable:
         prompt_id, model_a, model_b, score = (fields[stride + c :: stride] for c in columns)
     else:
         reader = csv.reader(io.StringIO(text, newline=""))
-        columns = _column_positions(next(reader))
-        width = max(columns) + 1
-        rows = []
-        for row in reader:
-            if len(row) >= width:
-                rows.append(row)
-            elif row:
-                raise ParameterError(
-                    f"{path}, line {reader.line_num}: {len(row)} fields, "
-                    f"too few to reach the columns {list(REQUIRED_COLUMNS)}"
-                )
+        try:
+            columns = _column_positions(next(reader))
+            width = max(columns) + 1
+            rows = []
+            for row in reader:
+                if len(row) >= width:
+                    rows.append(row)
+                elif row:
+                    raise ParameterError(
+                        f"{path}, line {reader.line_num}: {len(row)} fields, "
+                        f"too few to reach the columns {list(REQUIRED_COLUMNS)}"
+                    )
+        except csv.Error as exc:  # such as a field over csv.field_size_limit()
+            raise ParameterError(f"{path}, line {reader.line_num}: {exc}") from None
         prompt_id, model_a, model_b, score = (tuple(map(operator.itemgetter(c), rows)) for c in columns)
     try:
         values = np.fromiter(map(float, score), dtype=float, count=len(score))

@@ -1,3 +1,4 @@
+import base64
 import csv
 import json
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from eqrate import games, kernels, koth, ratings, solvers
-from eqrate.cli import _read_game, main
+from eqrate.cli import _read_game, _save_koth, main
 from eqrate.games import save_game
 
 
@@ -102,7 +103,8 @@ def test_rate_rejects_a_cce_of_another_game(tmp_path, capsys):
     assert main(["solve", "--game", str(game_path), "--method", "cce", "--out", str(eq)]) == 0
     with open(game_path, encoding="utf-8") as fh:
         data = json.load(fh)
-    data["king"] = [-v for v in data["king"]]
+    king = np.frombuffer(base64.b64decode(data["king"]), dtype="<f8")
+    data["king"] = base64.b64encode((-king).tobytes()).decode("ascii")
     other = tmp_path / "negated.json"
     other.write_text(json.dumps(data))
     argv = ["rate", "--equilibrium", str(eq), "--out", str(tmp_path / "r.json")]
@@ -227,6 +229,77 @@ def test_full_game_file_rates_like_the_king_only_file(tmp_path):
         paths = (eq, rated, tmp_path / f"{name}_rate.json.csv", elo, tmp_path / f"{name}_elo.json.csv")
         outputs[name] = [p.read_bytes() for p in paths]
     assert outputs["king"] == outputs["full"]
+
+
+def test_king_list_file_solves_and_rates_like_the_base64_file(tmp_path):
+    # a king-only file of older builds holds the king tensor as a JSON list
+    king_b64, _ = _build_game(tmp_path, prompts=6, models=4)
+    data = json.loads(king_b64.read_text(encoding="utf-8"))
+    assert isinstance(data["king"], str)
+    data["king"] = _read_game(king_b64)[0].utilities[1].ravel().tolist()
+    king_list = tmp_path / "list.json"
+    king_list.write_text(json.dumps(data), encoding="utf-8")
+    outputs = {}
+    for name, game in (("b64", king_b64), ("list", king_list)):
+        paths = []
+        for method in ("ne", "cce"):
+            eq, rated = tmp_path / f"{name}_{method}.json", tmp_path / f"{name}_{method}_rate.json"
+            assert main(["solve", "--game", str(game), "--method", method, "--out", str(eq)]) == 0
+            assert main(["rate", "--game", str(game), "--equilibrium", str(eq), "--out", str(rated)]) == 0
+            paths += [eq, rated, tmp_path / f"{rated.name}.csv"]
+        elo = tmp_path / f"{name}_elo.json"
+        assert main(["rate", "--game", str(game), "--method", "elo", "--out", str(elo)]) == 0
+        paths += [elo, tmp_path / f"{elo.name}.csv"]
+        outputs[name] = [p.read_bytes() for p in paths]
+    assert outputs["b64"] == outputs["list"]
+
+
+def test_king_string_keeps_every_bit_through_save_read_and_build(tmp_path):
+    edge = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1 + 0.2, -5e-324]
+    u_k = np.resize(np.array(edge), (3, 2, 2))
+    kg = koth._koth_game(u_k, ["q0", "q1", "q2"], ["m0", "m1"], [None, 0, None])
+    path, again = tmp_path / "edge.json", tmp_path / "again.json"
+    _save_koth(kg, path)
+    assert isinstance(json.loads(path.read_text(encoding="utf-8"))["king"], str)
+    assert main(["build", "--game", str(path), "--out", str(again)]) == 0
+    assert again.read_bytes() == path.read_bytes()
+    for p in (path, again):
+        game, sources = _read_game(p)
+        assert sources == [None, 0, None]
+        for got, want in zip(game.utilities, koth._koth_tensors(u_k)):
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_rate_rejects_a_bad_king_string(tmp_path, capsys):
+    game, _ = _build_game(tmp_path, prompts=3, models=3)
+    data = json.loads(game.read_text(encoding="utf-8"))
+    raw = base64.b64decode(data["king"])
+    cases = (
+        # a lenient decoder would skip the "!" and read the tensor intact
+        (data["king"][:8] + "!" + data["king"][8:], "not base64"),
+        (base64.b64encode(raw[:-8]).decode("ascii"), "holds 26 float64 cells, shape [3, 3, 3] needs 27"),
+        (base64.b64encode(raw[:-3]).decode("ascii"), "holds 26.625 float64 cells"),
+    )
+    bad = tmp_path / "bad.json"
+    for king, message in cases:
+        bad.write_text(json.dumps({**data, "king": king}), encoding="utf-8")
+        assert main(["rate", "--game", str(bad), "--method", "elo", "--out", str(tmp_path / "elo.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and message in err
+        assert err.count("\n") == 1
+
+
+def test_build_reports_a_csv_field_over_the_size_limit(tmp_path, capsys):
+    # the quote sends the file through csv.reader, whose field limit is
+    # process-global and left as it is
+    prefs, out = tmp_path / "prefs.csv", tmp_path / "game.json"
+    label = "q" * (csv.field_size_limit() + 1)
+    prefs.write_text(f'prompt_id,model_a,model_b,score\n"{label}",m0,m1,0.5\n', encoding="utf-8")
+    assert main(["build", "--prefs", str(prefs), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {prefs}, line 2: field larger than field limit")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_tampered_koth_file_rejected(tmp_path, capsys):
