@@ -17,9 +17,7 @@ from .games import (
     save_game,
 )
 from .kernels import (
-    AffinityKernel,
     affinity_entropy,
-    affinity_entropy_gradient,
     affinity_targets,
     dissimilarity_factorized,
     dissimilarity_joint,

@@ -288,6 +288,8 @@ def cmd_clone_test(args) -> int:
     if args.target not in kg.models:
         raise ParameterError(f"target model {args.target!r} not in game")
     counts = [int(c) for c in args.counts.split(",")]
+    if min(counts) < 0:
+        raise ParameterError(f"--counts must be nonnegative, not {args.counts}")
     outputs = []
     summary = {"target": args.target, "lambda": args.lam, "noise": args.noise, "rows": []}
     for count in counts:

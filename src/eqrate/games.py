@@ -111,10 +111,6 @@ class JointDistribution:
 Profile = ProductProfile | JointDistribution
 
 
-def uniform_product(game: Game) -> ProductProfile:
-    return ProductProfile(tuple(np.full(n, 1.0 / n) for n in game.shape))
-
-
 def product_to_joint(profile: ProductProfile) -> JointDistribution:
     """Lift a product profile to its (rank-one) joint distribution."""
     joint = np.array(1.0)
@@ -196,11 +192,11 @@ def exploitability(game: Game, profile: Profile) -> float:
 
     Zero iff the profile is an exact CCE (an exact NE when the profile is a
     product).  Per-player gains are clipped below at zero so approximate
-    profiles never report negative exploitability.
+    profiles never report negative exploitability; a NaN gain stays NaN.
     """
     total = 0.0
     for r in all_regrets(game, profile):
-        total += max(0.0, float(r.max()))
+        total += max(float(r.max()), 0.0)
     return total
 
 

@@ -1,23 +1,26 @@
 """Strategic dissimilarity, similarity kernels, and affinity entropy.
 
-The affinity entropy is a Tsallis-style entropy evaluated through a
-column-normalized similarity kernel, so cloned actions share entropy mass
-instead of multiplying it.  Its maximizer is the target distribution used
-by the equilibrium solvers.
+The affinity entropy of a distribution ``x`` is ``1 - ||U x||^2``, where
+``U`` is the RBF similarity kernel ``K`` of the actions' payoff
+dissimilarity with each column scaled to unit 2-norm; with ``K`` the
+identity it is the Tsallis entropy ``1 - ||x||^2``.  Cloned actions have
+equal columns, so they share entropy mass instead of multiplying it.  Its
+maximizer is the target distribution used by the equilibrium solvers.
 """
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError, ParameterError
-from .games import Game, _freeze
+from .games import Game
 
 DEFAULT_VARIANCE = 1e-6  # the (2*sigma)^2 denominator of the RBF kernel
 # rounds of power iteration for the targets' step size
 POWER_ROUNDS = 50
+TARGET_TOLERANCE = 1e-7  # of the targets' maximizer
+TARGET_FLOOR = 1e-6  # the least mass of a target entry
 
 
 def _pairwise_sq(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -87,89 +90,23 @@ def similarity_kernel(D: np.ndarray, variance: float) -> np.ndarray:
     ``variance`` is the squared denominator ``(2*sigma)^2`` itself, which
     sidesteps the sigma-vs-sigma^2 ambiguity of a bandwidth.
     """
-    if variance <= 0:
-        raise ParameterError("kernel variance must be positive")
+    if not variance > 0:
+        raise ParameterError(f"kernel variance must be positive, not {variance}")
     D = np.asarray(D, dtype=float)
     K = np.exp(-D / variance)
     np.fill_diagonal(K, 1.0)
     return K
 
 
-@dataclass(frozen=True)
-class AffinityKernel:
-    """A similarity kernel with its column-normalized form.
-
-    K: symmetric matrix with unit diagonal and entries in [0, 1].
-    p: entropic index in (0, 1].
-    variance: the RBF denominator the kernel was built with (0 when K was
-        supplied directly).
-    U: ``K`` with each column scaled to unit (p+1)-norm.
-    """
-
-    K: np.ndarray
-    p: float
-    variance: float
-    U: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "K", _freeze(self.K))
-        object.__setattr__(self, "U", _freeze(self.U))
-
-    @classmethod
-    def from_matrix(cls, K: np.ndarray, p: float = 1.0, variance: float = 0.0):
-        K = np.asarray(K, dtype=float)
-        if K.ndim != 2 or K.shape[0] != K.shape[1]:
-            raise DimensionError("kernel matrix must be square")
-        if not np.allclose(K, K.T, atol=1e-12):
-            raise ParameterError("kernel matrix must be symmetric")
-        if np.any(K < 0) or np.any(K > 1.0 + 1e-12):
-            raise ParameterError("kernel entries must lie in [0, 1]")
-        if not np.allclose(np.diag(K), 1.0):
-            raise ParameterError("kernel diagonal must be 1")
-        if not 0.0 < p <= 1.0:
-            raise ParameterError("entropic index p must be in (0, 1]")
-        norms = np.power(K, p + 1.0).sum(axis=0) ** (1.0 / (p + 1.0))
-        return cls(K=K, p=p, variance=variance, U=K / norms)
-
-    @classmethod
-    def from_dissimilarity(
-        cls, D: np.ndarray, p: float = 1.0, variance: float = DEFAULT_VARIANCE
-    ):
-        return cls.from_matrix(similarity_kernel(D, variance=variance), p, variance)
-
-    @classmethod
-    def from_game(
-        cls,
-        game: Game,
-        player: int,
-        p: float = 1.0,
-        variance: float = DEFAULT_VARIANCE,
-        mode: str = "joint",
-    ):
-        if mode == "joint":
-            D = dissimilarity_joint(game, player)
-        elif mode == "factorized":
-            D = dissimilarity_factorized(game, player)
-        else:
-            raise ParameterError(f"unknown dissimilarity mode {mode!r}")
-        return cls.from_dissimilarity(D, p=p, variance=variance)
-
-    @property
-    def size(self) -> int:
-        return self.K.shape[0]
+def affinity_entropy(K: np.ndarray, x: np.ndarray) -> float:
+    """``1 - ||U x||^2``; nonnegative on the simplex."""
+    y = _unit_columns(K) @ np.asarray(x, dtype=float)
+    return float(1.0 - y @ y)
 
 
-def affinity_entropy(kernel: AffinityKernel, x: np.ndarray) -> float:
-    """``(1/p) * (1 - sum((U x)^(p+1)))``; nonnegative on the simplex."""
-    y = kernel.U @ np.asarray(x, dtype=float)
-    return float((1.0 - np.power(y, kernel.p + 1.0).sum()) / kernel.p)
-
-
-def affinity_entropy_gradient(kernel: AffinityKernel, x: np.ndarray) -> np.ndarray:
-    """``-((p+1)/p) * U' (U x)^p``; well defined on the simplex interior."""
-    p = kernel.p
-    y = kernel.U @ np.asarray(x, dtype=float)
-    return -((p + 1.0) / p) * (kernel.U.T @ np.power(y, p))
+def _unit_columns(K: np.ndarray) -> np.ndarray:
+    """``U``: ``K`` with each column scaled to unit 2-norm."""
+    return K / np.power(K, 2.0).sum(axis=0) ** 0.5
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -182,21 +119,26 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def _max_entropy_pg(kernel: AffinityKernel, tolerance: float, max_iters: int):
-    """Accelerated projected gradient for p = 1, where the negated entropy
-    is a simplex QP.  Projection pins boundary coordinates exactly and
-    Nesterov momentum (with gradient restarts) handles the ill-conditioned
-    kernels that arise from clusters of nearly-identical actions.
+def max_affinity_entropy(
+    K: np.ndarray, tolerance: float = 1e-8, max_iters: int = 100_000
+) -> np.ndarray:
+    """Maximize the affinity entropy of kernel ``K`` over the simplex.
+
+    The negated entropy is, up to a constant, the convex simplex QP
+    ``min ||U x||^2``, solved by accelerated projected gradient to a
+    projected-gradient residual of ``tolerance``.  Projection pins boundary
+    coordinates exactly; Nesterov momentum (with gradient restarts) handles
+    the ill-conditioned kernels of clusters of nearly-identical actions.
 
     The step is the inverse Lipschitz constant of the gradient, twice the
-    top eigenvalue of ``U'U``, found by ``POWER_ROUNDS`` rounds of power
-    iteration.  Once an iterate repeats one of the last three exactly, the
-    iteration has entered a cycle in floating point and the iterate of the
-    last round is known, so it stops there: the step is bit for bit that of
-    the full run.  A kernel that is the identity cycles from round 1 or 2.
+    top eigenvalue of ``U'U``, by ``POWER_ROUNDS`` rounds of power iteration.
+    Once an iterate repeats one of the last three exactly, the iteration
+    cycles in floating point and the last round's iterate is known, so it
+    stops there with a step bit for bit that of the full run.  A kernel
+    that is the identity cycles from round 1 or 2.
     """
-    U = kernel.U
-    n = kernel.size
+    U = _unit_columns(K)
+    n = U.shape[0]
     v = np.full(n, 1.0 / np.sqrt(n))
     recent = deque([v.tobytes()], maxlen=3)  # the last iterates' bits
     for k in range(1, POWER_ROUNDS + 1):
@@ -212,12 +154,9 @@ def _max_entropy_pg(kernel: AffinityKernel, tolerance: float, max_iters: int):
             v = np.frombuffer(recent[(POWER_ROUNDS - k) % period - period])
             break
         recent.append(bits)
-    lip = 2.0 * max(float(v @ (U.T @ (U @ v))), 1e-12)
-    eta = 1.0 / lip
-    x = np.full(n, 1.0 / n)
-    y = x
-    t_mom = 1.0
-    residual = np.inf
+    eta = 1.0 / (2.0 * max(float(v @ (U.T @ (U @ v))), 1e-12))
+    x = y = np.full(n, 1.0 / n)
+    t_mom, residual = 1.0, np.inf
     for _ in range(max_iters):
         grad = 2.0 * (U.T @ (U @ y))  # of the negated (affine-shifted) entropy
         nxt = project_simplex(y - eta * grad)
@@ -230,8 +169,7 @@ def _max_entropy_pg(kernel: AffinityKernel, tolerance: float, max_iters: int):
         if float(grad @ step) > 0:  # momentum points uphill: restart
             t_next, momentum = 1.0, 0.0
         y = nxt + momentum * step
-        x = nxt
-        t_mom = t_next
+        x, t_mom = nxt, t_next
     raise ConvergenceError(
         f"max_affinity_entropy: projected-gradient residual {residual:.3e} "
         f"> {tolerance:.1e} after {max_iters} iterations",
@@ -240,66 +178,23 @@ def _max_entropy_pg(kernel: AffinityKernel, tolerance: float, max_iters: int):
     )
 
 
-def max_affinity_entropy(
-    kernel: AffinityKernel,
-    tolerance: float = 1e-8,
-    max_iters: int = 100_000,
-    step: float = 1e-2,
-) -> np.ndarray:
-    """Maximize the affinity entropy over the simplex.
-
-    The entropy is concave, so any stationary point is a global maximizer.
-    For the default entropic index p = 1 this is a simplex-constrained QP,
-    solved by projected gradient descent with the simplex-projected
-    gradient residual as the stopping criterion.  For p < 1 the gradient
-    blows up at the boundary, so exponentiated-gradient (mirror) ascent
-    from the uniform distribution keeps iterates interior; its stopping
-    criterion is the Frank-Wolfe gap, which bounds the entropy
-    suboptimality directly.
-    """
-    if kernel.p == 1.0:
-        return _max_entropy_pg(kernel, tolerance, max_iters)
-    n = kernel.size
-    x = np.full(n, 1.0 / n)
-    for _ in range(max_iters):
-        g = affinity_entropy_gradient(kernel, x)
-        gap = float(g.max() - x @ g)
-        if gap <= tolerance:
-            return x
-        z = step * g
-        x = x * np.exp(z - z.max())
-        x = np.maximum(x, 1e-300)
-        x /= x.sum()
-    g = affinity_entropy_gradient(kernel, x)
-    gap = float(g.max() - x @ g)
-    raise ConvergenceError(
-        f"max_affinity_entropy: optimality gap {gap:.3e} > {tolerance:.1e} "
-        f"after {max_iters} iterations",
-        iterate=x,
-        gradient_norm=gap,
-    )
-
-
 def affinity_targets(
-    game: Game,
-    p: float = 1.0,
-    variance: float = DEFAULT_VARIANCE,
-    mode: str = "joint",
-    tolerance: float = 1e-7,
-    max_iters: int = 100_000,
-    floor: float = 1e-6,
+    game: Game, variance: float = DEFAULT_VARIANCE, mode: str = "joint"
 ) -> tuple[np.ndarray, ...]:
     """Per-player max-affinity-entropy distributions, the solver targets.
 
-    Maximizers may put exactly zero mass on dominated actions; targets feed
-    KL terms that need finite logs, so entries are floored at ``floor`` and
-    renormalized.  The tolerance is looser than the standalone maximizer's
-    default: targets only bias the equilibrium trace.
+    Each player's kernel comes from its ``mode`` ("joint" or "factorized")
+    dissimilarity at ``variance``.  ``TARGET_TOLERANCE`` is looser than the
+    maximizer's default: targets only bias the equilibrium trace.  Entries
+    are floored at ``TARGET_FLOOR`` and renormalized, since maximizers may
+    put zero mass on dominated actions and targets feed KL terms.
     """
+    dissimilarity = {"joint": dissimilarity_joint, "factorized": dissimilarity_factorized}.get(mode)
+    if dissimilarity is None:
+        raise ParameterError(f"unknown dissimilarity mode {mode!r}")
     out = []
     for i in range(game.num_players):
-        kern = AffinityKernel.from_game(game, i, p=p, variance=variance, mode=mode)
-        t = max_affinity_entropy(kern, tolerance=tolerance, max_iters=max_iters)
-        t = np.maximum(t, floor)
+        K = similarity_kernel(dissimilarity(game, i), variance)
+        t = np.maximum(max_affinity_entropy(K, tolerance=TARGET_TOLERANCE), TARGET_FLOOR)
         out.append(t / t.sum())
     return tuple(out)

@@ -307,8 +307,8 @@ def inject_clones(
     king-equals-rebel diagonal stays at its defining values), and the
     prompt and rebel tensors are rederived from the noised king tensor.
     """
-    if noise_halfwidth < 0:
-        raise ParameterError("noise_halfwidth must be nonnegative")
+    if not noise_halfwidth >= 0:
+        raise ParameterError(f"noise_halfwidth must be nonnegative, not {noise_halfwidth}")
     P = len(koth.prompts)
     idx = list(prompt_indices)
     for i in idx:

@@ -71,9 +71,6 @@ class RatingReport:
         r = self.ratings[player]
         return sorted(lbls, key=lambda s: (-r[lbls.index(s)], s))
 
-    def rank_of(self, player: int, label: str) -> int:
-        return int(self.ranks[player][self.labels[player].index(label)])
-
     def to_dict(self) -> dict:
         return {
             "method": self.method,

@@ -114,14 +114,14 @@ class QREConfig:
     targets: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
-        if self.tau_init <= 0 or self.tau_terminal <= 0:
-            raise ParameterError("temperatures must be positive")
+        if not (self.tau_init > 0 and self.tau_terminal > 0):
+            raise ParameterError("temperatures tau_init and tau_terminal must be positive")
         if self.tau_terminal >= self.tau_init:
             raise ParameterError("tau_terminal must be below tau_init")
         if not 0.0 < self.tau_decay < 1.0:
             raise ParameterError("tau_decay must lie in (0, 1)")
-        if self.epsilon_ne < 0:
-            raise ParameterError("epsilon_ne must be nonnegative")
+        if not self.epsilon_ne >= 0:
+            raise ParameterError(f"epsilon_ne must be nonnegative, not {self.epsilon_ne}")
         if self.max_steps < 1:
             raise ParameterError("max_steps must be at least 1")
 
@@ -140,8 +140,8 @@ class CCEConfig:
     epsilon_cce: float = 1e-3
 
     def __post_init__(self):
-        if self.epsilon_cce < 0:
-            raise ParameterError("epsilon_cce must be nonnegative")
+        if not self.epsilon_cce >= 0:
+            raise ParameterError(f"epsilon_cce must be nonnegative, not {self.epsilon_cce}")
         if self.max_steps < 1:
             raise ParameterError("max_steps must be at least 1")
 
@@ -248,10 +248,10 @@ def profile_from_dict(data: dict, game: Game) -> ProductProfile | JointDistribut
     else:
         profile = JointDistribution(np.asarray(prof["joint"], dtype=float).reshape(shape))
     bound = (data.get("config") or {}).get("epsilon_cce")
-    if bound is not None and (gap := exploitability(game, profile)) > bound:
+    if bound is not None and not (gap := exploitability(game, profile)) <= bound:
         raise ParameterError(
-            f"the stored CCE has exploitability {gap:.3e} on this game, above its bound "
-            f"{bound:.1e}: it was solved on another game"
+            f"the stored CCE has exploitability {gap:.3e} on this game, not within its bound "
+            f"{bound:.1e}: it was solved on another game, or holds a NaN"
         )
     return profile
 
@@ -378,8 +378,8 @@ def _validate_targets(game: Game, targets) -> tuple[np.ndarray, ...]:
         t = np.asarray(t, dtype=float)
         if t.shape != (game.num_actions(i),):
             raise DimensionError(f"target {i} has wrong length")
-        if np.any(t <= 0):
-            raise ParameterError(f"target {i} must be strictly positive")
+        if not np.all(np.isfinite(t) & (t > 0)):
+            raise ParameterError(f"target {i} must be finite and strictly positive")
         if abs(t.sum() - 1.0) > 1e-6:
             raise ParameterError(f"target {i} must be a distribution")
         out.append(t / t.sum())
@@ -868,7 +868,7 @@ def solve_mre_cce(game: Game, config: CCEConfig | None = None) -> EquilibriumRes
             break
         flat = opt.x
     duals = _split(opt.x.copy(), dual.sizes)
-    if opt.status == 1 or final_exploit > config.epsilon_cce:
+    if opt.status == 1 or not final_exploit <= config.epsilon_cce:
         raise ConvergenceError(
             f"solve_mre_cce: exploitability {final_exploit:.3e} "
             f"(bound {config.epsilon_cce:.1e}) after {nit} iterations and "

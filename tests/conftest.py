@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from eqrate import koth
-from eqrate.games import Game
+from eqrate.games import Game, ProductProfile
 
 RPS_U1 = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
 CHICKEN_U1 = np.array([[0.0, -1.0], [1.0, -12.0]])
@@ -50,6 +50,15 @@ def chicken_dup_straight():
         action_labels=(("swerve", "straight1", "straight2"), ("swerve", "straight")),
         utilities=(u1, u2),
     )
+
+
+def uniform_product(game):
+    return ProductProfile(tuple(np.full(n, 1.0 / n) for n in game.shape))
+
+
+def rank_of(report, player, label):
+    """The rank of one action of ``player`` in a rating report."""
+    return int(report.ranks[player][report.labels[player].index(label)])
 
 
 def random_game(shape, seed, scale=1.0):

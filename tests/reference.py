@@ -14,7 +14,13 @@ from scipy.special import logsumexp, softmax
 
 from eqrate.errors import DimensionError, ParameterError
 from eqrate.games import Game, ProductProfile, deviation_payoff
-from eqrate.kernels import AffinityKernel, project_simplex
+from eqrate.kernels import (
+    DEFAULT_VARIANCE,
+    dissimilarity_factorized,
+    dissimilarity_joint,
+    project_simplex,
+    similarity_kernel,
+)
 from eqrate.koth import PreferenceTable
 from eqrate.solvers import _validate_targets
 
@@ -98,11 +104,11 @@ def lipschitz_50(U: np.ndarray) -> float:
     return 2.0 * max(float(v @ (U.T @ (U @ v))), 1e-12)
 
 
-def max_entropy_pg_50(kernel: AffinityKernel, tolerance: float, max_iters: int) -> np.ndarray:
-    """``kernels._max_entropy_pg`` with its power iteration always run for
-    50 rounds."""
-    U = kernel.U
-    n = kernel.size
+def max_entropy_pg_50(K: np.ndarray, tolerance: float, max_iters: int) -> np.ndarray:
+    """``kernels.max_affinity_entropy`` with its power iteration always run
+    for 50 rounds."""
+    U = K / np.sqrt((K * K).sum(axis=0))
+    n = U.shape[0]
     eta = 1.0 / lipschitz_50(U)
     x = np.full(n, 1.0 / n)
     y = x
@@ -123,12 +129,15 @@ def max_entropy_pg_50(kernel: AffinityKernel, tolerance: float, max_iters: int) 
     raise AssertionError("projected gradient did not converge")
 
 
-def affinity_targets_50(game: Game) -> tuple[np.ndarray, ...]:
-    """``kernels.affinity_targets`` at its defaults, through
-    ``max_entropy_pg_50``."""
+def affinity_targets_50(
+    game: Game, variance: float = DEFAULT_VARIANCE, mode: str = "joint"
+) -> tuple[np.ndarray, ...]:
+    """``kernels.affinity_targets`` through ``max_entropy_pg_50``."""
+    dissimilarity = dissimilarity_joint if mode == "joint" else dissimilarity_factorized
     out = []
     for i in range(game.num_players):
-        t = max_entropy_pg_50(AffinityKernel.from_game(game, i), 1e-7, 100_000)
+        K = similarity_kernel(dissimilarity(game, i), variance)
+        t = max_entropy_pg_50(K, 1e-7, 100_000)
         t = np.maximum(t, 1e-6)
         out.append(t / t.sum())
     return tuple(out)

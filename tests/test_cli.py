@@ -146,6 +146,31 @@ def test_clone_test_computes_affinity_targets_once_per_count(tmp_path, monkeypat
     assert shapes == [(3, 3, 3), (5, 3, 3)]
 
 
+@pytest.mark.parametrize(
+    "flags, name",
+    [(["--variance", "nan"], "variance"), (["--method", "cce", "--epsilon", "nan"], "epsilon_cce")],
+)
+def test_solve_rejects_a_nan_parameter(tmp_path, capsys, chicken, flags, name):
+    path, out = tmp_path / "chicken.json", tmp_path / "eq.json"
+    save_game(chicken, path)
+    assert main(["solve", "--game", str(path), "--out", str(out), *flags]) == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, name", [(["--counts", "0,-3"], "--counts"), (["--counts", "2", "--noise", "nan"], "noise")]
+)
+def test_clone_test_rejects_a_negative_count_or_nan_noise(tmp_path, capsys, flags, name):
+    game, _ = _build_game(tmp_path, prompts=3, models=3)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = ["clone-test", "--game", str(game), "--target", "m0", "--out-dir", str(out_dir)]
+    assert main([*argv, *flags]) == 2
+    assert name in capsys.readouterr().err
+    assert not list(out_dir.iterdir())
+
+
 def test_simulate_rejects_zero_check_interval(tmp_path, capsys):
     # the Newton trace has no check interval, so the key is unknown
     config = tmp_path / "sim.json"

@@ -18,9 +18,8 @@ from eqrate.games import (
     product_to_joint,
     regret,
     save_game,
-    uniform_product,
 )
-from conftest import random_game
+from conftest import random_game, uniform_product
 
 
 def brute_force_eu(game, marginals, player):
@@ -98,6 +97,10 @@ def test_exploitability_chicken_both_straight(chicken):
 def test_exploitability_chicken_mixed_ne(chicken):
     ne = ProductProfile((np.array([11 / 12, 1 / 12]),) * 2)
     assert exploitability(chicken, ne) == pytest.approx(0.0, abs=1e-6)
+
+
+def test_exploitability_of_a_nan_joint_is_nan(chicken):
+    assert np.isnan(exploitability(chicken, JointDistribution(np.full((2, 2), np.nan))))
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (3, 3), (2, 3, 4), (4, 4, 3)])

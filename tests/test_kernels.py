@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 from eqrate.errors import ParameterError
 from eqrate.kernels import (
-    AffinityKernel,
+    DEFAULT_VARIANCE,
     affinity_entropy,
-    affinity_entropy_gradient,
     dissimilarity_factorized,
     dissimilarity_joint,
     max_affinity_entropy,
@@ -111,6 +110,10 @@ class TestSimilarityKernel:
         with pytest.raises(TypeError):
             similarity_kernel(np.zeros((2, 2)))
 
+    def test_nan_variance_rejected(self):
+        with pytest.raises(ParameterError, match="variance"):
+            similarity_kernel(np.zeros((2, 2)), variance=float("nan"))
+
     def test_monotone_in_dissimilarity(self):
         rng = np.random.default_rng(0)
         D = rng.uniform(0, 2, size=(5, 5))
@@ -133,54 +136,22 @@ def block_kernel(sizes):
 
 class TestAffinityEntropy:
     def test_identity_kernel_is_tsallis(self):
-        kern = AffinityKernel.from_matrix(np.eye(3), p=1.0)
-        assert affinity_entropy(kern, np.ones(3) / 3) == pytest.approx(2 / 3)
-        assert affinity_entropy(kern, np.array([1.0, 0, 0])) == pytest.approx(0.0)
+        assert affinity_entropy(np.eye(3), np.ones(3) / 3) == pytest.approx(2 / 3)
+        assert affinity_entropy(np.eye(3), np.array([1.0, 0, 0])) == pytest.approx(0.0)
 
     def test_two_clone_groups_half_mass(self):
-        kern = AffinityKernel.from_matrix(block_kernel([2, 2]), p=1.0)
         for split in ([0.25, 0.25, 0.3, 0.2], [0.5, 0.0, 0.1, 0.4]):
-            assert affinity_entropy(kern, np.array(split)) == pytest.approx(0.5)
-
-    def test_gradient_identity_kernel(self):
-        kern = AffinityKernel.from_matrix(np.eye(3), p=1.0)
-        g = affinity_entropy_gradient(kern, np.ones(3) / 3)
-        assert np.allclose(g, -2 / 3)
-
-    def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(9)
-        D = rng.uniform(0, 1, size=(5, 5))
-        D = (D + D.T) / 2
-        np.fill_diagonal(D, 0)
-        kern = AffinityKernel.from_dissimilarity(D, p=0.7, variance=0.5)
-        x = rng.dirichlet(np.ones(5))
-        g = affinity_entropy_gradient(kern, x)
-        h = 1e-6
-        for j in range(5):
-            xp, xm = x.copy(), x.copy()
-            xp[j] += h
-            xm[j] -= h
-            fd = (affinity_entropy(kern, xp) - affinity_entropy(kern, xm)) / (2 * h)
-            assert abs(fd - g[j]) / max(1.0, abs(fd)) < 1e-5
-
-    def test_all_ones_kernel_constant_gradient(self):
-        kern = AffinityKernel.from_matrix(np.ones((4, 4)), p=1.0)
-        rng = np.random.default_rng(2)
-        for _ in range(5):
-            x = rng.dirichlet(np.ones(4))
-            g = affinity_entropy_gradient(kern, x)
-            assert np.allclose(g, g[0])
+            assert affinity_entropy(block_kernel([2, 2]), np.array(split)) == pytest.approx(0.5)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(2, 6), st.integers(0, 10_000), st.floats(0.1, 1.0))
-    def test_nonnegative_on_simplex(self, n, seed, p):
+    @given(st.integers(2, 6), st.integers(0, 10_000))
+    def test_nonnegative_on_simplex(self, n, seed):
         rng = np.random.default_rng(seed)
         K = rng.uniform(0, 1, size=(n, n))
         K = (K + K.T) / 2
         np.fill_diagonal(K, 1.0)
-        kern = AffinityKernel.from_matrix(K, p=p)
         x = rng.dirichlet(np.ones(n))
-        assert affinity_entropy(kern, x) >= -1e-12
+        assert affinity_entropy(K, x) >= -1e-12
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 5), st.integers(0, 10_000), st.floats(0.0, 1.0))
@@ -189,32 +160,25 @@ class TestAffinityEntropy:
         K = rng.uniform(0, 1, size=(n, n))
         K = (K + K.T) / 2
         np.fill_diagonal(K, 1.0)
-        kern = AffinityKernel.from_matrix(K, p=1.0)
         x = rng.dirichlet(np.ones(n))
         y = rng.dirichlet(np.ones(n))
-        mixed = affinity_entropy(kern, lam * x + (1 - lam) * y)
-        assert mixed >= lam * affinity_entropy(kern, x) + (1 - lam) * affinity_entropy(
-            kern, y
-        ) - 1e-10
+        mixed = affinity_entropy(K, lam * x + (1 - lam) * y)
+        assert mixed >= lam * affinity_entropy(K, x) + (1 - lam) * affinity_entropy(K, y) - 1e-10
 
     def test_maximizer_set_under_clones_has_equal_value(self):
-        kern = AffinityKernel.from_matrix(block_kernel([3, 2]), p=1.0)
+        K = block_kernel([3, 2])
         a = np.array([0.5, 0.0, 0.0, 0.25, 0.25])
         b = np.array([0.2, 0.2, 0.1, 0.4, 0.1])
-        assert affinity_entropy(kern, a) == pytest.approx(
-            affinity_entropy(kern, b), abs=1e-10
-        )
+        assert affinity_entropy(K, a) == pytest.approx(affinity_entropy(K, b), abs=1e-10)
 
 
 class TestMaxAffinityEntropy:
     def test_identity_kernel_uniform(self):
-        kern = AffinityKernel.from_matrix(np.eye(3), p=1.0)
-        assert np.allclose(max_affinity_entropy(kern), 1 / 3, atol=1e-8)
+        assert np.allclose(max_affinity_entropy(np.eye(3)), 1 / 3, atol=1e-8)
 
     def test_duplicated_rock_group_masses(self, rps_dup_rock):
         D = dissimilarity_joint(rps_dup_rock, 0)
-        kern = AffinityKernel.from_dissimilarity(D)
-        t = max_affinity_entropy(kern)
+        t = max_affinity_entropy(similarity_kernel(D, DEFAULT_VARIANCE))
         groups = [[0, 1], [2], [3]]
         # the rock copies are exact clones and no other pair is
         off = ~np.eye(4, dtype=bool)
@@ -224,19 +188,19 @@ class TestMaxAffinityEntropy:
         masses = [t[g].sum() for g in groups]
         assert np.allclose(masses, 1 / 3, atol=1e-4)
 
-    @pytest.mark.parametrize("p", [0.5, 1.0])
-    @pytest.mark.parametrize("sizes", [[2, 2], [3, 1], [2, 1, 1], [3, 2, 2, 1]])
-    def test_clone_value_formula(self, sizes, p):
-        kern = AffinityKernel.from_matrix(block_kernel(sizes), p=p)
-        t = max_affinity_entropy(kern, tolerance=1e-10)
+    # the ids are those the cases had when the test also ran entropic index 0.5
+    @pytest.mark.parametrize(
+        "sizes", [[2, 2], [3, 1], [2, 1, 1], [3, 2, 2, 1]], ids=[f"sizes{i}-1.0" for i in range(4)]
+    )
+    def test_clone_value_formula(self, sizes):
+        K = block_kernel(sizes)
+        t = max_affinity_entropy(K, tolerance=1e-10)
         C = len(sizes)
         start = 0
         for s in sizes:
             assert t[start : start + s].sum() == pytest.approx(1 / C, abs=1e-4)
             start += s
-        assert affinity_entropy(kern, t) == pytest.approx(
-            (1 - C ** -p) / p, abs=1e-4
-        )
+        assert affinity_entropy(K, t) == pytest.approx(1 - 1 / C, abs=1e-4)
 
 
 def test_project_simplex_basics():

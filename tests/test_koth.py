@@ -165,6 +165,11 @@ class TestInjectClones:
     def test_noop_on_empty(self, small_koth):
         assert inject_clones(small_koth, []) is small_koth
 
+    @pytest.mark.parametrize("h", [-0.01, float("nan")])
+    def test_negative_or_nan_noise_rejected(self, small_koth, h):
+        with pytest.raises(ParameterError, match="noise_halfwidth"):
+            inject_clones(small_koth, [0], noise_halfwidth=h)
+
 
 class TestWinMatrix:
     def test_diagonal_and_complement(self, small_koth):

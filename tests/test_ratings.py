@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from eqrate.errors import ParameterError
-from eqrate.games import JointDistribution, ProductProfile, product_to_joint, uniform_product
+from eqrate.games import JointDistribution, ProductProfile
 from eqrate.ratings import (
     ELO_SCALE,
     decompose,
@@ -14,7 +14,7 @@ from eqrate.ratings import (
     rate,
     separability,
 )
-from conftest import random_game
+from conftest import random_game, rank_of, uniform_product
 
 
 class TestRate:
@@ -34,8 +34,8 @@ class TestRate:
         report = rate(chicken, prof, "NE")
         assert report.ratings[0][1] == pytest.approx(1.0)
         assert report.ratings[0][0] == pytest.approx(0.0)
-        assert report.rank_of(0, "straight") == 1
-        assert report.rank_of(0, "swerve") == 2
+        assert rank_of(report, 0, "straight") == 1
+        assert rank_of(report, 0, "swerve") == 2
         assert report.ranking(0) == ["straight", "swerve"]
 
     def test_masses_from_joint(self, rps):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import time
 from dataclasses import replace
@@ -16,9 +17,8 @@ from eqrate.games import (
     all_regrets,
     deviation_payoff,
     exploitability,
-    uniform_product,
 )
-from eqrate.kernels import AffinityKernel, affinity_targets
+from eqrate.kernels import affinity_targets
 from eqrate.ratings import DEFAULT_TIE_TOL, elo_ratings, rate
 from eqrate.solvers import (
     CCEConfig,
@@ -49,7 +49,7 @@ from reference import (
     qre_loss,
     qre_residual,
 )
-from conftest import fold_game, random_game
+from conftest import fold_game, random_game, uniform_product
 
 # toy payoffs reach -12, so approximating the infinite-temperature start
 # needs a hotter initial temperature than the [-1, 1]-scale default
@@ -208,6 +208,24 @@ class TestNewtonDirection:
 def test_qre_config_rejects_nonpositive_counts(field, value):
     with pytest.raises(ParameterError):
         QREConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [(QREConfig, "tau_init"), (QREConfig, "tau_terminal"), (QREConfig, "epsilon_ne"), (CCEConfig, "epsilon_cce")],
+)
+def test_configs_reject_nan(config, field):
+    with pytest.raises(ParameterError, match=field):
+        config(**{field: float("nan")})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_solvers_reject_non_finite_targets(rps, bad):
+    targets = (np.array([bad, 0.5, 0.5]), np.full(3, 1 / 3))
+    with pytest.raises(ParameterError, match="finite"):
+        solve_lle(rps, QREConfig(targets=targets))
+    with pytest.raises(ParameterError, match="finite"):
+        solve_mre_cce(rps, CCEConfig(targets=targets))
 
 
 class TestSolveLLE:
@@ -581,6 +599,15 @@ class TestCCE:
             profile_from_dict(data, flipped)
         with pytest.raises(ParameterError, match="does not fit"):
             profile_from_dict(data, random_game((2, 3), seed=0))
+
+    def test_stored_cce_with_a_nan_rejected(self, chicken):
+        data = solve_mre_cce(chicken).to_dict()
+        nan_bound = {**data, "config": {**data["config"], "epsilon_cce": float("nan")}}
+        duals = [[float("nan"), *d[1:]] for d in data["profile"]["duals"]]
+        nan_duals = {**data, "profile": {**data["profile"], "duals": duals}}
+        for bad in (nan_bound, nan_duals):
+            with pytest.raises(ParameterError, match="NaN"):
+                profile_from_dict(bad, chicken)
 
     def test_dual_logit_zero_alphas(self, rps):
         t = target_log_joint(uniform_targets(rps))
@@ -1006,22 +1033,24 @@ class TestTargetsPowerIteration:
             "random": lambda: random_game((3, 4, 2), seed=3),
             "skillworld": _stale_curvature_game,
         }[name]()
-        for ours, ref in zip(affinity_targets(game), affinity_targets_50(game)):
-            assert np.array_equal(ours, ref)
+        for variance, mode in itertools.product([1e-6, 1e-4], ["joint", "factorized"]):
+            ours = affinity_targets(game, variance=variance, mode=mode)
+            refs = affinity_targets_50(game, variance=variance, mode=mode)
+            for t, ref in zip(ours, refs, strict=True):
+                assert np.array_equal(t, ref), (variance, mode)
 
     # the iterate of size 13 cycles with period 3 from round 3, and that of
     # size 29 with period 2, in the other phase from the last round
     @pytest.mark.parametrize("n", [5, 13, 29])
     def test_identity_kernel(self, n, monkeypatch):
-        kern = AffinityKernel.from_matrix(np.eye(n))
-        ref = max_entropy_pg_50(kern, 1e-7, 100_000)
-        U, x = kern.U, np.full(n, 1.0 / n)
+        ref = max_entropy_pg_50(np.eye(n), 1e-7, 100_000)
+        U, x = np.eye(n), np.full(n, 1.0 / n)
         first_step = x - (1.0 / lipschitz_50(U)) * (2.0 * (U.T @ (U @ x)))
         rounds, points = [], []
         norm, project = kernels.np.linalg.norm, kernels.project_simplex
         monkeypatch.setattr(kernels.np.linalg, "norm", lambda v: rounds.append(v) or norm(v))
         monkeypatch.setattr(kernels, "project_simplex", lambda v: points.append(v) or project(v))
-        ours = kernels.max_affinity_entropy(kern, tolerance=1e-7)
+        ours = kernels.max_affinity_entropy(np.eye(n), tolerance=1e-7)
         assert np.array_equal(ours, ref)
         assert np.array_equal(points[0], first_step)
         assert len(rounds) <= 3
