@@ -7,7 +7,9 @@ randomized command takes an explicit ``--seed`` (default 0, never
 wall-clock), all plot-ready outputs are CSV/JSON, and each run writes a
 manifest with input hashes so results can be reproduced bit-exactly.
 ``solve`` is deterministic; its manifest adds ``restarts``: LLE arclength
-detours past a stalled temperature, or CCE L-BFGS-B restarts.
+detours past a stalled temperature, or CCE L-BFGS-B resumes.  A CCE's
+manifest also gives ``newton_steps``, the steps of its projected Newton
+finish, which ``steps`` counts too.
 
 Game files are JSON.  ``build`` writes a prompt/king/rebel game as its
 king tensor alone: ``players``, ``actions``, ``king``, ``shape`` and
@@ -230,6 +232,7 @@ def cmd_solve(args) -> int:
             "termination": result.termination,
             "stages": len({r.tau for r in result.trace if r.tau is not None}),
             "restarts": result.restarts,
+            **({"newton_steps": result.newton_steps} if args.method == "cce" else {}),
             "timings": timings,
         },
     )
@@ -288,8 +291,13 @@ def cmd_clone_test(args) -> int:
     if args.target not in kg.models:
         raise ParameterError(f"target model {args.target!r} not in game")
     counts = [int(c) for c in args.counts.split(",")]
+    # every setting is checked before the first file is written
     if min(counts) < 0:
         raise ParameterError(f"--counts must be nonnegative, not {args.counts}")
+    if not math.isfinite(args.lam):
+        raise ParameterError(f"--lambda must be finite, not {args.lam}")
+    if not (math.isfinite(args.noise) and args.noise >= 0):
+        raise ParameterError(f"--noise must be finite and nonnegative, not {args.noise}")
     outputs = []
     summary = {"target": args.target, "lambda": args.lam, "noise": args.noise, "rows": []}
     for count in counts:

@@ -20,6 +20,11 @@ PROB_TOL = 1e-9
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
+    """``a`` as a read-only float64 array.  One that is already read-only
+    and owns its data, as the game readers build, is kept as is; anything
+    else is copied, so a caller's writable array cannot change the game."""
+    if isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.owndata and not a.flags.writeable:
+        return a
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a

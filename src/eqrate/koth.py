@@ -11,6 +11,7 @@ invariance experiments, with provenance recorded.
 
 import csv
 import io
+import math
 import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -130,6 +131,9 @@ def _koth_tensors(u_k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _koth_game(u_k: np.ndarray, prompts, models, clone_sources) -> KOTHGame:
     u_p, u_k, u_r = _koth_tensors(u_k)
+    # the prompt and rebel tensors are new, so the game keeps them uncopied
+    u_p.setflags(write=False)
+    u_r.setflags(write=False)
     game = Game(
         players=PLAYER_NAMES,
         action_labels=(tuple(prompts), tuple(models), tuple(models)),
@@ -285,6 +289,8 @@ def adversarial_prompt_sampler(
     """
     if len(koth.prompts) == 0:
         raise ParameterError("game has no prompts")
+    if not math.isfinite(lam):
+        raise ParameterError(f"lam must be finite, not {lam}")
     ubar = mean_king_payoff(koth, target_model)
     logits = -lam * ubar
     logits -= logits.max()
@@ -307,8 +313,8 @@ def inject_clones(
     king-equals-rebel diagonal stays at its defining values), and the
     prompt and rebel tensors are rederived from the noised king tensor.
     """
-    if not noise_halfwidth >= 0:
-        raise ParameterError(f"noise_halfwidth must be nonnegative, not {noise_halfwidth}")
+    if not (math.isfinite(noise_halfwidth) and noise_halfwidth >= 0):
+        raise ParameterError(f"noise_halfwidth must be finite and nonnegative, not {noise_halfwidth}")
     P = len(koth.prompts)
     idx = list(prompt_indices)
     for i in idx:

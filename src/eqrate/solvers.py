@@ -14,10 +14,11 @@ Two selection routes:
   cloned actions.
 * ``solve_mre_cce`` finds the coarse correlated equilibrium of maximum
   relative entropy to a target joint, by bounded L-BFGS-B on the convex
-  dual of the problem.  The result satisfies the KKT conditions: no
-  positive regret, and positive multipliers only on zero-regret
-  deviations.  A joint whose exploitability fails the final check raises
-  ``ConvergenceError``.
+  dual of the problem (Ortiz, Schapire & Kakade 2007), finished by
+  projected Newton on its active set (Bertsekas 1982).  The result
+  satisfies the KKT conditions at rounding level: no positive regret, and
+  positive multipliers only on zero-regret deviations.  A joint whose
+  exploitability fails the final check raises ``ConvergenceError``.
 
 ``enumerate_nes`` and ``risk_dominance_beliefs`` support multi-equilibrium
 analysis: logit traces from random priors, each polished by Newton on its
@@ -68,18 +69,39 @@ ARC_MIN_COSINE = 0.995
 ARC_MAX_STEP = 1.0
 ARC_MIN_STEP = 1e-10
 
-# The CCE dual is solved until L-BFGS-B's projected gradient, which bounds
-# every positive regret and every complementary-slackness residual, is this
-# fraction of epsilon_cce.  Stopping at epsilon_cce itself leaves rating
-# errors of a few 1e-4, above the rating tie tolerance, so a clone injection
-# could move a rank through where the solve happened to stop.
-CCE_GTOL_FRACTION = 1e-5
-# L-BFGS-B can stop where a line search no longer lowers the loss in
-# floating point while regrets are still above epsilon_cce: its curvature
-# pairs have gone stale.  It then starts again from the stopped multipliers
-# with an empty memory, at most this many times.  On three skill-world games
-# stopped at exploitability 4e-3 to 9e-3, one restart reached 1e-8 or less.
-CCE_MAX_RESTARTS = 3
+# L-BFGS-B on the CCE dual hands over to the projected Newton finish
+# (``_newton_finish``) once its set of positive multipliers has been the
+# same for CCE_STABLE_ITERS iterations.  On the bench's arena game that is
+# after 27 iterations, where L-BFGS-B alone took 147 to a projected
+# gradient of 1e-8; of 2, 3, 5, 8 and 12, 5 gave the fewest CCE seconds
+# there and over a skill-world cce run.
+CCE_STABLE_ITERS = 5
+# The finish takes at most CCE_NEWTON_STEPS steps.  It has reached the
+# maximiser once no regret exceeds CCE_KKT_TOL times the largest absolute
+# payoff and no positive multiplier's regret is further than that from 0.
+# Where the maximiser puts zero mass on some cells, the multipliers grow
+# without bound and Newton gains only a constant factor a step.  Over the
+# 154 solves of a 6-trial, 8-iteration skill-world cce run, caps of 20,
+# 30, 40 and 60 steps left 9, 4, 2 and 2 solves to a resume.
+CCE_NEWTON_STEPS = 40
+CCE_KKT_TOL = 1e-12
+# Sufficient decrease of the Armijo backtrack along the projection arc, up
+# to the rounding of the loss: CCE_LOSS_ROUNDING times 1 + |loss|.  Near
+# the maximiser a Newton step lowers the loss by less than its rounding;
+# on a 60x8 KOTH game the full step that took the KKT residual from
+# 7.9e-12 to 4.4e-16 raised the loss by 8.8e-16.  After a rejected full
+# step the backtrack tries the longest step that clips no multiplier, then
+# halves: on a 30-iteration skill-world cce trial that took 1,642 loss
+# evaluations for 939 steps, against 4,287 for 946 halving from the full
+# step.
+CCE_ARMIJO = 1e-4
+CCE_LOSS_ROUNDING = 1e-13
+# The finish's Hessian is accumulated over blocks of the joint of about
+# this many cells, so no gain matrix over the whole joint is built.  With
+# blocks of 2**15 cells a bench clone_attack run peaked 2.4 MB above one
+# with L-BFGS-B alone, with 2**12 0.9 MB; 2**12 also built arena's 15x15
+# Hessian faster (8 against 11 ms).
+CCE_HESSIAN_CELLS = 2**12
 
 # ``enumerate_nes`` traces each candidate to ENUM_TAU_TERMINAL and takes as
 # its support the actions with more than SUPPORT_FRACTION of the player's
@@ -132,8 +154,8 @@ class CCEConfig:
     whose product joint the CCE is the relative-entropy projection of
     (default: uniform; checked against the game by the solver, as
     ``QREConfig.targets`` is); the cap ``max_steps`` on L-BFGS-B
-    iterations; and ``epsilon_cce``, the exploitability a returned joint
-    may have at most."""
+    iterations and Newton steps together; and ``epsilon_cce``, the
+    exploitability a returned joint may have at most."""
 
     targets: tuple[np.ndarray, ...] | None = None
     max_steps: int = 200_000
@@ -165,9 +187,11 @@ class EquilibriumResult:
     targets: tuple[np.ndarray, ...] | None = None
     duals: list[np.ndarray] | None = None
     config: dict | None = None
-    # LLE: arclength detours past stalled temperatures; CCE: L-BFGS-B runs
-    # restarted from the last multipliers
+    # LLE: arclength detours past stalled temperatures; CCE: 1 if L-BFGS-B
+    # was resumed after a Newton finish that missed the KKT conditions
     restarts: int = 0
+    # CCE: steps of the projected Newton finish
+    newton_steps: int = 0
 
     def to_dict(self) -> dict:
         """JSON-ready dict.  A product profile is stored as its
@@ -799,38 +823,134 @@ class _CCEDual:
         lse, _, regrets = self.evaluate(flat)
         return lse, -np.concatenate(regrets)
 
+    def hessian(self, free: np.ndarray, regrets: np.ndarray) -> np.ndarray:
+        """The dual's Hessian on the flat multiplier indices ``free``, at the
+        last evaluated point, whose regrets on ``free`` are ``regrets``.
+
+        It is the covariance under the joint of the free constraints' gain
+        rows ``u_i(a, x_-i) - u_i(x)``.  A row's deviation payoffs are row
+        ``a`` of ``perms[i]``, broadcast along player i's axis.  The rows are
+        built over blocks of the joint's first axis of about
+        ``CCE_HESSIAN_CELLS`` cells, and the second moment summed per block.
+        """
+        shape = tuple(self.sizes)
+        stride = self._buf.size // shape[0]
+        step = max(1, CCE_HESSIAN_CELLS // stride)
+        offsets = np.cumsum([0, *shape])
+        # ``free`` is sorted, so each player's rows are one slice of it;
+        # a player's deviation payoffs get a unit axis for its own action
+        bounds = np.searchsorted(free, offsets)
+        groups = []
+        for i in range(len(shape)):
+            lo, hi = bounds[i], bounds[i + 1]
+            if lo < hi:
+                dev = self.perms[i][free[lo:hi] - offsets[i]]
+                dev = dev.reshape((hi - lo,) + shape[:i] + shape[i + 1 :])
+                groups.append((lo, hi, i, np.expand_dims(dev, i + 1)))
+        utils = [row.reshape(shape) for row in self._stack[:-1]]
+        joint = self._buf.reshape(shape[0], stride)
+        gain = np.empty((free.size, min(step, shape[0]) * stride))
+        second = np.zeros((free.size, free.size))
+        for first in range(0, shape[0], step):
+            last = min(first + step, shape[0])
+            block = gain[:, : (last - first) * stride]
+            for lo, hi, i, dev in groups:
+                own = dev if i == 0 else dev[:, first:last]
+                out = block[lo:hi].reshape((hi - lo, last - first) + shape[1:])
+                np.subtract(own, utils[i][first:last], out=out)
+            second += (block * joint[first:last].ravel()) @ block.T
+        return second - np.outer(regrets, regrets)
+
+
+def _kkt_residual(flat: np.ndarray, regrets: np.ndarray) -> float:
+    """The largest violation of the dual's KKT conditions: a positive
+    regret, or a positive multiplier's regret away from zero."""
+    return float(np.max(np.where(flat > 0, np.abs(regrets), regrets), initial=0.0))
+
+
+def _newton_finish(dual: _CCEDual, flat: np.ndarray, tol: float, record, budget: int):
+    """Projected Newton steps on the CCE dual from the multipliers ``flat``
+    (Bertsekas 1982), until the KKT residual is at most ``tol``, for at most
+    ``budget`` steps, or until a step finds no decrease.
+
+    The free set holds the positive multipliers and those whose regret, the
+    negative gradient, is positive.  On it the step solves the Hessian
+    system by least squares, whose least-norm solution stays unique where
+    exact clones make the Hessian singular.  The step is projected onto the
+    nonnegative orthant and shortened until the loss falls by
+    ``CCE_ARMIJO`` of its first-order decrease, up to rounding: after the
+    full step comes the longest one that clips no multiplier, if that is
+    under a half, then halvings.  Each step is recorded.  Returns the last
+    point, its regrets and the number of steps.
+    """
+    lse, _, regrets = dual.evaluate(flat)
+    r = np.concatenate(regrets)
+    steps = 0
+    while _kkt_residual(flat, r) > tol and steps < budget:
+        free = np.flatnonzero((flat > 0) | (r > 0))
+        d = np.linalg.lstsq(dual.hessian(free, r[free]), r[free])[0]
+        slack = CCE_LOSS_ROUNDING * (1.0 + abs(lse))
+        x = flat[free]
+        hits = (d < 0) & (x > 0)
+        t_bound = float(np.min(x[hits] / -d[hits], initial=1.0))
+        t = 1.0
+        while True:
+            trial = flat.copy()
+            trial[free] = np.maximum(x + t * d, 0.0)
+            trial_lse, _, trial_regrets = dual.evaluate(trial)
+            if trial_lse <= lse - CCE_ARMIJO * (r @ (trial - flat)) + slack:
+                break
+            if t == 1.0 and t_bound < 0.5:
+                t = t_bound
+            else:
+                t *= 0.5
+                if t < NEWTON_MIN_DAMPING:
+                    return flat, r, steps
+        flat, lse, r = trial, trial_lse, np.concatenate(trial_regrets)
+        steps += 1
+        record(flat)
+    return flat, r, steps
+
 
 def solve_mre_cce(game: Game, config: CCEConfig | None = None) -> EquilibriumResult:
-    """Max-relative-entropy CCE via bounded L-BFGS-B on the convex dual.
+    """Max-relative-entropy CCE: bounded L-BFGS-B on the convex dual,
+    finished by projected Newton.
 
     The dual variables are one multiplier ``alpha >= 0`` per player and
     deviation action; the joint is the softmax of the target log-joint
-    tilted by the multipliers (``_CCEDual``), and the dual loss is
-    its log-partition.  The gradient of that loss in ``alpha`` is minus the
-    deviation regret under the implied joint.  At the minimum the KKT
-    conditions hold: every regret is at most zero, and a multiplier is
+    tilted by the multipliers (``_CCEDual``), and the dual loss is its
+    log-partition (Ortiz, Schapire & Kakade 2007).  The loss's gradient in
+    ``alpha`` is minus the deviation regret under the implied joint, and
+    its Hessian the covariance of the deviation gains.  At the minimum the
+    KKT conditions hold: every regret is at most zero, and a multiplier is
     positive only where its regret is zero, so the joint is the
     KL-projection of the target onto the CCE polytope.
 
-    L-BFGS-B runs from all-zero multipliers, i.e. the target itself,
-    until its projected gradient is ``CCE_GTOL_FRACTION`` of
-    ``epsilon_cce``, until the loss stops decreasing in floating point, or
-    for ``max_steps`` iterations.  A stop short of ``max_steps`` that
-    leaves the exploitability above ``epsilon_cce`` starts L-BFGS-B again
-    from its last multipliers with an empty memory, at most
-    ``CCE_MAX_RESTARTS`` times within the same ``max_steps``, counted in
-    ``restarts``.  The trace holds one record per iteration.  The joint is
-    then accepted only if the solve stopped short of ``max_steps`` and its
-    exploitability is at most ``epsilon_cce``; otherwise
-    ``ConvergenceError`` carries the final iterate and the trace.
-    Deterministic.
+    L-BFGS-B runs from all-zero multipliers, i.e. the target itself, until
+    its set of positive multipliers has stayed the same for
+    ``CCE_STABLE_ITERS`` iterations, or until the loss stops falling in
+    floating point.  The projected Newton finish (``_newton_finish``) then
+    takes the multipliers to the KKT conditions at rounding level,
+    ``CCE_KKT_TOL`` times the largest absolute payoff, so the joint is the
+    maximiser itself, not a gradient-tolerance iterate.  A finish that
+    misses them resumes L-BFGS-B once from its last point with an empty
+    memory, now without the hand-over, and finishes again (``restarts``
+    1).  ``max_steps`` caps the L-BFGS-B iterations and Newton steps
+    together, and the trace holds one record for each.
+
+    The joint is accepted if its exploitability is at most ``epsilon_cce``
+    and it either meets the KKT conditions (termination ``"kkt"``) or was
+    reached within ``max_steps`` with steps to spare (termination
+    ``"epsilon_cce"``); otherwise ``ConvergenceError`` carries the final
+    iterate and the trace.  Deterministic.
     """
     config = config or CCEConfig()
     targets = _validate_targets(
         game, uniform_targets(game) if config.targets is None else config.targets
     )
     dual = _CCEDual(game, targets)
-    start = np.zeros(sum(dual.sizes))
+    tol = CCE_KKT_TOL * max(float(np.abs(u).max()) for u in game.utilities)
+    flat = np.zeros(sum(dual.sizes))
 
     trace: list[TraceRecord] = []
 
@@ -839,39 +959,67 @@ def solve_mre_cce(game: Game, config: CCEConfig | None = None) -> EquilibriumRes
         exploit = sum(max(0.0, float(r.max())) for r in regrets)
         trace.append(TraceRecord(len(trace), None, lse, exploit))
 
-    record(start)
-    flat, nit = start, 0
-    for restarts in range(CCE_MAX_RESTARTS + 1):
+    def steps_left() -> int:
+        return config.max_steps - (len(trace) - 1)
+
+    record(flat)
+    newton_steps = 0
+    # the first L-BFGS-B run hands over to the finish; a finish that misses
+    # the KKT conditions resumes L-BFGS-B once, run until it stops.  Of
+    # 5,116 solves in a 32-trial skill-world cce run, 13 were resumed and
+    # none needed a second resume; 5 ended short of the KKT tolerance, at
+    # exploitability 1.2e-11 or less.
+    for restarts, handover in enumerate((True, False)):
+        support, same = None, 0
+
+        def callback(intermediate_result) -> None:
+            nonlocal support, same
+            record(intermediate_result.x)
+            if handover:
+                positive = intermediate_result.x > 0
+                same = same + 1 if np.array_equal(positive, support) else 0
+                support = positive
+                if same >= CCE_STABLE_ITERS:
+                    raise StopIteration
+
         opt = minimize(
             dual.loss_grad,
             flat,
             jac=True,
             method="L-BFGS-B",
-            bounds=[(0.0, None)] * len(start),
-            callback=lambda intermediate_result: record(intermediate_result.x),
+            bounds=[(0.0, None)] * flat.size,
+            callback=callback,
             options={
-                "maxiter": config.max_steps - nit,
+                "maxiter": steps_left(),
                 # an iteration makes at most maxls + 1 = 21 evaluations, so
                 # only maxiter binds
-                "maxfun": 21 * (config.max_steps - nit),
-                "gtol": CCE_GTOL_FRACTION * config.epsilon_cce,
+                "maxfun": 21 * steps_left(),
+                # no tolerance: the run stops at the hand-over, or where
+                # the loss stops falling in floating point
+                "gtol": 0.0,
                 "ftol": 0.0,
             },
         )
-        nit += opt.nit
-        _, x, _ = dual.evaluate(opt.x)
-        profile = JointDistribution(x)
-        final_exploit = exploitability(game, profile)
-        # status 1: an iteration or evaluation cap stopped the solve, so even
-        # a feasible joint is not yet the entropy maximiser
-        if opt.status == 1 or final_exploit <= config.epsilon_cce or nit >= config.max_steps:
-            break
         flat = opt.x
-    duals = _split(opt.x.copy(), dual.sizes)
-    if opt.status == 1 or not final_exploit <= config.epsilon_cce:
+        if steps_left() <= 0:
+            break
+        flat, regrets, steps = _newton_finish(
+            dual, flat, tol, record, min(CCE_NEWTON_STEPS, steps_left())
+        )
+        newton_steps += steps
+        if _kkt_residual(flat, regrets) <= tol or steps_left() <= 0:
+            break
+    _, x, regrets = dual.evaluate(flat)
+    kkt = _kkt_residual(flat, np.concatenate(regrets)) <= tol
+    profile = JointDistribution(x)
+    final_exploit = exploitability(game, profile)
+    duals = _split(flat.copy(), dual.sizes)
+    # a spent budget leaves a joint that is feasible at best, not yet the
+    # entropy maximiser
+    if not (kkt or steps_left() > 0) or not final_exploit <= config.epsilon_cce:
         raise ConvergenceError(
             f"solve_mre_cce: exploitability {final_exploit:.3e} "
-            f"(bound {config.epsilon_cce:.1e}) after {nit} iterations and "
+            f"(bound {config.epsilon_cce:.1e}) after {len(trace) - 1} steps and "
             f"{restarts} restarts: {opt.message}",
             iterate=profile,
             trace=trace,
@@ -882,7 +1030,7 @@ def solve_mre_cce(game: Game, config: CCEConfig | None = None) -> EquilibriumRes
         trace=trace,
         converged=True,
         method="cce",
-        termination="epsilon_cce",
+        termination="kkt" if kkt else "epsilon_cce",
         targets=targets,
         duals=duals,
         config={
@@ -890,6 +1038,7 @@ def solve_mre_cce(game: Game, config: CCEConfig | None = None) -> EquilibriumRes
             "epsilon_cce": config.epsilon_cce,
         },
         restarts=restarts,
+        newton_steps=newton_steps,
     )
 
 

@@ -57,6 +57,20 @@ def _build_game(tmp_path, prompts, models):
     return game, koth.build_koth(koth.read_preference_csv(prefs))
 
 
+def test_cce_solve_manifest_reports_the_newton_finish(tmp_path):
+    game, _ = _build_game(tmp_path, prompts=12, models=4)
+    out = tmp_path / "cce.json"
+    assert main(["solve", "--game", str(game), "--method", "cce", "--out", str(out)]) == 0
+    with open(f"{out}.manifest.json", encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    with open(out, encoding="utf-8") as fh:
+        trace = json.load(fh)["trace"]
+    # every Newton step has its trace record, so steps counts them too
+    assert manifest["steps"] == trace[-1]["step"] > manifest["newton_steps"] >= 1
+    assert manifest["termination"] == "kkt"
+    assert manifest["restarts"] == 0
+
+
 def test_rate_elo_writes_a_rating_report(tmp_path):
     game, kg = _build_game(tmp_path, prompts=6, models=5)
     out = tmp_path / "elo.json"
@@ -162,6 +176,28 @@ def test_solve_rejects_a_nan_parameter(tmp_path, capsys, chicken, flags, name):
     "flags, name", [(["--counts", "0,-3"], "--counts"), (["--counts", "2", "--noise", "nan"], "noise")]
 )
 def test_clone_test_rejects_a_negative_count_or_nan_noise(tmp_path, capsys, flags, name):
+    game, _ = _build_game(tmp_path, prompts=3, models=3)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = ["clone-test", "--game", str(game), "--target", "m0", "--out-dir", str(out_dir)]
+    assert main([*argv, *flags]) == 2
+    assert name in capsys.readouterr().err
+    assert not list(out_dir.iterdir())
+
+
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        (["--lambda", "nan"], "--lambda"),
+        (["--lambda", "inf"], "--lambda"),
+        (["--lambda=-inf", "--counts", "0"], "--lambda"),
+        (["--noise", "inf"], "--noise"),
+        (["--counts", "0,2", "--noise", "nan"], "--noise"),
+        (["--counts", "0,2,-1"], "--counts"),
+    ],
+)
+def test_clone_test_checks_every_setting_before_writing(tmp_path, capsys, flags, name):
+    # a bad setting is reported before the first count's files are written
     game, _ = _build_game(tmp_path, prompts=3, models=3)
     out_dir = tmp_path / "out"
     out_dir.mkdir()

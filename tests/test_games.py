@@ -210,3 +210,23 @@ def test_game_json_rejects_nonfinite(rps):
     data["utilities"][0][0] = float("inf")
     with pytest.raises(DimensionError):
         game_from_dict(json.loads(json.dumps(data)))
+
+
+def test_game_copies_a_writable_array_and_keeps_a_frozen_one():
+    # a caller's writable array is copied, so changing it leaves the game
+    # as it was; a read-only array that owns its data is kept uncopied
+    mine = np.array([[1.0, 2.0]])
+    frozen = np.array([[3.0, 4.0]])
+    frozen.setflags(write=False)
+    game = Game(("a", "b"), (("x",), ("y", "z")), (mine, frozen))
+    mine[0, 0] = 9.0
+    assert game.utilities[0][0, 0] == 1.0
+    assert game.utilities[0] is not mine and not game.utilities[0].flags.writeable
+    assert game.utilities[1] is frozen
+    # a read-only view does not own its data: its base may still change
+    base = np.array([[5.0, 6.0]])
+    view = base[:]
+    view.setflags(write=False)
+    game = Game(("a", "b"), (("x",), ("y", "z")), (view, frozen))
+    base[0, 0] = 9.0
+    assert game.utilities[0][0, 0] == 5.0

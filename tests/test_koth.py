@@ -402,3 +402,14 @@ def test_preference_csv_round_trips_any_labels(tmp_path, rows, crlf):
     assert table.model_a == tuple(r[1] for r in rows)
     assert table.model_b == tuple(r[2] for r in rows)
     assert np.array_equal(table.score, [r[3] for r in rows])
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf")])
+def test_sampler_rejects_a_non_finite_lambda(small_koth, lam):
+    with pytest.raises(ParameterError, match="lam"):
+        adversarial_prompt_sampler(small_koth, "alpha", lam=lam, count=1)
+
+
+def test_inject_clones_rejects_infinite_noise(small_koth):
+    with pytest.raises(ParameterError, match="noise_halfwidth"):
+        inject_clones(small_koth, [0], noise_halfwidth=float("inf"))

@@ -743,6 +743,126 @@ class TestCCE:
         assert [(r.step, r.loss) for r in a.trace] == [(r.step, r.loss) for r in b.trace]
 
 
+def _active_prompt_clone_game(clones):
+    """``_koth_clone_game(60, 8, 0)`` with exact clones of prompt 46, whose
+    multiplier is positive at the MRE CCE: the clones' gain rows are
+    identical, so the finish's Hessian is singular."""
+    base = _koth_clone_game(60, 8, 0)
+    kg = koth.KOTHGame(game=base, clone_sources=(None,) * base.shape[0])
+    return koth.inject_clones(kg, [46] * clones).game
+
+
+class TestCCEFinish:
+    @pytest.mark.parametrize(
+        "shape", [(3,), (1, 4), (4, 1, 3), (3, 4, 2), (2, 3, 2, 2), "koth"], ids=str
+    )
+    @pytest.mark.parametrize("cells", [1, 7, 2**15])
+    def test_hessian_matches_central_differences(self, shape, cells, monkeypatch):
+        # blocks of one axis-0 index, of a few, and the whole joint at once
+        monkeypatch.setattr(solvers_mod, "CCE_HESSIAN_CELLS", cells)
+        game = _koth_clone_game(12, 4, 3) if shape == "koth" else random_game(shape, seed=5)
+        rng = np.random.default_rng(17)
+        dual = _CCEDual(game, tuple(rng.dirichlet(np.ones(n)) for n in game.shape))
+        flat = rng.uniform(0.0, 1.0, sum(game.shape))
+        free = np.flatnonzero(rng.uniform(size=flat.size) < 0.7)
+        _, grad = dual.loss_grad(flat)
+        hess = dual.hessian(free, -grad[free])
+        h = 1e-6
+        for col, j in enumerate(free):
+            step = np.zeros(flat.size)
+            step[j] = h
+            fd = (dual.loss_grad(flat + step)[1] - dual.loss_grad(flat - step)[1]) / (2 * h)
+            assert np.abs(hess[:, col] - fd[free]).max() <= 1e-7
+
+    @pytest.mark.parametrize("name", ["chicken", "koth_12x4", "koth_60x8", "koth_60x8_120_clones"])
+    def test_kkt_at_rounding_level(self, name, chicken):
+        # no positive regret, and zero regret on every positive multiplier,
+        # to CCE_KKT_TOL times the largest payoff, recomputed from the joint
+        games = {
+            "chicken": lambda: chicken,
+            "koth_12x4": lambda: _koth_clone_game(12, 4, 3),
+            "koth_60x8": lambda: _koth_clone_game(60, 8, 0),
+            "koth_60x8_120_clones": lambda: _koth_clone_game(60, 8, 120),
+        }
+        game = games[name]()
+        targets = None if name == "chicken" else affinity_targets(game)
+        res = solve_mre_cce(game, CCEConfig(targets=targets))
+        tol = solvers_mod.CCE_KKT_TOL * max(np.abs(u).max() for u in game.utilities)
+        assert res.termination == "kkt" and res.restarts == 0
+        assert res.exploitability <= 1e-12 * max(np.abs(u).max() for u in game.utilities)
+        for r, alpha in zip(all_regrets(game, res.profile), res.duals):
+            assert r.max() <= tol
+            assert np.abs(r[alpha > 0]).max(initial=0.0) <= tol
+        assert [rec.step for rec in res.trace] == list(range(len(res.trace)))
+
+    @pytest.mark.parametrize("name", ["chicken", "koth_12x4", "stale_curvature"])
+    def test_finish_alone_solves_from_the_target(self, name, chicken):
+        # from all-zero multipliers the free set is the positive regrets
+        # alone, so the finish must add constraints and project the step
+        # back onto alpha >= 0 to reach the solver's multipliers
+        game = {
+            "chicken": lambda: chicken,
+            "koth_12x4": lambda: _koth_clone_game(12, 4, 3),
+            "stale_curvature": _stale_curvature_game,
+        }[name]()
+        targets = uniform_targets(game) if name == "chicken" else affinity_targets(game)
+        dual = _CCEDual(game, targets)
+        steps = []
+        flat, regrets, taken = solvers_mod._newton_finish(
+            dual, np.zeros(sum(game.shape)), 1e-12, steps.append, solvers_mod.CCE_NEWTON_STEPS
+        )
+        assert taken == len(steps) >= 1
+        assert solvers_mod._kkt_residual(flat, regrets) <= 1e-12
+        assert flat.min() >= 0.0
+        res = solve_mre_cce(game, CCEConfig(targets=targets))
+        assert np.abs(flat - np.concatenate(res.duals)).max() <= 1e-10
+
+    def test_singular_hessian_repeats_bit_for_bit(self):
+        game = _active_prompt_clone_game(3)
+        config = CCEConfig(targets=affinity_targets(game))
+        a = solve_mre_cce(game, config)
+        flat = np.concatenate(a.duals)
+        dual = _CCEDual(game, a.targets)
+        regrets = np.concatenate(dual.evaluate(flat)[2])
+        free = np.flatnonzero((flat > 0) | (regrets > 0))
+        assert np.linalg.matrix_rank(dual.hessian(free, regrets[free])) < free.size
+        assert a.newton_steps >= 1 and a.termination == "kkt"
+        # the least-norm step splits the prompt's multiplier evenly over its
+        # clones, and the clones' ratings are equal
+        assert np.allclose(a.duals[0][60:], a.duals[0][46], rtol=1e-9)
+        b = solve_mre_cce(game, config)
+        assert np.array_equal(a.profile.joint, b.profile.joint)
+        assert all(map(np.array_equal, a.duals, b.duals))
+        assert [(r.loss, r.exploitability) for r in a.trace] == [(r.loss, r.exploitability) for r in b.trace]
+
+    def test_a_cap_inside_the_finish_raises(self):
+        game = _koth_clone_game(60, 8, 0)
+        config = CCEConfig(targets=affinity_targets(game))
+        res = solve_mre_cce(game, config)
+        steps = res.trace[-1].step
+        assert res.newton_steps >= 2
+        # one step short: the finish is cut before the KKT conditions hold,
+        # and the budget is spent, so even a feasible joint is refused
+        with pytest.raises(ConvergenceError) as exc:
+            solve_mre_cce(game, replace(config, max_steps=steps - 1))
+        assert exc.value.trace[-1].step == steps - 1
+        assert exc.value.trace[-1].exploitability <= config.epsilon_cce
+
+    def test_a_missed_finish_resumes_lbfgsb(self, monkeypatch):
+        # with no Newton step allowed the finish misses the KKT conditions,
+        # so L-BFGS-B is resumed once and runs until it stops; its joint is
+        # accepted within epsilon_cce
+        game = _koth_clone_game(60, 8, 0)
+        config = CCEConfig(targets=affinity_targets(game))
+        finished = solve_mre_cce(game, config)
+        monkeypatch.setattr(solvers_mod, "CCE_NEWTON_STEPS", 0)
+        res = solve_mre_cce(game, config)
+        assert res.restarts == 1 and res.newton_steps == 0
+        assert res.termination == "epsilon_cce"
+        assert res.exploitability <= 1e-6
+        assert np.abs(res.profile.joint - finished.profile.joint).max() <= 1e-6
+
+
 class TestEnumerate:
     def test_chicken_finds_all_three_nes(self, chicken):
         result = enumerate_nes(
@@ -1065,22 +1185,22 @@ def _stale_curvature_game():
 
 class TestCCERestart:
     def test_stale_curvature_stop_is_restarted(self):
-        # L-BFGS-B stops on a relative reduction of the loss at
+        # L-BFGS-B alone stops on a relative reduction of the loss at
         # exploitability 4.16e-3 on this game (trial 4, iteration 11 of the
-        # cce arm at the SimConfig defaults); a restart from its last
-        # multipliers solves it
+        # cce arm at the SimConfig defaults); the Newton finish, which
+        # replaced the restarts from that stop, solves it to rounding level
         game = _stale_curvature_game()
         config = CCEConfig(targets=affinity_targets(game))
         res = solve_mre_cce(game, config)
-        assert res.converged and res.restarts >= 1
+        assert res.converged and res.exploitability <= 1e-12
         assert res.exploitability <= config.epsilon_cce
         assert res.exploitability == exploitability(game, res.profile)
         assert [r.step for r in res.trace] == list(range(len(res.trace)))
         assert res.to_dict()["restarts"] == res.restarts
 
     def test_no_restart_below_epsilon(self):
-        # this solve also stops on a relative reduction of the loss, but
-        # within epsilon_cce
+        # L-BFGS-B alone also stops on a relative reduction of the loss
+        # here, within epsilon_cce; the finish needs no resume
         game = _koth_clone_game(60, 8, 0)
         res = solve_mre_cce(game, CCEConfig(targets=affinity_targets(game)))
         assert res.restarts == 0
