@@ -136,16 +136,17 @@ def _save_koth(kg: koth.KOTHGame, path) -> None:
     ``json`` parse back.  ``_read_game`` reads it back, and reads king
     lists and full game files too.
     """
-    king = kg.u_king.astype("<f8", copy=False).tobytes()
+    king = base64.b64encode(kg.u_king.astype("<f8", copy=False).tobytes()).decode("ascii")
     data = {
         "players": list(kg.game.players),
         "actions": [list(lbls) for lbls in kg.game.action_labels],
-        "king": base64.b64encode(king).decode("ascii"),
+        "king": king,
         "shape": list(kg.game.shape),
         "clone_sources": list(kg.clone_sources),
     }
+    # dump writes the document in pieces, never as one more string
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(data))
+        json.dump(data, fh)
 
 
 def _targets_for(game: games.Game, entropy: str, variance: float, mode: str):
@@ -159,10 +160,11 @@ def _targets_for(game: games.Game, entropy: str, variance: float, mode: str):
 def cmd_build(args) -> int:
     t0 = time.perf_counter()
     if args.prefs:
-        records = koth.read_preference_csv(args.prefs)
+        table = koth.read_preference_csv(args.prefs)
         t_read = time.perf_counter()
-        kg = koth.build_koth(records)
-        samples, source = len(records), args.prefs
+        kg = koth.build_koth(table)
+        samples, source = len(table), args.prefs
+        del table  # freed before the game file is written
     else:
         kg = _load_koth(args.game)
         t_read = time.perf_counter()

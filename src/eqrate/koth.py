@@ -7,10 +7,17 @@ separating the models; the rebel mirrors the king's payoff negated except
 when it picks the king's own model, which costs it outright.  Clone
 injection appends duplicated (optionally noised) prompt rows for the
 invariance experiments, with provenance recorded.
+
+Judge samples are held categorically: a ``PreferenceTable`` keeps each
+label column as ``int32`` codes into one sorted tuple of labels, so a
+sample costs 20 bytes however long its labels are.  The CSV reader codes
+the file a block at a time and ``build_koth`` tabulates from the codes,
+so reading and building a game peak at about twice the file's size.
 """
 
 import csv
 import io
+import itertools
 import math
 import operator
 from collections.abc import Iterable
@@ -23,14 +30,16 @@ from .games import Game
 
 SCORES = (-1.0, -0.5, 0.0, 0.5, 1.0)
 PLAYER_NAMES = ("prompt", "king", "rebel")
+# characters of a preference CSV read and coded at a time, run on to a line end
+BLOCK_CHARS = 1 << 16
 
 
-def _check_judgements(score: np.ndarray, model_a, model_b) -> None:
-    """Reject the first judgement off the 5-point scale or of a model against itself."""
+def _check_judgements(score: np.ndarray, same: np.ndarray) -> None:
+    """Reject the first judgement off the 5-point scale or of a model
+    against itself (``same``)."""
     on_scale = np.zeros(score.shape, dtype=bool)
     for s in SCORES:
         on_scale |= np.abs(score - s) < 1e-12
-    same = np.fromiter(map(operator.eq, model_a, model_b), dtype=bool, count=len(score))
     bad = ~on_scale | same
     if bad.any():
         i = int(np.argmax(bad))
@@ -49,30 +58,58 @@ class PreferenceRecord:
     score: float
 
     def __post_init__(self):
-        _check_judgements(np.array([self.score]), (self.model_a,), (self.model_b,))
+        _check_judgements(np.array([self.score]), np.array([self.model_a == self.model_b]))
 
 
-@dataclass(frozen=True)
+class _Codebook(dict):
+    """Label to code; a label seen for the first time gets the next code."""
+
+    def __missing__(self, label):
+        self[label] = code = len(self)
+        return code
+
+    def codes(self, labels) -> np.ndarray:
+        return np.fromiter(map(self.__getitem__, labels), dtype=np.int32, count=len(labels))
+
+    def sort(self) -> tuple[tuple, np.ndarray]:
+        """The labels in sorted order, and each code's rank among them."""
+        labels = sorted(self)
+        rank = np.empty(len(labels), dtype=np.int32)
+        rank[self.codes(labels)] = np.arange(len(labels))
+        return tuple(labels), rank
+
+
 class PreferenceTable:
     """Judge samples as columns: row ``i`` is one ``PreferenceRecord``.
 
-    The three label columns are tuples of strings and ``score`` is a float
-    array, all of one length.  Indexing a row returns its record.
+    The table is categorical: ``prompts`` and ``models`` are the sorted
+    distinct labels (``models`` of ``model_a`` and ``model_b`` together),
+    ``prompt_code``, ``a_code`` and ``b_code`` are ``int32`` indices into
+    them and ``score`` is a float64 array, all of one length, so a row
+    costs 20 bytes however long its labels are.  The constructor takes
+    the label columns as sequences of strings, and the ``prompt_id``,
+    ``model_a`` and ``model_b`` tuples are rebuilt on access.
     """
 
-    prompt_id: tuple[str, ...]
-    model_a: tuple[str, ...]
-    model_b: tuple[str, ...]
-    score: np.ndarray
+    def __init__(self, prompt_id, model_a, model_b, score):
+        prompts, models = _Codebook(), _Codebook()
+        prompt_id, model_a, model_b = tuple(prompt_id), tuple(model_a), tuple(model_b)
+        self._fill(prompts, models, prompts.codes(prompt_id), models.codes(model_a), models.codes(model_b), score)
 
-    def __post_init__(self):
-        for name in ("prompt_id", "model_a", "model_b"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        object.__setattr__(self, "score", np.asarray(self.score, dtype=float))
-        n = len(self.score)
-        if self.score.ndim != 1 or not len(self.prompt_id) == len(self.model_a) == len(self.model_b) == n:
+    @classmethod
+    def _from_codes(cls, prompts: _Codebook, models: _Codebook, prompt_code, a_code, b_code, score):
+        table = cls.__new__(cls)
+        table._fill(prompts, models, prompt_code, a_code, b_code, score)
+        return table
+
+    def _fill(self, prompts: _Codebook, models: _Codebook, prompt_code, a_code, b_code, score) -> None:
+        score = np.asarray(score, dtype=float)
+        if score.ndim != 1 or not len(prompt_code) == len(a_code) == len(b_code) == len(score):
             raise DimensionError("preference columns must be vectors of one length")
-        _check_judgements(self.score, self.model_a, self.model_b)
+        _check_judgements(score, a_code == b_code)
+        (self.prompts, p_rank), (self.models, m_rank) = prompts.sort(), models.sort()
+        self.prompt_code, self.a_code, self.b_code = p_rank[prompt_code], m_rank[a_code], m_rank[b_code]
+        self.score = score
 
     @classmethod
     def from_records(cls, records: Iterable[PreferenceRecord]) -> "PreferenceTable":
@@ -84,11 +121,16 @@ class PreferenceTable:
             score=np.array([r.score for r in rows], dtype=float),
         )
 
+    prompt_id = property(lambda self: tuple(map(self.prompts.__getitem__, self.prompt_code.tolist())))
+    model_a = property(lambda self: tuple(map(self.models.__getitem__, self.a_code.tolist())))
+    model_b = property(lambda self: tuple(map(self.models.__getitem__, self.b_code.tolist())))
+
     def __len__(self) -> int:
         return len(self.score)
 
     def __getitem__(self, i: int) -> PreferenceRecord:
-        return PreferenceRecord(self.prompt_id[i], self.model_a[i], self.model_b[i], float(self.score[i]))
+        p, a, b = self.prompts[self.prompt_code[i]], self.models[self.a_code[i]], self.models[self.b_code[i]]
+        return PreferenceRecord(p, a, b, float(self.score[i]))
 
 
 @dataclass(frozen=True)
@@ -142,6 +184,21 @@ def _koth_game(u_k: np.ndarray, prompts, models, clone_sources) -> KOTHGame:
     return KOTHGame(game=game, clone_sources=tuple(clone_sources))
 
 
+def _pair_means(table: PreferenceTable, P: int, M: int, a: np.ndarray, b: np.ndarray):
+    """The king's payoff on each (prompt, pair ``a[k] < b[k]``) cell, and
+    whether the cell was judged.  The per-sample arrays die on return,
+    before the game's tensors are made."""
+    cell = (table.prompt_code.astype(np.intp) * M + table.a_code) * M + table.b_code
+    # bincount adds the samples of a cell in record order; scores are
+    # finite, so an unjudged cell's mean is 0/0, nan
+    with np.errstate(invalid="ignore"):
+        mean = np.bincount(cell, weights=table.score, minlength=P * M * M) / np.bincount(cell, minlength=P * M * M)
+    mean = mean.reshape(P, M, M)
+    fwd, rev = mean[:, a, b], -mean[:, b, a]
+    have_f, have_r = ~np.isnan(fwd), ~np.isnan(rev)
+    return np.where(have_f & have_r, (fwd + rev) / 2, np.where(have_f, fwd, rev)), have_f | have_r
+
+
 def build_koth(records: PreferenceTable | Iterable[PreferenceRecord]) -> KOTHGame:
     """Tabulate the evaluation game from judge samples.
 
@@ -157,32 +214,11 @@ def build_koth(records: PreferenceTable | Iterable[PreferenceRecord]) -> KOTHGam
     table = records if isinstance(records, PreferenceTable) else PreferenceTable.from_records(records)
     if not len(table):
         raise IncompleteDataError("no preference records", missing=[])
-    prompts = sorted(set(table.prompt_id))
-    models = sorted(set(table.model_a) | set(table.model_b))
+    prompts, models = table.prompts, table.models
     P, M = len(prompts), len(models)
-    p_idx = {p: i for i, p in enumerate(prompts)}
-    m_idx = {m: i for i, m in enumerate(models)}
-
-    def index(labels, idx):
-        return np.fromiter(map(idx.__getitem__, labels), dtype=np.intp, count=len(labels))
-
-    # bincount adds the samples of a cell in record order
-    cell = (index(table.prompt_id, p_idx) * M + index(table.model_a, m_idx)) * M + index(table.model_b, m_idx)
-    sums = np.bincount(cell, weights=table.score, minlength=P * M * M).reshape(P, M, M)
-    counts = np.bincount(cell, minlength=P * M * M).reshape(P, M, M)
     a, b = np.triu_indices(M, 1)
-    s_f, c_f = sums[:, a, b], counts[:, a, b]
-    s_r, c_r = sums[:, b, a], counts[:, b, a]
-    have_f, have_r = c_f > 0, c_r > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fwd = s_f / c_f
-        rev = -(s_r / c_r)
-    upper = np.where(have_f & have_r, (fwd + rev) / 2, np.where(have_f, fwd, rev))
-
-    missing = [
-        (prompts[p], models[a[k]], models[b[k]])
-        for p, k in zip(*np.nonzero(~(have_f | have_r)))
-    ]
+    upper, judged = _pair_means(table, P, M, a, b)
+    missing = [(prompts[p], models[a[k]], models[b[k]]) for p, k in zip(*np.nonzero(~judged))]
     if missing:
         raise IncompleteDataError(
             f"{len(missing)} (prompt, model pair) cells have no ratings; "
@@ -206,15 +242,84 @@ def _column_positions(header) -> list[int]:
     return [position[name] for name in REQUIRED_COLUMNS]
 
 
-def _bad_score(path, text: str, column: int) -> ParameterError:
+def _rows(reader, width: int, path, before: int):
+    """The rows of a ``csv.reader`` that reach ``width`` fields, blank rows
+    skipped.  A shorter row, or a ``csv.Error`` such as a field over
+    ``csv.field_size_limit()``, raises ``ParameterError`` naming its line,
+    ``before`` lines coming ahead of the reader's first."""
+    try:
+        for row in reader:
+            if len(row) >= width:
+                yield row
+            elif row:
+                raise ParameterError(
+                    f"{path}, line {before + reader.line_num}: {len(row)} fields, "
+                    f"too few to reach the columns {list(REQUIRED_COLUMNS)}"
+                )
+    except csv.Error as exc:
+        raise ParameterError(f"{path}, line {before + reader.line_num}: {exc}") from None
+
+
+def _take(rows, columns) -> list[list[str]]:
+    return [list(map(operator.itemgetter(c), rows)) for c in columns]
+
+
+def _row_blocks(blocks, width: int, path, before: int):
+    """The rows (see ``_rows``) that ``csv.reader`` parses from the lines
+    of text ``blocks``, in lists cut where the reader begins a new block:
+    a quoted field may run on past the end of a block."""
+    begun, rows, done = 0, [], 1
+
+    def lines():
+        nonlocal begun
+        for block in blocks:
+            begun += 1
+            yield from io.StringIO(block, newline="")
+
+    for row in _rows(csv.reader(lines()), width, path, before):
+        rows.append(row)
+        if begun > done:
+            yield rows
+            rows, done = [], begun
+    yield rows
+
+
+def _split_plain(block: str, columns) -> list[list[str]] | None:
+    """The required columns of a block of lines, split on ``\\n`` and ``,``
+    in bulk, as ``csv.reader`` would split them, blank lines skipped; None
+    if the block has a ``"`` or a ``\\r``, if its lines differ in width or
+    are too short to reach every column, or if a field is over
+    ``csv.field_size_limit()``."""
+    if '"' in block or "\r" in block:
+        return None
+    if block.startswith("\n") or "\n\n" in block:
+        block = "\n".join(filter(None, block.split("\n"))) + "\n"
+    # With a "\n" field put between lines, the lines all have one width iff
+    # every stride-th field is that "\n".
+    body = block.removesuffix("\n")
+    fields = body.replace("\n", ",\n,").split(",")
+    lines = body.count("\n") + 1
+    stride = (len(fields) + 1) // lines
+    if (
+        stride > max(columns) + 1
+        and len(fields) == stride * lines - 1
+        and fields[stride - 1 :: stride].count("\n") == lines - 1
+        and (len(block) <= csv.field_size_limit() or max(map(len, fields)) <= csv.field_size_limit())
+    ):
+        return [fields[c::stride] for c in columns]
+    return None
+
+
+def _bad_score(path, column: int) -> ParameterError:
     """Name the line of the first score that is not a number."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    next(reader)
-    for row in filter(None, reader):
-        try:
-            float(row[column])
-        except ValueError:
-            return ParameterError(f"{path}, line {reader.line_num}: score {row[column]!r} is not a number")
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in filter(None, reader):
+            try:
+                float(row[column])
+            except ValueError:
+                return ParameterError(f"{path}, line {reader.line_num}: score {row[column]!r} is not a number")
 
 
 def read_preference_csv(path) -> PreferenceTable:
@@ -223,47 +328,47 @@ def read_preference_csv(path) -> PreferenceTable:
     The header must name the columns ``prompt_id``, ``model_a``,
     ``model_b`` and ``score``, in any order and among any others; blank
     lines are skipped.  A row too short to reach every required column, a
-    score that is not a number or off the 5-point scale and a
-    self-comparison raise ``ParameterError``.  A file with no ``"``, no
-    ``\\r`` and no blank first line whose non-blank rows all have the
-    header's width is split on ``\\n`` and ``,`` in bulk; any other file is
-    parsed row by row with ``csv.reader``; both give the same table.
+    field over ``csv.field_size_limit()``, a score that is not a number or
+    off the 5-point scale and a self-comparison raise ``ParameterError``,
+    each naming the first offender as ``csv.reader`` would.
+
+    The file is read and coded in blocks of ``BLOCK_CHARS`` characters run
+    on to a line end, so only one block's fields are Python strings at a
+    time; a score is coded by its spelling, which ``float`` parses once.
+    Blocks are split on ``\\n`` and ``,`` in bulk while their lines have one
+    width and no ``"`` or ``\\r``; from the first that does not,
+    ``csv.reader`` parses the rest.  Reading and ``build_koth`` together
+    peak at about twice the file's size (tracemalloc, 500 prompts x 17
+    models, every ordered pair once).
     """
+    prompts, models, spellings = _Codebook(), _Codebook(), _Codebook()
+    books = (prompts, models, models, spellings)
+    parts = tuple([np.zeros(0, dtype=np.int32)] for _ in books)  # a header-only file has no block
+
+    def add(columns):
+        for part, book, labels in zip(parts, books, columns):
+            part.append(book.codes(labels))
+
     with open(path, newline="", encoding="utf-8") as fh:
-        text = fh.read()
-    # With no quote and no "\r", csv.reader splits on "," and "\n" alone.
-    # Blank lines are dropped (a blank first line is the header, so that
-    # file goes to csv.reader) and a "\n" field put between lines: they
-    # all have one width iff every stride-th field is that "\n".
-    bulk = not ('"' in text or "\r" in text or text.startswith("\n"))
-    fields = tuple(",\n,".join(filter(None, text.split("\n"))).split(",")) if bulk else ()
-    lines = fields.count("\n") + 1
-    stride = (len(fields) + 1) // lines
-    if bulk and len(fields) == stride * lines - 1 and fields[stride - 1 :: stride].count("\n") == lines - 1:
-        columns = _column_positions(fields[: stride - 1])
-        prompt_id, model_a, model_b, score = (fields[stride + c :: stride] for c in columns)
-    else:
-        reader = csv.reader(io.StringIO(text, newline=""))
-        try:
-            columns = _column_positions(next(reader))
-            width = max(columns) + 1
-            rows = []
-            for row in reader:
-                if len(row) >= width:
-                    rows.append(row)
-                elif row:
-                    raise ParameterError(
-                        f"{path}, line {reader.line_num}: {len(row)} fields, "
-                        f"too few to reach the columns {list(REQUIRED_COLUMNS)}"
-                    )
-        except csv.Error as exc:  # such as a field over csv.field_size_limit()
-            raise ParameterError(f"{path}, line {reader.line_num}: {exc}") from None
-        prompt_id, model_a, model_b, score = (tuple(map(operator.itemgetter(c), rows)) for c in columns)
+        header = csv.reader(iter(fh.readline, ""))
+        columns = _column_positions(next(_rows(header, 0, path, 0), []))
+        width, line = max(columns) + 1, header.line_num + 1
+        # readline ends a block where csv.reader ends a line: at "\n", "\r" or "\r\n"
+        blocks = iter(lambda: fh.read(BLOCK_CHARS) + fh.readline(), "")
+        for block in blocks:
+            split = _split_plain(block, columns)
+            if split is None:
+                for rows in _row_blocks(itertools.chain([block], blocks), width, path, line - 1):
+                    add(_take(rows, columns))
+                break
+            add(split)
+            line += block.count("\n")
     try:
-        values = np.fromiter(map(float, score), dtype=float, count=len(score))
+        values = np.array([float(s) for s in spellings], dtype=float)
     except ValueError:
-        raise _bad_score(path, text, columns[3]) from None
-    return PreferenceTable(prompt_id, model_a, model_b, values)
+        raise _bad_score(path, columns[3]) from None
+    prompt_code, a_code, b_code, score_code = map(np.concatenate, parts)
+    return PreferenceTable._from_codes(prompts, models, prompt_code, a_code, b_code, values[score_code])
 
 
 def mean_king_payoff(koth: KOTHGame, target_model: str) -> np.ndarray:

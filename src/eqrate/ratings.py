@@ -66,10 +66,9 @@ class RatingReport:
         return self.players.index(name)
 
     def ranking(self, player: int) -> list[str]:
-        """Labels of one player's actions, best rating first (ties alphabetical)."""
-        lbls = self.labels[player]
-        r = self.ratings[player]
-        return sorted(lbls, key=lambda s: (-r[lbls.index(s)], s))
+        """Labels of one player's actions by rank, best first, and
+        alphabetical within a tie group, whatever their exact ratings."""
+        return [label for _, label in sorted(zip(self.ranks[player].tolist(), self.labels[player]))]
 
     def to_dict(self) -> dict:
         return {

@@ -566,9 +566,12 @@ def _detour(ops: _Contraction, y, lam: float, tau_end: float, logt: np.ndarray, 
     ``_correct`` fails is retried at half the length.
 
     Returns the solution at tau_end, its ``_correct`` parts, the
-    bracketing ``(lambda, y)`` pairs and the Newton iterations taken, at
-    most ``budget``; the first three are None once the budget is spent or
-    the step length is below ``ARC_MIN_STEP``.
+    bracketing ``(lambda, y)`` pairs, the Newton iterations taken, at most
+    ``budget``, and why it failed.  The first three are None, and the
+    reason is set, once the budget is spent, once the step length is below
+    ``ARC_MIN_STEP``, or once an accepted point lies at lambda < 0: the
+    detour has turned back past infinite temperature and would walk the
+    branch the wrong way until the budget runs out.
     """
     lam_end = 1.0 / tau_end
     v = np.append(y, lam)
@@ -591,13 +594,16 @@ def _detour(ops: _Contraction, y, lam: float, tau_end: float, logt: np.ndarray, 
         if accepted:
             t_w = _tangent(ops, w, t, logt)
             accepted = t_w @ t >= ARC_MIN_COSINE
+        if accepted and w[-1] < 0:
+            why = "the arclength detour from a stalled temperature turned back past lambda 0"
+            return None, None, None, its, why
         if accepted and v[-1] < lam_end <= w[-1]:
             bracket = [(v[-1], v[:-1]), (w[-1], w[:-1])]
             cap = min(NEWTON_STAGE_ITERS, budget - its)
             y_end, k_end, parts = _correct(ops, _extrapolate(bracket, lam_end), tau_end, logt, cap)
             its += k_end
             if parts is not None:
-                return y_end, parts, bracket, its
+                return y_end, parts, bracket, its, None
             accepted = False
         if not accepted:
             h *= 0.5
@@ -605,7 +611,9 @@ def _detour(ops: _Contraction, y, lam: float, tau_end: float, logt: np.ndarray, 
         v, t = w, t_w
         if k <= 2:
             h = min(1.5 * h, ARC_MAX_STEP)
-    return None, None, None, its
+    if its >= budget:
+        return None, None, None, its, "the detour spent its Newton budget"
+    return None, None, None, its, f"the arclength step fell below {ARC_MIN_STEP:g} past a stalled temperature"
 
 
 def solve_lle(game: Game, config: QREConfig | None = None) -> EquilibriumResult:
@@ -626,8 +634,9 @@ def solve_lle(game: Game, config: QREConfig | None = None) -> EquilibriumResult:
     temperature (``_detour``), counted in ``restarts``; the predictor's
     history then holds the two branch points bracketing the crossing, and
     the solution.  ``ConvergenceError`` is raised when the detour's step
-    falls below ``ARC_MIN_STEP``, or once ``max_steps`` caps the Newton
-    iterations in all, those of rejected predictions and detours included.
+    falls below ``ARC_MIN_STEP`` or the detour turns back past lambda 0,
+    or once ``max_steps`` caps the Newton iterations in all, those of
+    rejected predictions and detours included.
     Stops once the terminal temperature is solved, or as soon as the
     start's or a solved temperature's true (unregularized) exploitability
     reaches ``epsilon_ne``; with ``epsilon_ne=0`` that early exit is off
@@ -671,7 +680,7 @@ def solve_lle(game: Game, config: QREConfig | None = None) -> EquilibriumResult:
             restarts += 1
             # before any temperature is solved, y is the point at lambda 0
             lam = history[-1][0] if history else 0.0
-            found, parts, bracket, its = _detour(ops, y, lam, tau, logt, config.max_steps - step)
+            found, parts, bracket, its, why = _detour(ops, y, lam, tau, logt, config.max_steps - step)
             step += its
             if parts is not None:
                 y_next = found
@@ -702,11 +711,8 @@ def solve_lle(game: Game, config: QREConfig | None = None) -> EquilibriumResult:
     trace.append(TraceRecord(step, tau, loss, exploit))
     profile = ops.profile(y)
     if termination is None:
-        reason = (
-            f"all {config.max_steps} Newton iterations spent"
-            if step >= config.max_steps
-            else f"the arclength step fell below {ARC_MIN_STEP:g} past a stalled temperature"
-        )
+        # short of max_steps, only a failed detour stops the trace
+        reason = f"all {config.max_steps} Newton iterations spent" if step >= config.max_steps else why
         raise ConvergenceError(
             f"solve_lle: {reason} (tau={tau:.4g}, loss={loss:.3e}, "
             f"exploitability={exploit:.3e}, step {step})",

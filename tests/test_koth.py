@@ -1,5 +1,8 @@
 import csv
+import importlib.util
 import io
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from eqrate.cli import main
 from eqrate.errors import DimensionError, IncompleteDataError, ParameterError
 from eqrate.kernels import dissimilarity_joint
 from eqrate.koth import (
+    BLOCK_CHARS,
     SCORES,
     KOTHGame,
     PreferenceRecord,
@@ -23,6 +27,13 @@ from eqrate.koth import (
     read_preference_csv,
 )
 from reference import read_preference_rows
+
+# the benchmark's seeded preference CSV writer
+_spec = importlib.util.spec_from_file_location(
+    "bench_inputs", Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+)
+bench_inputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_inputs)
 
 
 def rec(p, a, b, s):
@@ -413,3 +424,80 @@ def test_sampler_rejects_a_non_finite_lambda(small_koth, lam):
 def test_inject_clones_rejects_infinite_noise(small_koth):
     with pytest.raises(ParameterError, match="noise_halfwidth"):
         inject_clones(small_koth, [0], noise_halfwidth=float("inf"))
+
+
+def test_over_long_field_raises_alike_quoted_or_not(tmp_path):
+    label = "q" * 140_000
+    errors = []
+    for field in (f'"{label}"', label):
+        path = _write_prefs(tmp_path, f"q1,a,b,1\n{field},a,b,1\n")
+        with pytest.raises(ParameterError) as exc:
+            read_preference_csv(path)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1] == f"{path}, line 3: field larger than field limit ({csv.field_size_limit()})"
+
+
+def _arena_csv(tmp_path, prompts):
+    path = tmp_path / "prefs.csv"
+    bench_inputs.write_preference_csv(path, prompts, 17, 0, 1)
+    return path
+
+
+def test_read_and_build_peak_within_four_times_the_file(tmp_path):
+    path = _arena_csv(tmp_path, 100)
+    size = path.stat().st_size
+    assert size >= 4 * BLOCK_CHARS
+    tracemalloc.start()
+    try:
+        kg = build_koth(read_preference_csv(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kg.u_king.shape == (100, 17, 17)
+    assert peak <= 4 * size
+
+
+LATE = 9000  # a line in the fifth block of the 40-prompt file
+LATE_EDITS = {
+    "quote": lambda line: '"prompt,""1""\n2",' + line.split(",", 1)[1],
+    "quoted_label": lambda line: '"' + line.replace(",", '",', 1),
+    "crlf": lambda line: line.replace("\n", "\r\n"),
+    "wide": lambda line: line.replace("\n", ",extra\n"),
+    "blank": lambda line: "\n" + line,
+    "short": lambda line: line.rsplit(",", 2)[0] + "\n",
+    "off_scale": lambda line: line.rsplit(",", 1)[0] + ",0.3\n",
+    "self_comparison": lambda line: "p,model00,model00,1\n",
+}
+
+
+@pytest.mark.parametrize("edit", LATE_EDITS.values(), ids=LATE_EDITS.keys())
+def test_late_block_surprise_matches_csv_module(tmp_path, edit):
+    path = _arena_csv(tmp_path, 40)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert sum(map(len, lines[:LATE])) > 4 * BLOCK_CHARS
+    lines[LATE] = edit(lines[LATE])
+    path.write_text("".join(lines), encoding="utf-8", newline="")
+    assert _read_outcome(read_preference_csv, path) == _read_outcome(read_preference_rows, path)
+
+
+@pytest.mark.parametrize("quote", [False, True], ids=["bulk", "after_a_quote"])
+def test_late_errors_name_their_line(tmp_path, quote):
+    # after a quote csv.reader parses the rest, its line count starting
+    # where the bulk blocks' lines end; the quoted newline adds a line,
+    # and a blank line in the first block counts too
+    path = _arena_csv(tmp_path, 40)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[100] = "\n" + lines[100]
+    if quote:
+        lines[LATE] = LATE_EDITS["quote"](lines[LATE])
+    bad, short = LATE + 500, LATE + 1500
+    lines[bad] = lines[bad].rsplit(",", 1)[0] + ",win\n"
+    path.write_text("".join(lines), encoding="utf-8", newline="")
+    with pytest.raises(ParameterError, match=f"line {bad + 2 + quote}: score 'win' is not a number$"):
+        read_preference_csv(path)
+    lines[short] = "prompt00,model00\n"
+    path.write_text("".join(lines), encoding="utf-8", newline="")
+    # a short row anywhere is met before any score is parsed
+    with pytest.raises(ParameterError, match=f"line {short + 2 + quote}: 2 fields"):
+        read_preference_csv(path)
+    assert _read_outcome(read_preference_csv, path) == _read_outcome(read_preference_rows, path)

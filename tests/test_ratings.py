@@ -7,7 +7,9 @@ import pytest
 from eqrate.errors import ParameterError
 from eqrate.games import JointDistribution, ProductProfile
 from eqrate.ratings import (
+    DEFAULT_TIE_TOL,
     ELO_SCALE,
+    RatingReport,
     decompose,
     elo_ratings,
     ranks_with_ties,
@@ -81,6 +83,22 @@ class TestRanks:
     def test_alphabetical_within_ties(self, rps):
         report = rate(rps, uniform_product(rps), "NE")
         assert report.ranking(0) == ["paper", "rock", "scissors"]
+
+    @pytest.mark.parametrize("ratings", [[5.6e-9, -3.4e-9, -1.0], [-3.4e-9, 5.6e-9, -1.0]])
+    def test_ranking_follows_tie_groups_not_rounding(self, ratings):
+        # two ratings apart by rounding only, in either exact order
+        labels = ("model7", "model5", "model0")
+        r = np.array(ratings)
+        report = RatingReport(
+            players=("king",),
+            labels=(labels,),
+            ratings=(r,),
+            masses=None,
+            ranks=(ranks_with_ties(r, labels, DEFAULT_TIE_TOL),),
+            method="CCE",
+            tie_tolerance=DEFAULT_TIE_TOL,
+        )
+        assert report.ranking(0) == ["model5", "model7", "model0"]
 
 
 class TestDecompose:

@@ -352,6 +352,24 @@ class TestSolveLLE:
         assert exc.value.trace[-1].step == config.max_steps
         assert 0.115 < exc.value.trace[-1].tau < 0.122
 
+    def test_detour_turned_back_raises_fast(self, monkeypatch):
+        # a detour set off backwards walks the fold game's branch down to
+        # lambda 0 and on past it; it must stop there with its own reason,
+        # not spend all max_steps
+        real, calls = solvers_mod._tangent, []
+
+        def first_reversed(*args):
+            calls.append(real(*args))
+            return -calls[-1] if len(calls) == 1 else calls[-1]
+
+        monkeypatch.setattr(solvers_mod, "_tangent", first_reversed)
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="turned back past lambda 0") as exc:
+            solve_lle(fold_game(), QREConfig(max_steps=2000))
+        assert time.perf_counter() - start < 1.0
+        assert exc.value.trace[-1].step < 500  # 179: about 91 to the stall, 88 back
+        assert isinstance(exc.value.iterate, ProductProfile)
+
     def test_forced_anneal_is_counted(self, tmp_path, monkeypatch):
         # the fold that a forced anneal used to pass is now passed by a
         # detour; each detour is counted in restarts and saved with it
