@@ -36,10 +36,11 @@ BLOCK_CHARS = 1 << 16
 
 def _check_judgements(score: np.ndarray, same: np.ndarray) -> None:
     """Reject the first judgement off the 5-point scale or of a model
-    against itself (``same``)."""
-    on_scale = np.zeros(score.shape, dtype=bool)
-    for s in SCORES:
-        on_scale |= np.abs(score - s) < 1e-12
+    against itself (``same``).  A score is on the scale within 1e-12 of one
+    of its points, the half-integers k/2 with |k| <= 2."""
+    k = np.rint(2 * score)
+    with np.errstate(invalid="ignore"):  # inf - inf is nan: off the scale
+        on_scale = (np.abs(k) <= 2) & (np.abs(score - k / 2) < 1e-12)
     bad = ~on_scale | same
     if bad.any():
         i = int(np.argmax(bad))

@@ -299,6 +299,14 @@ def test_table_rejects_what_a_record_rejects():
         PreferenceTable(("q",), ("a", "a"), ("b", "b"), [1.0, 0.5])
 
 
+def test_scale_points_accepted_within_rounding():
+    table = PreferenceTable(("q",) * 3, ("a",) * 3, ("b",) * 3, [0.5 + 1e-13, -1.0 - 1e-13, 1e-13])
+    assert len(table) == 3
+    for bad in (0.5 + 1e-9, 1.5, -1.5, 0.25, np.nan, np.inf):
+        with pytest.raises(ParameterError, match="not in the 5-point scale"):
+            PreferenceTable(("q",), ("a",), ("b",), [bad])
+
+
 def test_preference_csv_columns_found_by_name(tmp_path):
     path = tmp_path / "prefs.csv"
     path.write_text(

@@ -26,6 +26,7 @@ from eqrate.solvers import (
     _CCEDual,
     _Contraction,
     _branch_residual,
+    _correct,
     _indifference,
     _newton_direction,
     _qre_gap,
@@ -129,9 +130,9 @@ class TestLLEGradient:
             assert abs(fd - gz[a]) / max(1.0, abs(fd)) < 1e-4
 
 
-def _koth_clone_game(prompts, models, clones):
+def _koth_clone_game(prompts, models, clones, seed=0):
     """KOTH game of seeded judge scores, with exact clones of prompt 0."""
-    rng = np.random.default_rng(0)
+    rng = np.random.default_rng(seed)
     names = [f"m{i}" for i in range(models)]
     records = [
         koth.PreferenceRecord(f"q{p}", names[a], names[b], float(rng.choice(koth.SCORES)))
@@ -340,8 +341,8 @@ class TestSolveLLE:
         assert res.to_dict()["restarts"] == res.restarts
 
     def test_fold_raises_fast(self):
-        # the trace stalls at the fold at tau 0.116 after about 91 Newton
-        # iterations and the detour past it needs 56 more; with 100 in all
+        # the trace stalls at the fold at tau 0.116 after 50 Newton
+        # iterations and the detour past it needs 78 more; with 100 in all
         # the detour must stop at the cap and raise there, not overrun it
         config = QREConfig(max_steps=100)
         start = time.perf_counter()
@@ -367,8 +368,67 @@ class TestSolveLLE:
         with pytest.raises(ConvergenceError, match="turned back past lambda 0") as exc:
             solve_lle(fold_game(), QREConfig(max_steps=2000))
         assert time.perf_counter() - start < 1.0
-        assert exc.value.trace[-1].step < 500  # 179: about 91 to the stall, 88 back
+        assert exc.value.trace[-1].step < 500  # 172: 50 to the stall, 122 back
         assert isinstance(exc.value.iterate, ProductProfile)
+
+    @pytest.mark.parametrize("case", ["fold", "3x3_18"])
+    def test_every_newton_solve_counts_against_the_budget(self, case, monkeypatch):
+        # a detour's tangents are bordered Newton solves too, so a walk of
+        # arclength steps accepted with no correction is still bounded.
+        # The fold game's detour runs from step 50 to 128; the first of
+        # random_game((3, 3), 18)'s from 29 to 73, and every cap in it is
+        # tried
+        if case == "fold":
+            game, caps = fold_game(), range(50, 130, 7)
+        else:
+            game, caps = random_game((3, 3), 18), range(29, 74)
+        real, calls = solvers_mod._newton_direction, []
+
+        def spy(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(solvers_mod, "_newton_direction", spy)
+        res = solve_lle(game, QREConfig(epsilon_ne=0.0))
+        assert res.termination == "terminal_tau" and res.restarts >= 1
+        assert len(calls) == res.trace[-1].step
+        for cap in caps:
+            calls.clear()
+            with pytest.raises(ConvergenceError, match=f"all {cap} Newton iterations spent") as exc:
+                solve_lle(game, QREConfig(epsilon_ne=0.0, max_steps=cap))
+            assert len(calls) == exc.value.trace[-1].step == cap
+
+    def test_overflowing_prediction_is_not_a_solved_temperature(self):
+        # a prediction of this game's trace, at tau 0.090 after a detour,
+        # overflows e^y; its residual is nan, which once passed the
+        # corrector's test with no iteration, and the trace went on to
+        # return a pure profile at exploitability 2.5 with nan records
+        game = _koth_clone_game(12, 5, 0, seed=20)
+        res = solve_lle(game, QREConfig(epsilon_ne=0.0))
+        assert res.termination == "terminal_tau"
+        assert all(np.isfinite([r.loss, r.exploitability]).all() for r in res.trace)
+        assert res.exploitability == pytest.approx(8.54e-3, abs=1e-5)
+        assert res.exploitability == pytest.approx(exploitability(game, res.profile), abs=1e-12)
+        assert qre_residual(game, res.profile, 1e-2, res.targets) <= 1e-10
+
+    def test_detour_starts_from_a_tightly_solved_point(self):
+        # temperatures before the last are solved to NEWTON_STAGE_TOL only;
+        # a detour from such a point, not first solved on to NEWTON_TOL,
+        # loses this game's branch at tau 0.085 (its step falls below
+        # ARC_MIN_STEP)
+        game = _koth_clone_game(12, 5, 0, seed=7)
+        res = solve_lle(game, QREConfig(epsilon_ne=0.0))
+        assert res.termination == "terminal_tau" and res.restarts >= 1
+        assert qre_residual(game, res.profile, 1e-2, res.targets) <= 1e-10
+
+    def test_corrector_rejects_a_non_finite_start(self):
+        game = random_game((3, 3), 0)
+        ops, logt = _Contraction(game), np.log(np.full(6, 1 / 3))
+        y = np.full(6, 800.0)  # e^800 overflows
+        for cap in (0, 30):
+            out_y, its, parts = _correct(ops, y, 0.5, logt, cap, solvers_mod.NEWTON_TOL)
+            assert (its, parts) == (0, None)
+            assert out_y is y
 
     def test_forced_anneal_is_counted(self, tmp_path, monkeypatch):
         # the fold that a forced anneal used to pass is now passed by a
@@ -1077,8 +1137,8 @@ def _solved_stages(monkeypatch):
     stages = []
     real = solvers_mod._correct
 
-    def spy(ops, y, tau, logt, cap):
-        out = real(ops, y, tau, logt, cap)
+    def spy(ops, y, tau, logt, *args):
+        out = real(ops, y, tau, logt, *args)
         if out[2] is not None:
             stages.append((tau, out[0].copy(), ops, logt))
         return out
@@ -1157,6 +1217,27 @@ class TestTraceRecords:
         res = solve_lle(_koth_clone_game(8, 4, 0), QREConfig(epsilon_ne=0.0))
         assert res.termination == "terminal_tau"
         assert calls == [res.trace[0].tau, res.trace[-1].tau]
+
+    def test_loose_stages_change_only_the_step_count(self, chicken, monkeypatch):
+        # every temperature solved to NEWTON_TOL, as the terminal one is,
+        # against the trace's own; the fold game's trace detours once
+        games = {**self.games(chicken), "fold": (fold_game(), QREConfig())}
+        tols = (solvers_mod.NEWTON_STAGE_TOL, solvers_mod.NEWTON_TOL)
+        for game, config in games.values():
+            solves = []
+            for stage_tol in tols:
+                monkeypatch.setattr(solvers_mod, "NEWTON_STAGE_TOL", stage_tol)
+                solves.append([solve_lle(game, replace(config, epsilon_ne=eps)) for eps in (0.0, 1e-3, 1e-2)])
+            for k, (loose, tight) in enumerate(zip(*solves)):
+                gap = max(np.abs(a - b).max() for a, b in zip(loose.profile.marginals, tight.profile.marginals))
+                assert loose.termination == tight.termination
+                assert loose.trace[-1].tau == tight.trace[-1].tau
+                if k == 0:
+                    assert loose.termination == "terminal_tau"
+                    assert gap <= 1e-12
+                    assert loose.trace[-1].step < tight.trace[-1].step
+                else:
+                    assert gap <= 1e-5
 
 
 class TestTargetsPowerIteration:
