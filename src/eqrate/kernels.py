@@ -160,7 +160,7 @@ def max_affinity_entropy(
     for _ in range(max_iters):
         grad = 2.0 * (U.T @ (U @ y))  # of the negated (affine-shifted) entropy
         nxt = project_simplex(y - eta * grad)
-        residual = np.abs(nxt - x).max() / eta
+        residual = np.maximum.reduce(np.abs(nxt - x)) / eta
         if residual <= tolerance:
             return nxt
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))

@@ -27,6 +27,7 @@ multiplicative belief updates over a set of equilibria.
 """
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, replace
 from itertools import combinations
@@ -53,11 +54,12 @@ DEFAULT_EPSILON_NE = 1e-3
 # (Allgower & Georg 1990, ch. 6), and is solved to NEWTON_STAGE_TOL: over
 # 441 seeded random and KOTH games that cuts the corrector iterations from
 # 97,793 to 55,928 and moves no terminal profile by more than 6e-14.  Its
-# record stays exact, as ``_correct`` normalises the iterate.  A
-# temperature not solved within NEWTON_STAGE_ITERS iterations, or where
-# backtracking shrinks the step below NEWTON_MIN_DAMPING without reducing
-# the residual, has stalled: the branch has folded back or the iterate left
-# its basin.
+# record stays exact, as ``_correct`` normalises the iterate: the record's
+# exploitability is taken at each temperature, for the early exit, and the
+# losses of all of them in one batch when the trace ends.  A temperature
+# not solved within NEWTON_STAGE_ITERS iterations, or where backtracking
+# shrinks the step below NEWTON_MIN_DAMPING without reducing the residual,
+# has stalled: the branch has folded back or the iterate left its basin.
 NEWTON_TOL = 1e-10
 NEWTON_STAGE_TOL = 1e-4
 NEWTON_STAGE_ITERS = 30
@@ -323,6 +325,7 @@ class _Contraction:
         self.rest_starts = np.array([at[i] for i in range(n) if i != big], dtype=int)
         self.rest_seg = np.repeat(np.arange(n - 1), [s for i, s in enumerate(shape) if i != big])
         self.cols = np.concatenate([np.arange(offsets[-1])[self.big], self.rest])
+        self.eye = np.eye(self.rest.size)
         self._b_r = np.zeros((self.rest.size, offsets[-1]))
         self._b_mr = np.empty((shape[big], self.rest.size))
         b_rr = self._b_r[:, shape[big] :]
@@ -358,23 +361,26 @@ class _Contraction:
         matrices: rest rows by ``cols`` (big then rest; zero within a
         player), and big rows by rest columns."""
         for dest, block in self._gather:
-            np.copyto(dest, block)
+            dest[...] = block
         return self._b_r, self._b_mr
 
     def seg_sum(self, v: np.ndarray) -> np.ndarray:
         return np.add.reduceat(v, self.starts)
 
     def log_softmax(self, v: np.ndarray):
-        """Per-player log-softmax of a flat vector, and each log-partition."""
+        """Per-player log-softmax of a flat vector, and each log-partition;
+        of each column of a stack of them, ``(actions, k)``, alike."""
         peak = np.maximum.reduceat(v, self.starts)
-        shifted = v - peak[self.seg]
-        lse = np.log(self.seg_sum(np.exp(shifted)))
-        return shifted - lse[self.seg], peak + lse
+        out = v - peak[self.seg]
+        lse = np.log(np.add.reduceat(np.exp(out), self.starts))
+        out -= lse[self.seg]
+        peak += lse
+        return out, peak
 
     def contract(self, x: np.ndarray) -> np.ndarray:
         """Refresh every pair block at the flat marginals x; return each
         player's deviation payoffs, flat."""
-        np.copyto(self._x, x)
+        self._x[...] = x
         for mat, xs, out in self._refresh:
             w = xs[0]
             for xk in xs[1:]:
@@ -388,7 +394,9 @@ class _Contraction:
         return dev - self.seg_sum(x * dev)[self.seg]
 
     def exploitability(self, x: np.ndarray, dev: np.ndarray) -> float:
-        gains = np.maximum.reduceat(self.regrets(x, dev), self.starts)
+        # max_a (dev_a - v) is max_a dev_a - v, in floating point too, as
+        # rounding is monotone
+        gains = np.maximum.reduceat(dev, self.starts) - np.add.reduceat(x * dev, self.starts)
         return float(np.maximum(gains, 0.0).sum())
 
     def profile(self, z: np.ndarray) -> ProductProfile:
@@ -444,7 +452,9 @@ def _qre_residual(ops: _Contraction, y: np.ndarray, tau: float, logt: np.ndarray
     logit QRE at tau in log-marginals y, with e^y and each soft best
     response; zero exactly at a QRE.  Leaves the pair blocks at e^y."""
     x = np.exp(y)
-    log_br, _ = ops.log_softmax(ops.contract(x) / tau + logt)
+    v = np.divide(ops.contract(x), tau)
+    v += logt
+    log_br, _ = ops.log_softmax(v)
     return y - log_br, x, np.exp(log_br)
 
 
@@ -463,13 +473,19 @@ def _newton_direction(ops: _Contraction, f, x, br, tau: float, border=None) -> n
     if r.size == 0 and border is None:
         return -f
     b_r, b_mr = ops.schur_blocks()
+    nb = b_mr.shape[0]
+    # x / tau over cols; its tail is the rest's
+    x_cols = x[ops.cols] / tau
     # apply I - 1 br_i^T within each rest player's rows
-    k_r = b_r - np.add.reduceat(br[r][:, None] * b_r, ops.rest_starts, axis=0)[ops.rest_seg]
-    k_r *= x[ops.cols] / tau
-    k_rm, k_rr = k_r[:, : b_mr.shape[0]], k_r[:, b_mr.shape[0] :]
-    k_mr = (b_mr - br[m] @ b_mr) * (x[r] / tau)
-    schur = -k_rr - k_rm @ k_mr
-    schur.flat[:: r.size + 1] += 1.0
+    k_r = np.add.reduceat(br[r][:, None] * b_r, ops.rest_starts, axis=0)[ops.rest_seg]
+    np.subtract(b_r, k_r, out=k_r)
+    k_r *= x_cols
+    k_rm, k_rr = k_r[:, :nb], k_r[:, nb:]
+    k_mr = b_mr - br[m] @ b_mr
+    k_mr *= x_cols[nb:]
+    schur = k_rm @ k_mr
+    schur += k_rr
+    np.subtract(ops.eye, schur, out=schur)
     rhs = -f[r] - k_rm @ f[m]
     if border is not None:
         # d_m = k_mr d_r - c_m e - f_m, substituted into the rest's rows and
@@ -502,16 +518,18 @@ def _correct(ops: _Contraction, y: np.ndarray, tau: float, logt: np.ndarray, cap
     is not finite at y (a prediction whose e^y overflows).  A solved
     iterate is returned normalised, ``y - log s_i`` with ``s_i`` the sum of
     player i's ``e^y``, and its parts are the last residual's, rescaled to
-    that profile: ``x = e^y / s``, the deviation payoffs at x and each
-    player's log-partition of its soft best response.  Deviation payoffs
-    are multilinear in the co-players' marginals, so player i's at x are
-    those at e^y over ``prod_{k != i} s_k``; the record is therefore exact
-    at the returned profile, at any ``tol``, without another contraction.
+    that profile: ``x = e^y / s``, the deviation payoffs ``dev`` at x and
+    the softmax input ``dev / tau + log t`` of the soft best response,
+    whose log-partitions ``solve_lle`` takes for all its records at once.
+    Deviation payoffs are multilinear in the co-players' marginals, so
+    player i's at x are those at e^y over ``prod_{k != i} s_k``; the record
+    is therefore exact at the returned profile, at any ``tol``, without
+    another contraction.  A residual that overflows only warns here;
+    ``solve_lle`` silences that around its whole trace, detours included.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        f, x, br = _qre_residual(ops, y, tau, logt)
-    res = np.abs(f).max()
-    if not np.isfinite(res):
+    f, x, br = _qre_residual(ops, y, tau, logt)
+    res = np.maximum.reduce(np.abs(f))
+    if not math.isfinite(res):
         return y, 0, None
     its = 0
     while res > tol:
@@ -522,21 +540,23 @@ def _correct(ops: _Contraction, y: np.ndarray, tau: float, logt: np.ndarray, cap
         alpha = 1.0
         # an overlong step may overflow e^y; its residual is then nan and
         # the step is halved
-        with np.errstate(over="ignore", invalid="ignore"):
-            while True:
-                trial = y + alpha * d
-                f, x, br = _qre_residual(ops, trial, tau, logt)
-                trial_res = np.abs(f).max()
-                if trial_res <= (1.0 - 1e-4 * alpha) * res:
-                    break
-                alpha *= 0.5
-                if alpha < NEWTON_MIN_DAMPING:
-                    return y, its, None
+        while True:
+            trial = y + alpha * d
+            f, x, br = _qre_residual(ops, trial, tau, logt)
+            trial_res = np.maximum.reduce(np.abs(f))
+            if trial_res <= (1.0 - 1e-4 * alpha) * res:
+                break
+            alpha *= 0.5
+            if alpha < NEWTON_MIN_DAMPING:
+                return y, its, None
         y, res = trial, trial_res
-    s = ops.seg_sum(x)
-    dev = ops.dev / (np.prod(s) / s)[ops.seg]
-    _, lse = ops.log_softmax(dev / tau + logt)
-    return y - np.log(s)[ops.seg], its, (x / s[ops.seg], dev, lse)
+    s = np.add.reduceat(x, ops.starts)
+    scale = s[ops.seg]
+    x /= scale
+    dev = ops.dev / (math.prod(s.tolist()) / scale)
+    v = dev / tau
+    v += logt
+    return y - np.log(scale), its, (x, dev, v)
 
 
 def _extrapolate(history, lam: float) -> np.ndarray:
@@ -604,7 +624,7 @@ def _detour(
         w, limit = v + h * t, ARC_FIRST_CORRECTION * h
         for k in range(ARC_CORRECTOR_ITERS + 1):
             f, x, br, tau, c = _branch_residual(ops, w, logt)
-            if np.abs(f).max() <= NEWTON_TOL or k == ARC_CORRECTOR_ITERS or its == budget:
+            if np.maximum.reduce(np.abs(f)) <= NEWTON_TOL or k == ARC_CORRECTOR_ITERS or its == budget:
                 break
             dw = _newton_direction(ops, f, x, br, tau, (c, t, 0.0))
             its += 1
@@ -612,7 +632,7 @@ def _detour(
             if not size <= limit:  # also rejects a nan step
                 break
             w, limit = w + dw, 0.5 * size
-        accepted = np.abs(f).max() <= NEWTON_TOL and its < budget
+        accepted = np.maximum.reduce(np.abs(f)) <= NEWTON_TOL and its < budget
         if accepted:
             t_w = _tangent(ops, w, t, logt)
             its += 1
@@ -677,7 +697,10 @@ def solve_lle(game: Game, config: QREConfig | None = None) -> EquilibriumResult:
     A solved temperature's record comes from the corrector's last
     residual, rescaled to the normalised profile that ``_correct``
     returns, so it is exact at that profile up to rounding, however loose
-    the temperature's tolerance.  The exact record (``_qre_gap``) is taken
+    the temperature's tolerance.  Its exploitability is taken at that
+    temperature; its loss is filled in when the trace ends, whether it
+    returns or raises, the log-partitions of every such record's soft best
+    response taken in one batch.  The exact record (``_qre_gap``) is taken
     at the start, on a stalled iterate, at the terminal temperature and
     wherever the corrector's exploitability is at most ``2 * epsilon_ne``;
     so the early exit is decided on the returned profile's exact
@@ -701,50 +724,63 @@ def solve_lle(game: Game, config: QREConfig | None = None) -> EquilibriumResult:
     termination = None
     if config.epsilon_ne > 0 and exploit <= config.epsilon_ne:
         termination = "epsilon_ne"
-    while termination is None:
-        terminal = tau <= config.tau_terminal * (1 + 1e-12)
-        tol = NEWTON_TOL if terminal else NEWTON_STAGE_TOL
-        start = _extrapolate(history, 1.0 / tau) if len(history) > 1 else y
-        y_next, its, parts = _correct(
-            ops, start, tau, logt, min(NEWTON_STAGE_ITERS, config.max_steps - step), tol
-        )
-        step += its
-        if parts is None and step < config.max_steps:
-            restarts += 1
-            # before any temperature is solved, y is the exact point at
-            # lambda 0; a solved one is solved on to NEWTON_TOL, as the
-            # detour's branch points are
-            lam = history[-1][0] if history else 0.0
-            if history:
-                cap = min(NEWTON_STAGE_ITERS, config.max_steps - step)
-                y, its, _ = _correct(ops, y, 1.0 / lam, logt, cap, NEWTON_TOL)
-                step += its
-            found, parts, bracket, its, why = _detour(
-                ops, y, lam, tau, logt, config.max_steps - step, tol
+    pending = []  # (trace index, v, x . (y - v)) of the corrector's records
+    with np.errstate(over="ignore", invalid="ignore"):
+        while termination is None:
+            terminal = tau <= config.tau_terminal * (1 + 1e-12)
+            tol = NEWTON_TOL if terminal else NEWTON_STAGE_TOL
+            start = _extrapolate(history, 1.0 / tau) if len(history) > 1 else y
+            y_next, its, parts = _correct(
+                ops, start, tau, logt, min(NEWTON_STAGE_ITERS, config.max_steps - step), tol
             )
             step += its
-            if parts is not None:
-                y_next = found
-                history = deque(bracket, maxlen=3)
-        y = y_next
-        if parts is None:
-            break
-        history.append((1.0 / tau, y))
-        x, dev, lse = parts
-        loss = tau * float(lse.sum()) + float(x @ (tau * (y - logt) - dev))
-        exploit = ops.exploitability(x, dev)
-        # the corrector's record differs from the exact one by rounding
-        # only, but near epsilon_ne rounding could decide the exit, so it
-        # is decided on the exact record
-        if terminal or exploit <= 2.0 * config.epsilon_ne:
-            loss, exploit = _qre_gap(ops, y, tau, logt)
-        trace.append(TraceRecord(step, tau, loss, exploit))
-        if config.epsilon_ne > 0 and exploit <= config.epsilon_ne:
-            termination = "epsilon_ne"
-        elif terminal:
-            termination = "terminal_tau"
-        else:
-            tau = max(tau * config.tau_decay, config.tau_terminal)
+            if parts is None and step < config.max_steps:
+                restarts += 1
+                # before any temperature is solved, y is the exact point at
+                # lambda 0; a solved one is solved on to NEWTON_TOL, as the
+                # detour's branch points are
+                lam = history[-1][0] if history else 0.0
+                if history:
+                    cap = min(NEWTON_STAGE_ITERS, config.max_steps - step)
+                    y, its, _ = _correct(ops, y, 1.0 / lam, logt, cap, NEWTON_TOL)
+                    step += its
+                found, parts, bracket, its, why = _detour(
+                    ops, y, lam, tau, logt, config.max_steps - step, tol
+                )
+                step += its
+                if parts is not None:
+                    y_next = found
+                    history = deque(bracket, maxlen=3)
+            y = y_next
+            if parts is None:
+                break
+            history.append((1.0 / tau, y))
+            x, dev, v = parts
+            exploit = ops.exploitability(x, dev)
+            # the corrector's record differs from the exact one by rounding
+            # only, but near epsilon_ne rounding could decide the exit, so it
+            # is decided on the exact record
+            if terminal or exploit <= 2.0 * config.epsilon_ne:
+                loss, exploit = _qre_gap(ops, y, tau, logt)
+            else:
+                loss = np.nan
+                pending.append((len(trace), v, float(x @ (y - v))))
+            trace.append(TraceRecord(step, tau, loss, exploit))
+            if config.epsilon_ne > 0 and exploit <= config.epsilon_ne:
+                termination = "epsilon_ne"
+            elif terminal:
+                termination = "terminal_tau"
+            else:
+                tau = max(tau * config.tau_decay, config.tau_terminal)
+
+    # a record from the corrector gets its loss here, on the raising path
+    # too: tau (sum_i lse_i(v) + x . (y - v)), the log-partitions of every
+    # such record's softmax input v taken in one batch
+    if pending:
+        rows, vs, dots = zip(*pending)
+        _, lse = ops.log_softmax(np.stack(vs, axis=1))
+        for k, total, dot in zip(rows, lse.sum(axis=0).tolist(), dots):
+            trace[k].loss = trace[k].tau * (total + dot)
 
     if termination is None:
         # the stalled iterate gets its own record

@@ -357,13 +357,7 @@ class TestSolveLLE:
         # a detour set off backwards walks the fold game's branch down to
         # lambda 0 and on past it; it must stop there with its own reason,
         # not spend all max_steps
-        real, calls = solvers_mod._tangent, []
-
-        def first_reversed(*args):
-            calls.append(real(*args))
-            return -calls[-1] if len(calls) == 1 else calls[-1]
-
-        monkeypatch.setattr(solvers_mod, "_tangent", first_reversed)
+        _reverse_first_tangent(monkeypatch)
         start = time.perf_counter()
         with pytest.raises(ConvergenceError, match="turned back past lambda 0") as exc:
             solve_lle(fold_game(), QREConfig(max_steps=2000))
@@ -1131,6 +1125,18 @@ class TestRiskDominance:
         assert res.payoff_table.shape == (3, 2)
 
 
+def _reverse_first_tangent(monkeypatch):
+    """Wrap ``solvers._tangent`` so that a detour's first tangent points
+    backwards."""
+    real, calls = solvers_mod._tangent, []
+
+    def first_reversed(*args):
+        calls.append(real(*args))
+        return -calls[-1] if len(calls) == 1 else calls[-1]
+
+    monkeypatch.setattr(solvers_mod, "_tangent", first_reversed)
+
+
 def _solved_stages(monkeypatch):
     """Wrap ``solvers._correct`` to keep (tau, y, ops, logt) of every solved
     temperature."""
@@ -1175,6 +1181,53 @@ class TestTraceRecords:
         tau, y, ops, logt = stages[-1]
         assert (records[-1].loss, records[-1].exploitability) == _qre_gap(ops, y, tau, logt)
         assert res.trace[-1] == res.trace[-2]
+
+    @pytest.mark.parametrize("name", ["chicken", "random", "koth"])
+    def test_records_take_no_contraction(self, name, chicken, monkeypatch):
+        # every contraction is a residual's but the exact gaps at the start
+        # and the terminal temperature: the corrector's records and their
+        # losses, taken in one batch, contract nothing
+        game, config = self.games(chicken)[name]
+        counts = {"contract": 0, "residual": 0}
+        contract, residual = _Contraction.contract, solvers_mod._qre_residual
+
+        def count_contract(ops, x):
+            counts["contract"] += 1
+            return contract(ops, x)
+
+        def count_residual(*args):
+            counts["residual"] += 1
+            return residual(*args)
+
+        monkeypatch.setattr(_Contraction, "contract", count_contract)
+        monkeypatch.setattr(solvers_mod, "_qre_residual", count_residual)
+        res = solve_lle(game, replace(config, epsilon_ne=0.0))
+        assert res.termination == "terminal_tau"
+        assert counts["residual"] > len(res.trace)
+        assert counts["contract"] == counts["residual"] + 2
+
+    @pytest.mark.parametrize("case", ["capped", "turned_back"])
+    def test_raised_trace_has_every_loss(self, case, monkeypatch):
+        # the losses of the corrector's records are filled when the trace
+        # ends, also when it raises: on the fold game once max_steps runs
+        # out in the detour, and once a detour turns back past lambda 0
+        if case == "turned_back":
+            _reverse_first_tangent(monkeypatch)
+        stages = _solved_stages(monkeypatch)
+        with pytest.raises(ConvergenceError) as exc:
+            solve_lle(fold_game(), QREConfig(max_steps=100 if case == "capped" else 2000))
+        trace, iterate = exc.value.trace, exc.value.iterate
+        _, _, ops, logt = stages[0]
+        # the start, every solved temperature, and the stalled iterate; the
+        # last solved temperature is solved once more before the detour
+        points = [(trace[0].tau, logt)] + [(tau, y) for tau, y, _, _ in stages[: len(trace) - 2]]
+        points.append((trace[-1].tau, np.log(np.concatenate(iterate.marginals))))
+        assert len(stages) == len(trace) - 1
+        for record, (tau, y) in zip(trace, points, strict=True):
+            loss, exploit = _qre_gap(ops, y, tau, logt)
+            assert record.tau == tau
+            assert np.isfinite(record.loss) and abs(record.loss - loss) <= 1e-9
+            assert abs(record.exploitability - exploit) <= 1e-9
 
     def test_early_exit_is_decided_on_the_exact_exploitability(self, monkeypatch):
         game = _koth_clone_game(8, 4, 0)
