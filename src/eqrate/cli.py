@@ -4,12 +4,16 @@ Subcommands cover the full pipeline: build an evaluation game from
 preference data, solve it, rate actions, run the clone-injection and
 enumeration experiments, and drive the skill-world simulation.  Every
 randomized command takes an explicit ``--seed`` (default 0, never
-wall-clock), all plot-ready outputs are CSV/JSON, and each run writes a
-manifest with input hashes so results can be reproduced bit-exactly.
-``solve`` is deterministic; its manifest adds ``restarts``: LLE arclength
-detours past a stalled temperature, or CCE L-BFGS-B resumes.  A CCE's
-manifest also gives ``newton_steps``, the steps of its projected Newton
-finish, which ``steps`` counts too.
+wall-clock) and all plot-ready outputs are CSV/JSON.  Each ``cmd_*``
+returns the files it read, the files it wrote and any more manifest
+fields, and ``main`` writes the manifest of each command that succeeds,
+with input hashes so results can be reproduced bit-exactly.  Each
+clone-test ``ranking_<method>_<count>.csv`` is in ``rate``'s CSV format;
+a clone's label is ``<source>__clone<k>``.  ``solve`` is deterministic;
+its manifest adds ``restarts``: LLE arclength detours past a stalled
+temperature, or CCE L-BFGS-B resumes.  A CCE's manifest also gives
+``newton_steps``, the steps of its projected Newton finish, which
+``steps`` counts too.
 
 Game files are JSON.  ``build`` writes a prompt/king/rebel game as its
 king tensor alone: ``players``, ``actions``, ``king``, ``shape`` and
@@ -65,17 +69,19 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(path, command, args, inputs, outputs, t0, extra=None):
+def _write_manifest(args, inputs, outputs, extra, t0) -> None:
+    """Write the manifest of a command that succeeded: ``<out>.manifest.json``,
+    or ``<command>.manifest.json`` in ``--out-dir`` (dashes as underscores)."""
     manifest = {
-        "command": command,
-        "args": {k: v for k, v in sorted(args.items()) if k not in ("func",)},
+        "command": args.command,
+        "args": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": [str(p) for p in outputs],
         "wall_time_s": time.perf_counter() - t0,
+        **extra,
     }
-    if extra:
-        manifest.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
+    base = args.out if hasattr(args, "out") else f"{args.out_dir}/{args.command.replace('-', '_')}"
+    with open(f"{base}.manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, default=str)
 
 
@@ -149,15 +155,7 @@ def _save_koth(kg: koth.KOTHGame, path) -> None:
         json.dump(data, fh)
 
 
-def _targets_for(game: games.Game, entropy: str, variance: float, mode: str):
-    if entropy == "affinity":
-        return kernels.affinity_targets(game, variance=variance, mode=mode)
-    if entropy == "shannon":
-        return solvers.uniform_targets(game)
-    raise ParameterError(f"unknown entropy {entropy!r}")
-
-
-def cmd_build(args) -> int:
+def cmd_build(args):
     t0 = time.perf_counter()
     if args.prefs:
         table = koth.read_preference_csv(args.prefs)
@@ -181,19 +179,10 @@ def cmd_build(args) -> int:
     with open(report_path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
     timings = {"read_s": t_read - t0, "tabulate_s": t_tab - t_read, "write_s": time.perf_counter() - t_tab}
-    _write_manifest(
-        str(args.out) + ".manifest.json",
-        "build",
-        vars(args),
-        [source],
-        [args.out, report_path],
-        t0,
-        extra={"timings": timings},
-    )
-    return 0
+    return [source], [args.out, report_path], {"timings": timings}
 
 
-def _solve(game, method, targets, epsilon, max_steps):
+def _solve(game, method, targets, epsilon=None, max_steps=None):
     kwargs = {"targets": targets}
     if max_steps is not None:
         kwargs["max_steps"] = max_steps
@@ -206,11 +195,14 @@ def _solve(game, method, targets, epsilon, max_steps):
     return solvers.solve_mre_cce(game, solvers.CCEConfig(**kwargs))
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args):
     t0 = time.perf_counter()
     game, _ = _read_game(args.game)
     t_load = time.perf_counter()
-    targets = _targets_for(game, args.entropy, args.variance, args.mode)
+    if args.entropy == "affinity":
+        targets = kernels.affinity_targets(game, variance=args.variance, mode=args.mode)
+    else:
+        targets = solvers.uniform_targets(game)
     t_targets = time.perf_counter()
     result = _solve(game, args.method, targets, args.epsilon, args.max_steps)
     t_solve = time.perf_counter()
@@ -221,24 +213,15 @@ def cmd_solve(args) -> int:
         "solve_s": t_solve - t_targets,
         "write_s": time.perf_counter() - t_solve,
     }
-    _write_manifest(
-        str(args.out) + ".manifest.json",
-        "solve",
-        vars(args),
-        [args.game],
-        [args.out],
-        t0,
-        extra={
-            "exploitability": result.exploitability,
-            "steps": result.trace[-1].step,
-            "termination": result.termination,
-            "stages": len({r.tau for r in result.trace if r.tau is not None}),
-            "restarts": result.restarts,
-            **({"newton_steps": result.newton_steps} if args.method == "cce" else {}),
-            "timings": timings,
-        },
-    )
-    return 0
+    return [args.game], [args.out], {
+        "exploitability": result.exploitability,
+        "steps": result.trace[-1].step,
+        "termination": result.termination,
+        "stages": len({r.tau for r in result.trace if r.tau is not None}),
+        "restarts": result.restarts,
+        **({"newton_steps": result.newton_steps} if args.method == "cce" else {}),
+        "timings": timings,
+    }
 
 
 def _elo_report(kg: koth.KOTHGame) -> ratings.RatingReport:
@@ -255,25 +238,25 @@ def _elo_report(kg: koth.KOTHGame) -> ratings.RatingReport:
     )
 
 
-def cmd_rate(args) -> int:
-    t0 = time.perf_counter()
-    inputs = [args.game]
+def _read_solved(args):
+    """The game of ``--game``, the profile of ``--equilibrium`` on it, and
+    the method that file records."""
+    game, _ = _read_game(args.game)
+    with open(args.equilibrium, encoding="utf-8") as fh:
+        eq = json.load(fh)
+    return game, solvers.profile_from_dict(eq, game), eq.get("method", "eq")
+
+
+def cmd_rate(args):
     if args.method == "elo":
-        report = _elo_report(_load_koth(args.game))
+        report, inputs = _elo_report(_load_koth(args.game)), [args.game]
     else:
-        game, _ = _read_game(args.game)
-        with open(args.equilibrium, encoding="utf-8") as fh:
-            eq = json.load(fh)
-        inputs.append(args.equilibrium)
-        profile = solvers.profile_from_dict(eq, game)
-        report = ratings.rate(game, profile, eq.get("method", "eq").upper())
+        game, profile, method = _read_solved(args)
+        report, inputs = ratings.rate(game, profile, method.upper()), [args.game, args.equilibrium]
     report.save_json(args.out)
-    csv_path = str(args.out) + ".csv"
+    csv_path = f"{args.out}.csv"
     report.save_csv(csv_path)
-    _write_manifest(
-        str(args.out) + ".manifest.json", "rate", vars(args), inputs, [args.out, csv_path], t0
-    )
-    return 0
+    return inputs, [args.out, csv_path], {}
 
 
 def _method_report(kg: koth.KOTHGame, method: str, affinity) -> ratings.RatingReport:
@@ -283,12 +266,11 @@ def _method_report(kg: koth.KOTHGame, method: str, affinity) -> ratings.RatingRe
         return _elo_report(kg)
     targets = solvers.uniform_targets(kg.game) if method.endswith("shannon") else affinity
     base = "ne" if method.startswith("ne") else "cce"
-    result = _solve(kg.game, base, targets, None, None)
+    result = _solve(kg.game, base, targets)
     return ratings.rate(kg.game, result.profile, method.upper())
 
 
-def cmd_clone_test(args) -> int:
-    t0 = time.perf_counter()
+def cmd_clone_test(args):
     kg = _load_koth(args.game)
     if args.target not in kg.models:
         raise ParameterError(f"target model {args.target!r} not in game")
@@ -310,21 +292,12 @@ def cmd_clone_test(args) -> int:
             injected = koth.inject_clones(kg, idx, noise_halfwidth=args.noise, seed=args.seed)
         else:
             injected = kg
-        affinity = _targets_for(injected.game, "affinity", kernels.DEFAULT_VARIANCE, "joint")
+        affinity = kernels.affinity_targets(injected.game)
         for method in CLONE_TEST_METHODS:
             report = _method_report(injected, method, affinity)
             order = report.ranking(report.player_index("king"))
             path = f"{args.out_dir}/ranking_{method}_{count}.csv"
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["player", "label", "rating", "rank", "clone_source"])
-                for i, player in enumerate(report.players):
-                    for j, lbl in enumerate(report.labels[i]):
-                        source = ""
-                        if player == "prompt" and injected.clone_sources[j] is not None:
-                            source = injected.prompts[injected.clone_sources[j]]
-                        rating, rank = float(report.ratings[i][j]), int(report.ranks[i][j])
-                        writer.writerow([player, lbl, repr(rating), rank, source])
+            report.save_csv(path)
             outputs.append(path)
             summary["rows"].append(
                 {
@@ -338,53 +311,42 @@ def cmd_clone_test(args) -> int:
     with open(summary_path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
     outputs.append(summary_path)
-    _write_manifest(
-        f"{args.out_dir}/clone_test.manifest.json",
-        "clone-test",
-        vars(args),
-        [args.game],
-        outputs,
-        t0,
-    )
-    return 0
+    return [args.game], outputs, {}
 
 
-def cmd_decompose(args) -> int:
-    t0 = time.perf_counter()
-    game, _ = _read_game(args.game)
-    with open(args.equilibrium, encoding="utf-8") as fh:
-        eq = json.load(fh)
-    profile = solvers.profile_from_dict(eq, game)
+def cmd_decompose(args):
+    game, profile, _ = _read_solved(args)
     grouping = None
     inputs = [args.game, args.equilibrium]
     if args.families:
         with open(args.families, encoding="utf-8") as fh:
             grouping = json.load(fh)
         inputs.append(args.families)
+    if not 0 <= args.player < game.num_players:
+        raise ParameterError("player index out of range")
     action = game.action_labels[args.player].index(args.action)
-    table = ratings.decompose(
-        game, profile, args.player, action, args.co_player, grouping
-    )
+    table = ratings.decompose(game, profile, args.player, action, args.co_player, grouping)
     table.save_csv(args.out)
-    _write_manifest(
-        str(args.out) + ".manifest.json", "decompose", vars(args), inputs, [args.out], t0
-    )
-    return 0
+    return inputs, [args.out], {}
 
 
-def cmd_simulate(args) -> int:
-    t0 = time.perf_counter()
+def cmd_simulate(args):
     with open(args.config, encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ParameterError(f"{args.config}: a simulate config must be a JSON object")
     methods = raw.pop("methods", None) or [raw.get("rating_method", "elo")]
     raw.pop("rating_method", None)
+    if not isinstance(methods, list):
+        raise ParameterError(f"methods must be a list, not {methods!r}")
     known = {f.name for f in dataclasses.fields(skillsim.SimConfig)}
     for key in raw:
         if key not in known:
             raise ParameterError(f"unknown simulate config key {key!r}")
+    # every method's config is checked before the first trial runs
+    configs = [skillsim.SimConfig(rating_method=method, **raw) for method in methods]
     outputs = []
-    for method in methods:
-        config = skillsim.SimConfig(rating_method=method, **raw)
+    for method, config in zip(methods, configs):
         traj = skillsim.run_simulation(config)
         json_path = f"{args.out_dir}/trajectory_{method}.json"
         traj.save(json_path)
@@ -397,23 +359,12 @@ def cmd_simulate(args) -> int:
             writer.writeheader()
             writer.writerows(rows)
         outputs += [json_path, csv_path]
-    _write_manifest(
-        f"{args.out_dir}/simulate.manifest.json",
-        "simulate",
-        vars(args),
-        [args.config],
-        outputs,
-        t0,
-    )
-    return 0
+    return [args.config], outputs, {}
 
 
-def cmd_enumerate(args) -> int:
-    t0 = time.perf_counter()
+def cmd_enumerate(args):
     game, _ = _read_game(args.game)
-    enum = solvers.enumerate_nes(
-        game, args.count, epsilon=args.epsilon, seed=args.seed
-    )
+    enum = solvers.enumerate_nes(game, args.count, epsilon=args.epsilon, seed=args.seed)
     beliefs = solvers.risk_dominance_beliefs(game, enum.profiles)
     bundle = {
         "requested": enum.requested,
@@ -441,15 +392,7 @@ def cmd_enumerate(args) -> int:
         )
         for k, row in enumerate(beliefs.payoff_table):
             writer.writerow([k] + [repr(float(v)) for v in row])
-    _write_manifest(
-        str(args.out) + ".manifest.json",
-        "enumerate",
-        vars(args),
-        [args.game],
-        [args.out, table_path],
-        t0,
-    )
-    return 0
+    return [args.game], [args.out, table_path], {}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -525,8 +468,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "rate" and args.method == "eq" and not args.equilibrium:
         parser.error("rate: --equilibrium is required unless --method elo")
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        inputs, outputs, extra = args.func(args)
+        _write_manifest(args, inputs, outputs, extra, t0)
     except IncompleteDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         for key in exc.missing[:20]:
@@ -538,6 +483,7 @@ def main(argv=None) -> int:
     except (ParameterError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

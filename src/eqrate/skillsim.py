@@ -66,7 +66,8 @@ class SimConfig:
     the ``CCEConfig`` defaults.
 
     With ``n_jobs > 1`` the trials run in ``min(n_jobs, trials)`` worker
-    processes.  Every count, ``n_jobs`` included, must be at least 1.
+    processes.  Every count, ``n_jobs`` included, must be an int of at
+    least 1; ``inner_round_cap`` and ``seed`` must be ints too.
     """
 
     num_skills: int = 4
@@ -84,7 +85,7 @@ class SimConfig:
     n_jobs: int = 1
 
     def __post_init__(self):
-        if min(
+        counts = (
             self.num_skills,
             self.initial_prompts,
             self.initial_models,
@@ -93,10 +94,17 @@ class SimConfig:
             self.iterations,
             self.trials,
             self.n_jobs,
-        ) < 1:
+        )
+        # JSON may give floats, strings or booleans; a saved trajectory needs ints
+        for value in (*counts, self.inner_round_cap, self.seed):
+            if type(value) is not int:
+                raise ParameterError(f"counts and seed must be integers, not {value!r}")
+        if min(counts) < 1:
             raise ParameterError("all counts must be at least 1")
         if self.rating_method not in ("elo", "ne", "cce"):
             raise ParameterError(f"unknown rating method {self.rating_method!r}")
+        if self.solver is not None and not isinstance(self.solver, dict):
+            raise ParameterError(f"solver must be an object of settings, not {self.solver!r}")
         if self.solver is not None and self.rating_method != "elo":
             arm = solvers.QREConfig if self.rating_method == "ne" else solvers.CCEConfig
             # the rater sets the targets itself

@@ -1,11 +1,14 @@
 import base64
 import csv
+import hashlib
+import itertools
 import json
+import os
 
 import numpy as np
 import pytest
 
-from eqrate import games, kernels, koth, ratings, solvers
+from eqrate import games, kernels, koth, ratings, skillsim, solvers
 from eqrate.cli import _read_game, _save_koth, main
 from eqrate.games import save_game
 
@@ -230,6 +233,129 @@ def test_simulate_rejects_unknown_keys(tmp_path, capsys):
         config.write_text(json.dumps({**base, **extra}))
         assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path)]) == 2
         assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        [1],
+        {"trials": "2"},
+        {"trials": 1.5},
+        {"seed": True},
+        {"rating_method": "ne", "solver": 5},
+        {"methods": 3},
+        # the elo arm would run and write its files before the bad one
+        {"methods": ["elo", "nash"], "trials": 1, "iterations": 1},
+    ],
+    ids=["list", "str-count", "float-count", "bool-seed", "int-solver", "int-methods", "second-method"],
+)
+def test_simulate_rejects_a_malformed_config_before_any_trial(tmp_path, capsys, raw):
+    config, out_dir = tmp_path / "sim.json", tmp_path / "out"
+    config.write_text(json.dumps(raw))
+    out_dir.mkdir()
+    assert main(["simulate", "--config", str(config), "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(out_dir.iterdir())
+
+
+def test_simulate_writes_each_method_trajectory(tmp_path):
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps({"methods": ["elo", "ne", "cce"], "trials": 1, "iterations": 1}))
+    assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path)]) == 0
+    outputs = []
+    for method in ("elo", "ne", "cce"):
+        json_path, csv_path = (tmp_path / f"trajectory_{method}.{ext}" for ext in ("json", "csv"))
+        expected = skillsim.run_simulation(skillsim.SimConfig(rating_method=method, trials=1, iterations=1))
+        with open(json_path, encoding="utf-8") as fh:
+            assert json.load(fh) == json.loads(json.dumps(expected.to_dict()))
+        with open(csv_path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        trace = skillsim.entropy_trace(expected)
+        # one row per snapshot, t = 0 and 1
+        assert len(rows) == len(expected.trials[0].snapshots) == 2
+        assert reader.fieldnames == list(trace[0])
+        assert rows == [{k: str(v) for k, v in row.items()} for row in trace]
+        outputs += [str(json_path), str(csv_path)]
+    with open(tmp_path / "simulate.manifest.json", encoding="utf-8") as fh:
+        assert json.load(fh)["outputs"] == outputs
+
+
+@pytest.mark.parametrize("flag", ["--player", "--co-player"])
+def test_decompose_rejects_a_player_out_of_range(tmp_path, capsys, chicken, flag):
+    path, eq, out = tmp_path / "chicken.json", tmp_path / "eq.json", tmp_path / "dec.csv"
+    save_game(chicken, path)
+    assert main(["solve", "--game", str(path), "--out", str(eq)]) == 0
+    players = {"--player": "0", "--co-player": "1", flag: "7"}
+    argv = ["decompose", "--game", str(path), "--equilibrium", str(eq), "--action", "swerve"]
+    argv += [*itertools.chain(*players.items()), "--out", str(out)]
+    assert main(argv) == 2
+    assert "player index out of range" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def manifests(tmp_path_factory, chicken):
+    """Every subcommand run once on small inputs: its command and manifest
+    path under a case name, and the directory that holds them."""
+    tmp = tmp_path_factory.mktemp("manifests")
+    game, _ = _build_game(tmp, prompts=4, models=3)
+    g, out_dir = str(game), tmp / "out"
+    out_dir.mkdir()
+    save_game(chicken, tmp / "chicken.json")
+    (tmp / "sim.json").write_text(json.dumps({"trials": 1, "iterations": 1}))
+    runs = {
+        "build-game": ["build", "--game", g, "--out", str(tmp / "again.json")],
+        "solve-ne": ["solve", "--game", g, "--out", str(tmp / "ne.json")],
+        "solve-cce": ["solve", "--game", g, "--method", "cce", "--out", str(tmp / "cce.json")],
+        "rate-eq": ["rate", "--game", g, "--equilibrium", str(tmp / "cce.json"), "--out", str(tmp / "cce_rate.json")],
+        "rate-elo": ["rate", "--game", g, "--method", "elo", "--out", str(tmp / "elo.json")],
+        "decompose": [
+            "decompose", "--game", g, "--equilibrium", str(tmp / "ne.json"),
+            "--player", "1", "--action", "m0", "--co-player", "0", "--out", str(tmp / "dec.csv"),
+        ],  # fmt: skip
+        "clone-test": ["clone-test", "--game", g, "--target", "m0", "--counts", "0,1", "--out-dir", str(out_dir)],
+        "enumerate": ["enumerate", "--game", str(tmp / "chicken.json"), "--count", "2", "--out", str(tmp / "enum.json")],
+        "simulate": ["simulate", "--config", str(tmp / "sim.json"), "--out-dir", str(out_dir)],
+    }
+    cases = {"build-prefs": ("build", f"{game}.manifest.json")}
+    for case, argv in runs.items():
+        assert main(argv) == 0
+        cases[case] = (argv[0], f"{argv[-1]}.manifest.json")
+    cases["clone-test"] = ("clone-test", out_dir / "clone_test.manifest.json")
+    cases["simulate"] = ("simulate", out_dir / "simulate.manifest.json")
+    return tmp, cases
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["build-prefs", "build-game", "solve-ne", "solve-cce", "rate-eq", "rate-elo"]
+    + ["decompose", "clone-test", "enumerate", "simulate"],
+)
+def test_every_command_writes_its_manifest(manifests, case):
+    _, cases = manifests
+    command, path = cases[case]
+    with open(path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    assert manifest["command"] == manifest["args"]["command"] == command
+    assert manifest["inputs"]
+    for name, digest in manifest["inputs"].items():
+        with open(name, "rb") as fh:
+            assert digest == hashlib.sha256(fh.read()).hexdigest()
+    assert manifest["outputs"] and all(os.path.exists(p) for p in manifest["outputs"])
+    assert manifest["wall_time_s"] >= 0
+
+
+def test_clone_test_tables_use_the_rate_csv_format(manifests):
+    tmp, _ = manifests
+
+    def header(path):
+        with open(path, newline="", encoding="utf-8") as fh:
+            return next(csv.reader(fh))
+
+    expected = ["player", "label", "rating", "mass", "rank"]
+    assert header(tmp / "out" / "ranking_cce_1.csv") == header(tmp / "cce_rate.json.csv") == expected
 
 
 def test_enumerate_writes_bundle_table_and_manifest(tmp_path, chicken):

@@ -146,6 +146,22 @@ def test_default_trial_records_no_fallback():
     assert trial.fallbacks == []
 
 
+def test_a_trial_past_its_inner_round_cap_is_aborted(tmp_path):
+    # one inner round is too few for a candidate to reach the top: both
+    # trials abort, the first in its second iteration
+    config = skillsim.SimConfig(rating_method="elo", trials=2, iterations=3, inner_round_cap=1, seed=0)
+    traj = skillsim.run_simulation(config)
+    path = tmp_path / "traj.json"
+    traj.save(path)
+    saved = json.loads(path.read_text(encoding="utf-8"))["trials"]
+    assert [t.abort_info["iteration"] for t in traj.trials] == [2, 1]
+    for trial, stored in zip(traj.trials, saved):
+        assert trial.aborted and stored["aborted"]
+        assert trial.abort_info["rounds"] == config.inner_round_cap + 1
+        assert trial.abort_info["message"] == "inner model loop exceeded 1 rounds"
+        assert stored["abort_info"] == trial.abort_info
+
+
 def test_solver_keys_checked_against_the_arm():
     with pytest.raises(ParameterError, match="tau_init"):
         skillsim.SimConfig(rating_method="cce", solver={"tau_init": 1.0})
