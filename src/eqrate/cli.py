@@ -324,7 +324,12 @@ def cmd_decompose(args):
         inputs.append(args.families)
     if not 0 <= args.player < game.num_players:
         raise ParameterError("player index out of range")
-    action = game.action_labels[args.player].index(args.action)
+    labels = game.action_labels[args.player]
+    if args.action not in labels:
+        raise ParameterError(
+            f"--action {args.action!r} is not an action of player {args.player} ({game.players[args.player]})"
+        )
+    action = labels.index(args.action)
     table = ratings.decompose(game, profile, args.player, action, args.co_player, grouping)
     table.save_csv(args.out)
     return inputs, [args.out], {}
@@ -345,6 +350,8 @@ def cmd_simulate(args):
             raise ParameterError(f"unknown simulate config key {key!r}")
     # every method's config is checked before the first trial runs
     configs = [skillsim.SimConfig(rating_method=method, **raw) for method in methods]
+    if len(set(methods)) < len(methods):
+        raise ParameterError(f"methods must not repeat a method: {methods!r}")
     outputs = []
     for method, config in zip(methods, configs):
         traj = skillsim.run_simulation(config)

@@ -34,12 +34,3 @@ class ConvergenceError(RuntimeError):
         self.gradient_norm = gradient_norm
         self.trace = trace
 
-
-class SimulationAbort(RuntimeError):
-    """A simulation trial exceeded its inner-loop safety cap."""
-
-    def __init__(self, message: str, trial: int, iteration: int, rounds: int):
-        super().__init__(message)
-        self.trial = trial
-        self.iteration = iteration
-        self.rounds = rounds

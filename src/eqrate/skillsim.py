@@ -18,7 +18,7 @@ import numpy as np
 
 from . import koth as koth_mod
 from . import solvers
-from .errors import ConvergenceError, ParameterError, SimulationAbort
+from .errors import ConvergenceError, ParameterError
 from .games import Game, Profile, all_regrets
 from .kernels import affinity_targets
 from .ratings import elo_ratings, separability
@@ -251,11 +251,17 @@ def _run_trial(
         while True:
             rounds += 1
             if rounds > config.inner_round_cap:
-                raise SimulationAbort(
-                    f"inner model loop exceeded {config.inner_round_cap} rounds",
+                # aborted: the snapshots taken before iteration t are kept
+                return TrialResult(
                     trial=trial,
-                    iteration=t,
-                    rounds=rounds,
+                    seed=seed,
+                    snapshots=snapshots,
+                    aborted=True,
+                    abort_info={
+                        "iteration": t,
+                        "rounds": rounds,
+                        "message": f"inner model loop exceeded {config.inner_round_cap} rounds",
+                    },
                 )
             deltas = rng.dirichlet(np.ones(S), size=config.candidate_increments)
             stack_m = np.concatenate([candidate + deltas, np.stack(models)])
@@ -272,20 +278,7 @@ def _run_trial(
 def _trial_task(args) -> TrialResult:
     config, trial, seed = args
     rater = _EquilibriumRater(config) if config.rating_method != "elo" else None
-    try:
-        result = _run_trial(config, trial, seed, rater)
-    except SimulationAbort as exc:
-        result = TrialResult(
-            trial=trial,
-            seed=seed,
-            snapshots=[],
-            aborted=True,
-            abort_info={
-                "iteration": exc.iteration,
-                "rounds": exc.rounds,
-                "message": str(exc),
-            },
-        )
+    result = _run_trial(config, trial, seed, rater)
     if rater is not None:
         result.fallbacks = rater.fallbacks
     return result

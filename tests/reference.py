@@ -1,10 +1,12 @@
 """Per-player reference implementations that the solvers' flat, buffered
 code is checked against: the logit soft best response, the QRE loss and
 residual over a product profile, and the CCE dual's logit tensor and loss
-over the per-player multipliers; and the affinity targets' projected
-gradient with a fixed-length power iteration.  None of them runs in the
-solvers.  Also the row-by-row ``csv.reader`` parse that the bulk
-preference CSV reader must match.
+over the per-player multipliers.  None of them runs in the solvers.
+Also the row-by-row ``csv.reader`` parse that the bulk preference CSV
+reader must match, and the old method of the affinity targets, kept as a
+reference: projected gradient stepped by a 50-round power iteration's
+estimate of the Lipschitz constant, where the maximizer now steps by a
+row-sum bound.
 """
 
 import csv
@@ -105,8 +107,8 @@ def lipschitz_50(U: np.ndarray) -> float:
 
 
 def max_entropy_pg_50(K: np.ndarray, tolerance: float, max_iters: int) -> np.ndarray:
-    """``kernels.max_affinity_entropy`` with its power iteration always run
-    for 50 rounds."""
+    """``kernels.max_affinity_entropy`` as it was, stepped by
+    ``1 / lipschitz_50`` instead of the row-sum bound."""
     U = K / np.sqrt((K * K).sum(axis=0))
     n = U.shape[0]
     eta = 1.0 / lipschitz_50(U)

@@ -246,8 +246,13 @@ def test_simulate_rejects_unknown_keys(tmp_path, capsys):
         {"methods": 3},
         # the elo arm would run and write its files before the bad one
         {"methods": ["elo", "nash"], "trials": 1, "iterations": 1},
+        # the second run would overwrite the first one's trajectory files
+        {"methods": ["elo", "elo"], "trials": 1, "iterations": 1},
     ],
-    ids=["list", "str-count", "float-count", "bool-seed", "int-solver", "int-methods", "second-method"],
+    ids=[
+        "list", "str-count", "float-count", "bool-seed", "int-solver", "int-methods", "second-method",
+        "repeated-method",
+    ],
 )
 def test_simulate_rejects_a_malformed_config_before_any_trial(tmp_path, capsys, raw):
     config, out_dir = tmp_path / "sim.json", tmp_path / "out"
@@ -292,6 +297,17 @@ def test_decompose_rejects_a_player_out_of_range(tmp_path, capsys, chicken, flag
     argv += [*itertools.chain(*players.items()), "--out", str(out)]
     assert main(argv) == 2
     assert "player index out of range" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_decompose_rejects_an_action_the_player_lacks(tmp_path, capsys, chicken):
+    path, eq, out = tmp_path / "chicken.json", tmp_path / "eq.json", tmp_path / "dec.csv"
+    save_game(chicken, path)
+    assert main(["solve", "--game", str(path), "--out", str(eq)]) == 0
+    argv = ["decompose", "--game", str(path), "--equilibrium", str(eq), "--player", "1", "--co-player", "0"]
+    assert main([*argv, "--action", "nope", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --action 'nope' is not an action of player 1 (p2)\n"
     assert not out.exists()
 
 

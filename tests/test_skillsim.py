@@ -160,6 +160,10 @@ def test_a_trial_past_its_inner_round_cap_is_aborted(tmp_path):
         assert trial.abort_info["rounds"] == config.inner_round_cap + 1
         assert trial.abort_info["message"] == "inner model loop exceeded 1 rounds"
         assert stored["abort_info"] == trial.abort_info
+    # the snapshots taken before the abort are kept: t = 0 and 1, then t = 0
+    assert [len(t.snapshots) for t in traj.trials] == [2, 1]
+    assert [len(t["snapshots"]) for t in saved] == [2, 1]
+    assert [t.snapshots for t in traj.trials] == [t["snapshots"] for t in saved]
 
 
 def test_solver_keys_checked_against_the_arm():
