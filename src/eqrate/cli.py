@@ -91,16 +91,29 @@ def _read_game(path) -> tuple[games.Game, list | None]:
     A file with a ``king`` key holds a prompt/king/rebel game as its king
     tensor (see ``_save_koth``): a string is decoded as base64 float64, a
     list read as numbers.  A string that is not base64, or not 8 bytes for
-    each cell of ``shape``, raises ``ParameterError``.  Any other file
-    holds every player's tensor in the ``games.save_game`` format, with or
-    without ``clone_sources``.
+    each cell of ``shape``, raises ``ParameterError``, and so does a
+    ``shape`` of other than 3 axes.  Any other file holds every player's
+    tensor in the ``games.save_game`` format, with or without
+    ``clone_sources``.  A file that is not a JSON object, lacks a key its
+    format needs or has a ``shape`` that is not a list of integers raises
+    ``ParameterError``.
     """
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ParameterError(f"{path}: a game file holds a JSON object, not {type(data).__name__}")
+    needed = ("actions", "shape", "king") if "king" in data else ("players", "actions", "shape", "utilities")
+    if missing := [key for key in needed if key not in data]:
+        raise ParameterError(f"{path}: the game file lacks {', '.join(missing)}")
+    shape = data["shape"]
+    if not (isinstance(shape, list) and all(type(n) is int for n in shape)):
+        raise ParameterError(f"{path}: shape must be a list of integers, not {shape!r}")
     sources = data.get("clone_sources")
     if "king" not in data:
         return games.game_from_dict(data), sources
-    king, shape = data["king"], data["shape"]
+    king = data["king"]
+    if len(shape) != 3:
+        raise ParameterError(f"{path}: a king tensor has 3 axes (prompt, king, rebel), not shape {shape}")
     if isinstance(king, str):
         try:
             raw = base64.b64decode(king, validate=True)
@@ -182,19 +195,6 @@ def cmd_build(args):
     return [source], [args.out, report_path], {"timings": timings}
 
 
-def _solve(game, method, targets, epsilon=None, max_steps=None):
-    kwargs = {"targets": targets}
-    if max_steps is not None:
-        kwargs["max_steps"] = max_steps
-    if method == "ne":
-        if epsilon is not None:
-            kwargs["epsilon_ne"] = epsilon
-        return solvers.solve_lle(game, solvers.QREConfig(**kwargs))
-    if epsilon is not None:
-        kwargs["epsilon_cce"] = epsilon
-    return solvers.solve_mre_cce(game, solvers.CCEConfig(**kwargs))
-
-
 def cmd_solve(args):
     t0 = time.perf_counter()
     game, _ = _read_game(args.game)
@@ -204,7 +204,9 @@ def cmd_solve(args):
     else:
         targets = solvers.uniform_targets(game)
     t_targets = time.perf_counter()
-    result = _solve(game, args.method, targets, args.epsilon, args.max_steps)
+    # --epsilon is the method's epsilon_ne or epsilon_cce
+    settings = {"max_steps": args.max_steps, f"epsilon_{args.method}": args.epsilon}
+    result = solvers.solve(game, args.method, targets, **{k: v for k, v in settings.items() if v is not None})
     t_solve = time.perf_counter()
     result.save(args.out)
     timings = {
@@ -244,6 +246,14 @@ def _read_solved(args):
     game, _ = _read_game(args.game)
     with open(args.equilibrium, encoding="utf-8") as fh:
         eq = json.load(fh)
+    prof = eq.get("profile") if isinstance(eq, dict) else None
+    # the keys profile_from_dict reads for each profile type
+    needed = {"product": ("marginals",), "cce_dual": ("duals", "shape"), "joint": ("joint", "shape")}
+    keys = needed.get(prof.get("type")) if isinstance(prof, dict) else None
+    # a CCE's multipliers rebuild its joint with the file's targets
+    if keys is None or any(key not in prof for key in keys) or (prof["type"] == "cce_dual" and "targets" not in eq):
+        types = ", ".join(needed)
+        raise ParameterError(f"{args.equilibrium}: an equilibrium file holds a profile of type {types} with its keys")
     return game, solvers.profile_from_dict(eq, game), eq.get("method", "eq")
 
 
@@ -265,8 +275,7 @@ def _method_report(kg: koth.KOTHGame, method: str, affinity) -> ratings.RatingRe
     if method == "elo":
         return _elo_report(kg)
     targets = solvers.uniform_targets(kg.game) if method.endswith("shannon") else affinity
-    base = "ne" if method.startswith("ne") else "cce"
-    result = _solve(kg.game, base, targets)
+    result = solvers.solve(kg.game, method.split("-")[0], targets)
     return ratings.rate(kg.game, result.profile, method.upper())
 
 
@@ -274,10 +283,13 @@ def cmd_clone_test(args):
     kg = _load_koth(args.game)
     if args.target not in kg.models:
         raise ParameterError(f"target model {args.target!r} not in game")
-    counts = [int(c) for c in args.counts.split(",")]
     # every setting is checked before the first file is written
-    if min(counts) < 0:
-        raise ParameterError(f"--counts must be nonnegative, not {args.counts}")
+    try:
+        counts = [int(c) for c in args.counts.split(",")]
+    except ValueError:
+        raise ParameterError(f"--counts must be comma-separated integers, not {args.counts}") from None
+    if min(counts) < 0 or len(set(counts)) < len(counts):
+        raise ParameterError(f"--counts must be nonnegative and distinct, not {args.counts}")
     if not math.isfinite(args.lam):
         raise ParameterError(f"--lambda must be finite, not {args.lam}")
     if not (math.isfinite(args.noise) and args.noise >= 0):
@@ -340,10 +352,11 @@ def cmd_simulate(args):
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ParameterError(f"{args.config}: a simulate config must be a JSON object")
-    methods = raw.pop("methods", None) or [raw.get("rating_method", "elo")]
-    raw.pop("rating_method", None)
-    if not isinstance(methods, list):
-        raise ParameterError(f"methods must be a list, not {methods!r}")
+    if "methods" in raw and "rating_method" in raw:
+        raise ParameterError("a simulate config gives methods or rating_method, not both")
+    methods = raw.pop("methods", [raw.pop("rating_method", "elo")])
+    if not (isinstance(methods, list) and methods):
+        raise ParameterError(f"methods must be a nonempty list, not {methods!r}")
     known = {f.name for f in dataclasses.fields(skillsim.SimConfig)}
     for key in raw:
         if key not in known:
@@ -360,9 +373,7 @@ def cmd_simulate(args):
         rows = skillsim.entropy_trace(traj)
         csv_path = f"{args.out_dir}/trajectory_{method}.csv"
         with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["t", "prompts", "models", "H_p", "H_m", "method", "trial", "seed"]
-            )
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)
         outputs += [json_path, csv_path]

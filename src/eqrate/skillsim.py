@@ -66,8 +66,8 @@ class SimConfig:
     the ``CCEConfig`` defaults.
 
     With ``n_jobs > 1`` the trials run in ``min(n_jobs, trials)`` worker
-    processes.  Every count, ``n_jobs`` included, must be an int of at
-    least 1; ``inner_round_cap`` and ``seed`` must be ints too.
+    processes.  Every ``int`` field must be an int, and every one but
+    ``seed`` is a count of at least 1.
     """
 
     num_skills: int = 4
@@ -85,46 +85,41 @@ class SimConfig:
     n_jobs: int = 1
 
     def __post_init__(self):
-        counts = (
-            self.num_skills,
-            self.initial_prompts,
-            self.initial_models,
-            self.candidate_prompts,
-            self.candidate_increments,
-            self.iterations,
-            self.trials,
-            self.n_jobs,
-        )
+        ints = {f.name: getattr(self, f.name) for f in fields(self) if f.type is int}
         # JSON may give floats, strings or booleans; a saved trajectory needs ints
-        for value in (*counts, self.inner_round_cap, self.seed):
+        for value in ints.values():
             if type(value) is not int:
                 raise ParameterError(f"counts and seed must be integers, not {value!r}")
-        if min(counts) < 1:
+        if min(value for name, value in ints.items() if name != "seed") < 1:
             raise ParameterError("all counts must be at least 1")
-        if self.rating_method not in ("elo", "ne", "cce"):
+        if self.rating_method not in ("elo", *solvers.SOLVER_CONFIGS):
             raise ParameterError(f"unknown rating method {self.rating_method!r}")
         if self.solver is not None and not isinstance(self.solver, dict):
             raise ParameterError(f"solver must be an object of settings, not {self.solver!r}")
         if self.solver is not None and self.rating_method != "elo":
-            arm = solvers.QREConfig if self.rating_method == "ne" else solvers.CCEConfig
+            arm = solvers.SOLVER_CONFIGS[self.rating_method]
             # the rater sets the targets itself
             allowed = {f.name for f in fields(arm)} - {"targets"}
             for key in self.solver:
                 if key not in allowed:
                     raise ParameterError(f"solver key {key!r} is not a {arm.__name__} setting")
+            try:
+                arm(**self.solver)  # checks the values the rater will solve with
+            except TypeError as exc:
+                raise ParameterError(f"solver settings {self.solver!r}: {exc}") from None
 
 
 @dataclass
 class TrialResult:
     trial: int
     seed: int
-    snapshots: list[dict]
     aborted: bool = False
     abort_info: dict | None = None
     # one entry per ne or cce solve that raised ConvergenceError and was
     # rated with its unconverged iterate (kind "convergence_error"): the
     # iteration, the game shape and the iterate's exploitability
     fallbacks: list[dict] = field(default_factory=list)
+    snapshots: list[dict] = field(default_factory=list)
 
 
 @dataclass
@@ -133,20 +128,9 @@ class SimTrajectory:
     trials: list[TrialResult]
 
     def to_dict(self) -> dict:
-        return {
-            "config": asdict(self.config),
-            "trials": [
-                {
-                    "trial": t.trial,
-                    "seed": t.seed,
-                    "aborted": t.aborted,
-                    "abort_info": t.abort_info,
-                    "fallbacks": t.fallbacks,
-                    "snapshots": t.snapshots,
-                }
-                for t in self.trials
-            ],
-        }
+        """JSON-ready dict: ``config`` holds every ``SimConfig`` field and
+        each of ``trials`` every ``TrialResult`` field, in field order."""
+        return asdict(self)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -197,13 +181,9 @@ class _EquilibriumRater:
         self.fallbacks: list[dict] = []
 
     def _solve(self, game, targets, iteration) -> Profile:
-        if self.method == "ne":
-            solve, arm = solvers.solve_lle, solvers.QREConfig
-        else:
-            solve, arm = solvers.solve_mre_cce, solvers.CCEConfig
         event = {"iteration": iteration, "shape": list(game.shape)}
         try:
-            return solve(game, arm(targets=targets, **self.overrides)).profile
+            return solvers.solve(game, self.method, targets, **self.overrides).profile
         except ConvergenceError as exc:
             # rate with the last iterate rather than dying; candidate
             # selection only needs the rating order
@@ -226,6 +206,7 @@ def _run_trial(
     config: SimConfig, trial: int, seed: int, rater: _EquilibriumRater | None
 ) -> TrialResult:
     rng = np.random.default_rng(seed)
+    fallbacks = [] if rater is None else rater.fallbacks
     S = config.num_skills
     prompts = list(rng.dirichlet(np.ones(S), size=config.initial_prompts))
     models = list(rng.dirichlet(np.ones(S), size=config.initial_models))
@@ -255,13 +236,14 @@ def _run_trial(
                 return TrialResult(
                     trial=trial,
                     seed=seed,
-                    snapshots=snapshots,
                     aborted=True,
                     abort_info={
                         "iteration": t,
                         "rounds": rounds,
                         "message": f"inner model loop exceeded {config.inner_round_cap} rounds",
                     },
+                    fallbacks=fallbacks,
+                    snapshots=snapshots,
                 )
             deltas = rng.dirichlet(np.ones(S), size=config.candidate_increments)
             stack_m = np.concatenate([candidate + deltas, np.stack(models)])
@@ -272,16 +254,13 @@ def _run_trial(
                 models.append(candidate)
                 break
         snapshots.append(_snapshot(t, prompts, models))
-    return TrialResult(trial=trial, seed=seed, snapshots=snapshots)
+    return TrialResult(trial=trial, seed=seed, fallbacks=fallbacks, snapshots=snapshots)
 
 
 def _trial_task(args) -> TrialResult:
     config, trial, seed = args
     rater = _EquilibriumRater(config) if config.rating_method != "elo" else None
-    result = _run_trial(config, trial, seed, rater)
-    if rater is not None:
-        result.fallbacks = rater.fallbacks
-    return result
+    return _run_trial(config, trial, seed, rater)
 
 
 def run_simulation(config: SimConfig) -> SimTrajectory:
@@ -305,22 +284,13 @@ def run_simulation(config: SimConfig) -> SimTrajectory:
 
 
 def entropy_trace(trajectory: SimTrajectory) -> list[dict]:
-    """Flatten a trajectory into per-iteration rows ready for CSV."""
+    """Flatten a trajectory into per-iteration rows ready for CSV: each
+    snapshot's keys, then ``method``, ``trial`` and ``seed``."""
     if not trajectory.trials:
         raise ParameterError("empty trajectory")
-    rows = []
-    for trial in trajectory.trials:
-        for snap in trial.snapshots:
-            rows.append(
-                {
-                    "t": snap["t"],
-                    "prompts": snap["prompts"],
-                    "models": snap["models"],
-                    "H_p": snap["H_p"],
-                    "H_m": snap["H_m"],
-                    "method": trajectory.config.rating_method,
-                    "trial": trial.trial,
-                    "seed": trial.seed,
-                }
-            )
-    return rows
+    method = trajectory.config.rating_method
+    return [
+        {**snap, "method": method, "trial": trial.trial, "seed": trial.seed}
+        for trial in trajectory.trials
+        for snap in trial.snapshots
+    ]

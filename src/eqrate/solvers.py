@@ -29,7 +29,7 @@ multiplicative belief updates over a set of equilibria.
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import combinations
 
 import numpy as np
@@ -176,6 +176,16 @@ class CCEConfig:
             raise ParameterError("max_steps must be at least 1")
 
 
+# the config class of each equilibrium method
+SOLVER_CONFIGS = {"ne": QREConfig, "cce": CCEConfig}
+
+
+def _settings(config: QREConfig | CCEConfig) -> dict:
+    """Every field of a solver config but its targets, in field order: the
+    ``config`` an ``EquilibriumResult`` stores."""
+    return {f.name: getattr(config, f.name) for f in fields(config) if f.name != "targets"}
+
+
 @dataclass
 class TraceRecord:
     step: int
@@ -206,7 +216,8 @@ class EquilibriumResult:
         ``marginals``; a CCE as its dual multipliers, ``{"type": "cce_dual",
         "duals": [...], "shape": [...]}`` with one list per player, since
         the multipliers and ``targets`` fix the joint (``profile_from_dict``
-        rebuilds it)."""
+        rebuilds it).  Each trace record is its ``TraceRecord`` fields, and
+        ``config`` every solver setting but the targets."""
         if isinstance(self.profile, ProductProfile):
             prof = {
                 "type": "product",
@@ -224,15 +235,7 @@ class EquilibriumResult:
             "exploitability": self.exploitability,
             "converged": self.converged,
             "termination": self.termination,
-            "trace": [
-                {
-                    "step": r.step,
-                    "tau": r.tau,
-                    "loss": r.loss,
-                    "exploitability": r.exploitability,
-                }
-                for r in self.trace
-            ],
+            "trace": [asdict(r) for r in self.trace],
             "targets": None
             if self.targets is None
             else [t.tolist() for t in self.targets],
@@ -804,13 +807,7 @@ def solve_lle(game: Game, config: QREConfig | None = None) -> EquilibriumResult:
         method="ne",
         termination=termination,
         targets=targets,
-        config={
-            "tau_init": config.tau_init,
-            "tau_decay": config.tau_decay,
-            "tau_terminal": config.tau_terminal,
-            "epsilon_ne": config.epsilon_ne,
-            "max_steps": config.max_steps,
-        },
+        config=_settings(config),
         restarts=restarts,
     )
 
@@ -1116,13 +1113,20 @@ def solve_mre_cce(game: Game, config: CCEConfig | None = None) -> EquilibriumRes
         termination="kkt" if kkt else "epsilon_cce",
         targets=targets,
         duals=duals,
-        config={
-            "max_steps": config.max_steps,
-            "epsilon_cce": config.epsilon_cce,
-        },
+        config=_settings(config),
         restarts=restarts,
         newton_steps=newton_steps,
     )
+
+
+def solve(game: Game, method: str, targets, **settings) -> EquilibriumResult:
+    """Solve ``game`` for the equilibrium of ``method``: the LLE for
+    ``"ne"``, the MRE CCE for ``"cce"``.  ``settings`` are fields of the
+    method's config class in ``SOLVER_CONFIGS``, built with ``targets``.
+    The solver is looked up by its module name at call time, so a wrapper
+    set on ``solve_lle`` or ``solve_mre_cce`` sees every solve."""
+    config = SOLVER_CONFIGS[method](targets=targets, **settings)
+    return (solve_lle if method == "ne" else solve_mre_cce)(game, config)
 
 
 # ---------------------------------------------------------------------------

@@ -248,10 +248,17 @@ def test_simulate_rejects_unknown_keys(tmp_path, capsys):
         {"methods": ["elo", "nash"], "trials": 1, "iterations": 1},
         # the second run would overwrite the first one's trajectory files
         {"methods": ["elo", "elo"], "trials": 1, "iterations": 1},
+        # the elo arm would run before the ne arm's QREConfig rejects its value
+        {"methods": ["elo", "ne"], "trials": 1, "iterations": 1, "solver": {"tau_decay": 2.0}},
+        {"rating_method": "ne", "trials": 1, "iterations": 1, "solver": {"max_steps": "5"}},
+        # which of the two would run is not the config's to leave open
+        {"methods": ["ne"], "rating_method": "cce", "trials": 1, "iterations": 1},
+        {"methods": [], "trials": 1, "iterations": 1},
+        {"trials": 1, "iterations": 1, "inner_round_cap": 0},
     ],
     ids=[
         "list", "str-count", "float-count", "bool-seed", "int-solver", "int-methods", "second-method",
-        "repeated-method",
+        "repeated-method", "solver-value", "solver-type", "methods-and-rating-method", "no-methods", "zero-cap",
     ],
 )
 def test_simulate_rejects_a_malformed_config_before_any_trial(tmp_path, capsys, raw):
@@ -262,6 +269,55 @@ def test_simulate_rejects_a_malformed_config_before_any_trial(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not list(out_dir.iterdir())
+
+
+def test_clone_test_rejects_a_repeated_or_non_integer_count(tmp_path, capsys):
+    # a repeated count would write its ranking files twice
+    game, _ = _build_game(tmp_path, prompts=3, models=3)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = ["clone-test", "--game", str(game), "--target", "m0", "--out-dir", str(out_dir)]
+    for counts in ("0,0", "0,2,2", "0,x", "1.5"):
+        assert main([*argv, "--counts", counts]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --counts ") and err.count("\n") == 1
+        assert not list(out_dir.iterdir())
+
+
+def _malformed_files(tmp_path, chicken):
+    """Game and equilibrium files that are JSON but not of their format:
+    the argv of a command reading one, and the file's path."""
+    game = tmp_path / "chicken.json"
+    save_game(chicken, game)
+    data = json.loads(game.read_text(encoding="utf-8"))
+    del data["shape"]
+    files = {
+        "empty": {},
+        "no-shape": data,
+        "list": [1, 2],
+        # 4 cells fit the shape, but a king tensor has three axes
+        "king-2-axes": {"players": ["a", "b"], "actions": [["x", "y"]] * 2, "king": [0.0] * 4, "shape": [2, 2]},
+        "shape-not-integers": {"actions": [["p"], ["x", "y"], ["x", "y"]], "king": [0.0] * 4, "shape": [1, 2, "2"]},
+    }
+    cases = {}
+    for name, content in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(content), encoding="utf-8")
+        cases[name] = (["solve", "--game", str(path)], path)
+    eq = tmp_path / "eq.json"
+    eq.write_text(json.dumps({"method": "ne"}), encoding="utf-8")
+    cases["no-profile"] = (["rate", "--game", str(game), "--equilibrium", str(eq)], eq)
+    return cases
+
+
+@pytest.mark.parametrize("case", ["empty", "no-shape", "list", "king-2-axes", "shape-not-integers", "no-profile"])
+def test_a_malformed_game_or_equilibrium_file_is_named(tmp_path, capsys, chicken, case):
+    argv, path = _malformed_files(tmp_path, chicken)[case]
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_simulate_writes_each_method_trajectory(tmp_path):
@@ -372,6 +428,31 @@ def test_clone_test_tables_use_the_rate_csv_format(manifests):
 
     expected = ["player", "label", "rating", "mass", "rank"]
     assert header(tmp / "out" / "ranking_cce_1.csv") == header(tmp / "cce_rate.json.csv") == expected
+
+
+def test_equilibrium_files_keep_their_config_and_trace_keys(manifests):
+    tmp, _ = manifests
+    configs = {
+        "ne": ["tau_init", "tau_decay", "tau_terminal", "epsilon_ne", "max_steps"],
+        "cce": ["max_steps", "epsilon_cce"],
+    }
+    for method, keys in configs.items():
+        with open(tmp / f"{method}.json", encoding="utf-8") as fh:
+            eq = json.load(fh)
+        assert list(eq["config"]) == keys
+        assert all(list(r) == ["step", "tau", "loss", "exploitability"] for r in eq["trace"])
+
+
+def test_trajectory_files_keep_their_keys(manifests):
+    tmp, _ = manifests
+    with open(tmp / "out" / "trajectory_elo.json", encoding="utf-8") as fh:
+        traj = json.load(fh)
+    assert list(traj) == ["config", "trials"]
+    (trial,) = traj["trials"]
+    assert list(trial) == ["trial", "seed", "aborted", "abort_info", "fallbacks", "snapshots"]
+    assert all(list(s) == ["t", "prompts", "models", "H_p", "H_m"] for s in trial["snapshots"])
+    with open(tmp / "out" / "trajectory_elo.csv", encoding="utf-8") as fh:
+        assert fh.readline() == "t,prompts,models,H_p,H_m,method,trial,seed\n"
 
 
 def test_enumerate_writes_bundle_table_and_manifest(tmp_path, chicken):

@@ -175,6 +175,20 @@ def test_solver_keys_checked_against_the_arm():
         skillsim.SimConfig(rating_method="ne", solver={"force_anneal_on_stall": True})
 
 
+def test_solver_values_checked_by_the_arm_config():
+    # the rater sets the targets, so the key is rejected by name
+    with pytest.raises(ParameterError, match="'targets'"):
+        skillsim.SimConfig(rating_method="ne", solver={"targets": None})
+    with pytest.raises(ParameterError, match="tau_decay"):
+        skillsim.SimConfig(rating_method="ne", solver={"tau_decay": 2.0})
+    with pytest.raises(ParameterError, match="epsilon_cce"):
+        skillsim.SimConfig(rating_method="cce", solver={"epsilon_cce": -1.0})
+    with pytest.raises(ParameterError, match="max_steps"):
+        skillsim.SimConfig(rating_method="cce", solver={"max_steps": "5"})
+    # the elo arm solves nothing and checks no solver values
+    skillsim.SimConfig(rating_method="elo", solver={"tau_decay": 2.0})
+
+
 def test_cce_selection_keeps_more_prompt_skills_than_elo():
     # the paper's direction on a short seeded run: paired by trial seed,
     # CCE-driven selection ends with a more even mean prompt (higher H_p)

@@ -227,6 +227,27 @@ def test_solvers_reject_non_finite_targets(rps, bad):
         solve_mre_cce(rps, CCEConfig(targets=targets))
 
 
+def test_solve_calls_each_method_solver_by_its_module_name(monkeypatch, chicken):
+    # a wrapper set on the module attribute sees the solve, as the bench's does
+    calls = []
+    for name in ("solve_lle", "solve_mre_cce"):
+        real = getattr(solvers_mod, name)
+        monkeypatch.setattr(solvers_mod, name, lambda g, c, _f=real, _n=name: calls.append((_n, c)) or _f(g, c))
+    targets = uniform_targets(chicken)
+    ne = solvers_mod.solve(chicken, "ne", targets, epsilon_ne=0.0)
+    cce = solvers_mod.solve(chicken, "cce", targets, max_steps=500)
+    assert [(name, type(config)) for name, config in calls] == [("solve_lle", QREConfig), ("solve_mre_cce", CCEConfig)]
+    assert all(config.targets is targets for _, config in calls)
+    assert ne.config == {
+        "tau_init": QREConfig.tau_init,
+        "tau_decay": QREConfig.tau_decay,
+        "tau_terminal": QREConfig.tau_terminal,
+        "epsilon_ne": 0.0,
+        "max_steps": QREConfig.max_steps,
+    }
+    assert cce.config == {"max_steps": 500, "epsilon_cce": CCEConfig.epsilon_cce}
+
+
 class TestSolveLLE:
     def test_rps_uniform(self, rps):
         res = solve_lle(rps, QREConfig(targets=affinity_targets(rps)))
