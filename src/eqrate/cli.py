@@ -13,7 +13,12 @@ a clone's label is ``<source>__clone<k>``.  ``solve`` is deterministic;
 its manifest adds ``restarts``: LLE arclength detours past a stalled
 temperature, or CCE L-BFGS-B resumes.  A CCE's manifest also gives
 ``newton_steps``, the steps of its projected Newton finish, which
-``steps`` counts too.
+``steps`` counts too.  ``solve``, ``clone-test`` and the simulation's
+equilibrium ratings solve a game with exact duplicate actions on its
+quotient, one action per class of duplicates (``solvers.solve``), and
+expand the result to the full game.  The manifest's ``steps``,
+``stages``, ``restarts`` and ``newton_steps`` then count the quotient's
+work.
 
 Game files are JSON.  ``build`` writes a prompt/king/rebel game as its
 king tensor alone: ``players``, ``actions``, ``king``, ``shape`` and

@@ -26,6 +26,7 @@ support's indifference equations to an exact equilibrium, and
 multiplicative belief updates over a set of equilibria.
 """
 
+import functools
 import json
 import math
 from collections import deque
@@ -125,6 +126,13 @@ SUPPORT_FRACTION = 1e-3
 DEDUP_TOL = 1e-3
 
 
+def _check_max_steps(value) -> None:
+    # a NaN cap never stops a solve, and a float or bool one would be saved
+    # in the result's config as it is
+    if type(value) is not int or value < 1:
+        raise ParameterError(f"max_steps must be an integer of at least 1, not {value!r}")
+
+
 @dataclass(frozen=True)
 class QREConfig:
     """Settings of the LLE trace: the temperature grid from ``tau_init``,
@@ -152,8 +160,7 @@ class QREConfig:
             raise ParameterError("tau_decay must lie in (0, 1)")
         if not self.epsilon_ne >= 0:
             raise ParameterError(f"epsilon_ne must be nonnegative, not {self.epsilon_ne}")
-        if self.max_steps < 1:
-            raise ParameterError("max_steps must be at least 1")
+        _check_max_steps(self.max_steps)
 
 
 @dataclass(frozen=True)
@@ -172,8 +179,7 @@ class CCEConfig:
     def __post_init__(self):
         if not self.epsilon_cce >= 0:
             raise ParameterError(f"epsilon_cce must be nonnegative, not {self.epsilon_cce}")
-        if self.max_steps < 1:
-            raise ParameterError("max_steps must be at least 1")
+        _check_max_steps(self.max_steps)
 
 
 # the config class of each equilibrium method
@@ -956,12 +962,14 @@ def _newton_finish(dual: _CCEDual, flat: np.ndarray, tol: float, record, budget:
     The free set holds the positive multipliers and those whose regret, the
     negative gradient, is positive.  On it the step solves the Hessian
     system by least squares, whose least-norm solution stays unique where
-    exact clones make the Hessian singular.  The step is projected onto the
-    nonnegative orthant and shortened until the loss falls by
-    ``CCE_ARMIJO`` of its first-order decrease, up to rounding: after the
-    full step comes the longest one that clips no multiplier, if that is
-    under a half, then halvings.  Each step is recorded.  Returns the last
-    point, its regrets and the number of steps.
+    the Hessian is singular.  Exact clones make it so; ``solve`` passes
+    their quotient instead, but a direct call of ``solve_mre_cce`` on a
+    game with clones still reaches the singular case.  The step is
+    projected onto the nonnegative orthant and shortened until the loss
+    falls by ``CCE_ARMIJO`` of its first-order decrease, up to rounding:
+    after the full step comes the longest one that clips no multiplier, if
+    that is under a half, then halvings.  Each step is recorded.  Returns
+    the last point, its regrets and the number of steps.
     """
     lse, _, regrets = dual.evaluate(flat)
     r = np.concatenate(regrets)
@@ -1119,14 +1127,137 @@ def solve_mre_cce(game: Game, config: CCEConfig | None = None) -> EquilibriumRes
     )
 
 
+# ---------------------------------------------------------------------------
+# Dispatch, on the quotient by exact duplicate actions
+
+# ``_duplicate_classes`` keys each action by its slice of the player's own
+# payoff tensor, contracted with fixed weights in [1, 2) by one BLAS matvec
+# or two, and compares exactly only actions whose keys differ by at most
+# DUPLICATE_KEY_TOL times the largest key's magnitude.  BLAS may sum two
+# equal slices in different orders (a matrix's last rows can take another
+# kernel), which moves their keys apart by rounding, far less than that.
+# On a 2-core x86 VM, finding that a game has none takes 0.2-0.5 ms at
+# 500x17x17, against about 100 ms for either solve, and 40-90 us on the
+# skill world's 75x8x8 games, against 5-8 ms for an LLE.
+DUPLICATE_KEY_TOL = 1e-9
+
+
+@functools.cache
+def _key_weights(bits: int) -> np.ndarray:
+    """2**bits fixed weights in [1, 2); the first n of them weight a vector
+    of length n.  One table per bit length serves every game shape, and
+    none is more than twice the length it was drawn for."""
+    w = np.random.default_rng(bits).uniform(1.0, 2.0, 2**bits)
+    w.setflags(write=False)
+    return w
+
+
+def _keys(u: np.ndarray, i: int) -> np.ndarray:
+    """One key per action of player i: its slice of u, weighted and summed."""
+    n = u.shape[i]
+    before = math.prod(u.shape[:i])
+    flat = u.reshape(before, -1)
+    if before > 1:
+        flat = _key_weights((before - 1).bit_length())[:before] @ flat
+    after = flat.size // n
+    return flat.reshape(n, after) @ _key_weights((after - 1).bit_length())[:after]
+
+
+def _duplicate_classes(game: Game) -> list[np.ndarray] | None:
+    """Each player's classes of exact duplicate actions: actions whose
+    slices along the player's axis are equal, element by element, in every
+    player's tensor.  Returns, per player, the first action of each
+    action's class; None if no player has two actions in one class.
+
+    Sorted by key, actions whose keys are within the tolerance of the
+    next form a run, and each is compared exactly with its run's first
+    action.  One that differs from it keeps a class of its own, as does a
+    duplicate whose key rounding put out of reach: a finer partition
+    still gives an exact quotient."""
+    firsts, merged = [], False
+    for i, u in enumerate(game.utilities):
+        key = _keys(u, i)
+        ordered = np.sort(key)
+        gaps = ordered[1:] - ordered[:-1]
+        tol = DUPLICATE_KEY_TOL * max(-ordered[0], ordered[-1])
+        n = key.size
+        first = np.arange(n)
+        if gaps.min(initial=np.inf) <= tol:
+            order = np.argsort(key)
+            apart = np.concatenate(([True], gaps > tol))
+            first[order] = np.minimum.reduceat(order, np.flatnonzero(apart))[np.cumsum(apart) - 1]
+            cand = np.flatnonzero(first != np.arange(n))
+            same = np.ones(cand.size, dtype=bool)
+            others = tuple(k for k in range(u.ndim) if k != i)
+            for v in game.utilities:
+                same &= (v.take(cand, axis=i) == v.take(first[cand], axis=i)).all(axis=others)
+            first[cand[~same]] = cand[~same]
+            merged |= bool(same.any())
+        firsts.append(first)
+    return firsts if merged else None
+
+
+def _expand(profile: ProductProfile | JointDistribution, classes, shares):
+    """A quotient game's profile on the full game: each class's mass split
+    over its members by ``shares``, their parts of the class's target."""
+    if isinstance(profile, ProductProfile):
+        return ProductProfile(tuple(x[c] * s for x, c, s in zip(profile.marginals, classes, shares)))
+    return JointDistribution(profile.joint[np.ix_(*classes)] * functools.reduce(np.multiply.outer, shares))
+
+
 def solve(game: Game, method: str, targets, **settings) -> EquilibriumResult:
     """Solve ``game`` for the equilibrium of ``method``: the LLE for
     ``"ne"``, the MRE CCE for ``"cce"``.  ``settings`` are fields of the
     method's config class in ``SOLVER_CONFIGS``, built with ``targets``.
     The solver is looked up by its module name at call time, so a wrapper
-    set on ``solve_lle`` or ``solve_mre_cce`` sees every solve."""
+    set on ``solve_lle`` or ``solve_mre_cce`` sees every solve.
+
+    A game with exact duplicate actions (``_duplicate_classes``) is solved
+    on its quotient: the first action of each class of duplicates, whose
+    target is the sum of the class's targets.  Every QRE splits a class's
+    mass in proportion to its members' targets, so the LLE's marginals are
+    ``x_a = x_class * t_a / t_class``; the MRE CCE's multipliers are the
+    quotient's, each class's on its first member and 0 on the others, and
+    its joint is rebuilt from them on ``game``.  The result holds the full
+    game's targets and exploitability, and the quotient solve's trace,
+    ``termination``, ``restarts`` and ``newton_steps``, so the ``steps``,
+    ``stages``, ``restarts`` and ``newton_steps`` of a CLI manifest count
+    the quotient's work.  A ``ConvergenceError`` carries its iterate
+    expanded to ``game``.  A game without duplicates goes to the solver as
+    it is.
+    """
     config = SOLVER_CONFIGS[method](targets=targets, **settings)
-    return (solve_lle if method == "ne" else solve_mre_cce)(game, config)
+    solver = solve_lle if method == "ne" else solve_mre_cce
+    firsts = _duplicate_classes(game)
+    if firsts is None:
+        return solver(game, config)
+    if targets is None:
+        targets = kernels.affinity_targets(game) if method == "ne" else uniform_targets(game)
+    targets = _validate_targets(game, targets)
+    reps = [np.flatnonzero(first == np.arange(first.size)) for first in firsts]
+    members = [np.searchsorted(r, first) for r, first in zip(reps, firsts)]
+    sums = tuple(np.bincount(c, weights=t) for c, t in zip(members, targets))
+    shares = [t / s[c] for t, s, c in zip(targets, sums, members)]
+    utilities = game.utilities
+    for i, r in enumerate(reps):
+        if r.size < game.shape[i]:
+            utilities = [u.take(r, axis=i) for u in utilities]
+    quotient = Game(game.players, [[labels[a] for a in r] for labels, r in zip(game.action_labels, reps)], utilities)
+    try:
+        result = solver(quotient, replace(config, targets=sums))
+    except ConvergenceError as exc:
+        exc.iterate = _expand(exc.iterate, members, shares)
+        raise
+    if method == "ne":
+        profile = _expand(result.profile, members, shares)
+        return replace(result, profile=profile, exploitability=exploitability(game, profile), targets=targets)
+    duals = [np.zeros(n) for n in game.shape]
+    for full, r, alpha in zip(duals, reps, result.duals):
+        full[r] = alpha
+    # the joint as profile_from_dict rebuilds it from the saved result
+    _, joint, regrets = _CCEDual(game, targets).evaluate(np.concatenate(duals))
+    exploit = sum(max(float(r.max()), 0.0) for r in regrets)  # a NaN gain stays NaN
+    return replace(result, profile=JointDistribution(joint), exploitability=exploit, targets=targets, duals=duals)
 
 
 # ---------------------------------------------------------------------------
@@ -1229,10 +1360,14 @@ def enumerate_nes(
     vectors differ by less than ``DEDUP_TOL`` in L2 are considered the
     same equilibrium.
     Priors are traced in turn only until ``count`` equilibria are kept.
-    Raises ``ConvergenceError`` if the LLE cannot be traced.
+    Raises ``ConvergenceError`` if the LLE cannot be traced, and
+    ``ParameterError`` for a ``count`` below 1 or an ``epsilon`` that is
+    negative or NaN.
     """
     if count < 1:
         raise ParameterError("count must be at least 1")
+    if not epsilon >= 0:
+        raise ParameterError(f"epsilon must be nonnegative, not {epsilon}")
     config = lle_config or QREConfig()
     deep = replace(
         config, epsilon_ne=0.0, tau_terminal=min(config.tau_terminal, ENUM_TAU_TERMINAL)

@@ -255,10 +255,13 @@ def test_simulate_rejects_unknown_keys(tmp_path, capsys):
         {"methods": ["ne"], "rating_method": "cce", "trials": 1, "iterations": 1},
         {"methods": [], "trials": 1, "iterations": 1},
         {"trials": 1, "iterations": 1, "inner_round_cap": 0},
+        # JSON allows NaN; a NaN cap would reach the solver
+        {"methods": ["ne"], "trials": 1, "iterations": 1, "solver": {"max_steps": float("nan")}},
     ],
     ids=[
         "list", "str-count", "float-count", "bool-seed", "int-solver", "int-methods", "second-method",
         "repeated-method", "solver-value", "solver-type", "methods-and-rating-method", "no-methods", "zero-cap",
+        "nan-max-steps",
     ],
 )
 def test_simulate_rejects_a_malformed_config_before_any_trial(tmp_path, capsys, raw):
@@ -472,6 +475,17 @@ def test_enumerate_writes_bundle_table_and_manifest(tmp_path, chicken):
     assert len(rows) == 4
     assert (tmp_path / "enum.json.manifest.json").exists()
     assert main(argv + ["--count", "0"]) == 2
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "-0.1"])
+def test_enumerate_rejects_a_nan_or_negative_epsilon(tmp_path, capsys, chicken, epsilon):
+    path, out_dir = tmp_path / "chicken.json", tmp_path / "out"
+    save_game(chicken, path)
+    out_dir.mkdir()
+    argv = ["enumerate", "--game", str(path), "--count", "2", "--out", str(out_dir / "enum.json")]
+    assert main([*argv, f"--epsilon={epsilon}"]) == 2
+    assert "epsilon" in capsys.readouterr().err
+    assert not list(out_dir.iterdir())
 
 
 def _write_full_game(kg, path):

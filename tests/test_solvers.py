@@ -128,8 +128,9 @@ class TestLLEGradient:
             assert abs(fd - gz[a]) / max(1.0, abs(fd)) < 1e-4
 
 
-def _koth_clone_game(prompts, models, clones, seed=0):
-    """KOTH game of seeded judge scores, with exact clones of prompt 0."""
+def _koth_with_clones(prompts, models, indices, seed=0, noise=0.0):
+    """KOTH game of seeded judge scores, with clones of the prompts at
+    ``indices`` appended in order, noised by ``noise``."""
     rng = np.random.default_rng(seed)
     names = [f"m{i}" for i in range(models)]
     records = [
@@ -138,7 +139,12 @@ def _koth_clone_game(prompts, models, clones, seed=0):
         for a in range(models)
         for b in range(a + 1, models)
     ]
-    return koth.inject_clones(koth.build_koth(records), [0] * clones).game
+    return koth.inject_clones(koth.build_koth(records), indices, noise_halfwidth=noise)
+
+
+def _koth_clone_game(prompts, models, clones, seed=0):
+    """KOTH game of seeded judge scores, with exact clones of prompt 0."""
+    return _koth_with_clones(prompts, models, [0] * clones, seed).game
 
 
 class TestLLEStep:
@@ -232,12 +238,13 @@ def test_solve_calls_each_method_solver_by_its_module_name(monkeypatch, chicken)
     calls = []
     for name in ("solve_lle", "solve_mre_cce"):
         real = getattr(solvers_mod, name)
-        monkeypatch.setattr(solvers_mod, name, lambda g, c, _f=real, _n=name: calls.append((_n, c)) or _f(g, c))
+        monkeypatch.setattr(solvers_mod, name, lambda g, c, _f=real, _n=name: calls.append((_n, g, c)) or _f(g, c))
     targets = uniform_targets(chicken)
     ne = solvers_mod.solve(chicken, "ne", targets, epsilon_ne=0.0)
     cce = solvers_mod.solve(chicken, "cce", targets, max_steps=500)
-    assert [(name, type(config)) for name, config in calls] == [("solve_lle", QREConfig), ("solve_mre_cce", CCEConfig)]
-    assert all(config.targets is targets for _, config in calls)
+    assert [(name, type(config)) for name, _, config in calls] == [("solve_lle", QREConfig), ("solve_mre_cce", CCEConfig)]
+    # a game without duplicate actions reaches the solver as it is
+    assert all(game is chicken and config.targets is targets for _, game, config in calls)
     assert ne.config == {
         "tau_init": QREConfig.tau_init,
         "tau_decay": QREConfig.tau_decay,
@@ -246,6 +253,138 @@ def test_solve_calls_each_method_solver_by_its_module_name(monkeypatch, chicken)
         "max_steps": QREConfig.max_steps,
     }
     assert cce.config == {"max_steps": 500, "epsilon_cce": CCEConfig.epsilon_cce}
+
+
+@pytest.mark.parametrize("config", [QREConfig, CCEConfig])
+@pytest.mark.parametrize("value", [float("nan"), 2.5, True])
+def test_configs_reject_a_max_steps_that_is_not_a_count(config, value):
+    with pytest.raises(ParameterError, match="max_steps"):
+        config(max_steps=value)
+
+
+def _solved_games(monkeypatch):
+    """Every game the two solvers receive through their module names."""
+    seen = []
+    for name in ("solve_lle", "solve_mre_cce"):
+        real = getattr(solvers_mod, name)
+        monkeypatch.setattr(solvers_mod, name, lambda g, c, _f=real: seen.append(g) or _f(g, c))
+    return seen
+
+
+class TestQuotient:
+    """``solvers.solve`` solves a game with exact duplicate actions on its
+    quotient and expands the result: it matches the solver's own result on
+    the full game."""
+
+    @staticmethod
+    def assert_matches_full_solve(game, method, targets, got):
+        solver = solve_lle if method == "ne" else solve_mre_cce
+        want = solver(game, solvers_mod.SOLVER_CONFIGS[method](targets=targets))
+        if method == "ne":
+            for a, b in zip(got.profile.marginals, want.profile.marginals):
+                assert np.abs(a - b).max() <= 1e-10
+        else:
+            assert np.abs(got.profile.joint - want.profile.joint).max() <= 1e-10
+        assert abs(got.exploitability - want.exploitability) <= 1e-10
+        for a, b in zip(got.targets, want.targets):
+            assert np.array_equal(a, b)
+        got_report, want_report = rate(game, got.profile, "X"), rate(game, want.profile, "X")
+        for a, b in zip(got_report.ratings, want_report.ratings):
+            assert np.abs(a - b).max() <= 1e-10
+        for a, b in zip(got_report.ranks, want_report.ranks):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("method", ["ne", "cce"])
+    @pytest.mark.parametrize("entropy", ["affinity", "uniform"])
+    def test_prompt_clones_are_solved_on_the_quotient(self, monkeypatch, method, entropy):
+        # 12 prompts and 7 clones of four of them; the game's last row is one
+        game = _koth_with_clones(12, 4, [3, 0, 7, 3, 11, 0, 3], seed=1).game
+        targets = affinity_targets(game) if entropy == "affinity" else uniform_targets(game)
+        seen = _solved_games(monkeypatch)
+        got = solvers_mod.solve(game, method, targets)
+        assert [g.shape for g in seen] == [(12, 4, 4)]
+        assert seen[0].action_labels == (game.action_labels[0][:12], *game.action_labels[1:])
+        monkeypatch.undo()
+        self.assert_matches_full_solve(game, method, targets, got)
+
+    @pytest.mark.parametrize("method", ["ne", "cce"])
+    @pytest.mark.parametrize("players", [(1,), (1, 2)])
+    def test_duplicates_of_any_player_are_merged(self, monkeypatch, method, players):
+        base = random_game((3, 4, 3), seed=5, scale=0.5)
+        copies = {1: [0, 1, 2, 1, 3, 1], 2: [2, 0, 1, 2]}
+        index = [copies[i] if i in players else list(range(n)) for i, n in enumerate(base.shape)]
+        game = Game(
+            base.players,
+            tuple(tuple(f"{base.action_labels[i][a]}#{k}" for k, a in enumerate(ix)) for i, ix in enumerate(index)),
+            tuple(u[np.ix_(*index)] for u in base.utilities),
+        )
+        firsts = solvers_mod._duplicate_classes(game)
+        assert firsts[0].tolist() == [0, 1, 2]
+        assert firsts[1].tolist() == ([0, 1, 2, 1, 4, 1] if 1 in players else [0, 1, 2, 3])
+        assert firsts[2].tolist() == ([0, 1, 2, 0] if 2 in players else [0, 1, 2])
+        targets = affinity_targets(game)
+        seen = _solved_games(monkeypatch)
+        got = solvers_mod.solve(game, method, targets)
+        assert [g.shape for g in seen] == [base.shape]
+        monkeypatch.undo()
+        self.assert_matches_full_solve(game, method, targets, got)
+
+    def test_keys_apart_by_rounding_still_pair(self, monkeypatch):
+        # BLAS may sum a copy's slice in another order than its source's
+        base = random_game((4, 3), seed=2)
+        labels = (base.action_labels[0] + ("copy",), base.action_labels[1])
+        game = Game(base.players, labels, tuple(np.vstack([u, u[1]]) for u in base.utilities))
+        real = solvers_mod._keys
+        nudge = np.array([1.0, 1.0, 1.0, 1.0, 1.0 + 1e-13])
+        monkeypatch.setattr(solvers_mod, "_keys", lambda u, i: real(u, i) * (nudge if i == 0 else 1.0))
+        assert solvers_mod._duplicate_classes(game)[0].tolist() == [0, 1, 2, 3, 1]
+
+    @pytest.mark.parametrize("case", ["model-copy", "noised-clone"])
+    def test_near_duplicates_are_not_merged(self, monkeypatch, case):
+        if case == "model-copy":
+            # a copy of model 1: the king's slices of the two are equal, but
+            # the rebel gets -1 only against the king's own model
+            kg = _koth_with_clones(12, 4, [], seed=1)
+            m = len(kg.models)
+            idx = [*range(m), 1]
+            u_k = kg.u_king[:, idx][:, :, idx]
+            u_k[:, 1, m] = u_k[:, m, 1] = 0.0
+            game = koth._koth_game(u_k, kg.prompts, [*kg.models, "m1_copy"], kg.clone_sources).game
+            assert np.array_equal(game.utilities[1][:, 1], game.utilities[1][:, m])
+        else:
+            game = _koth_with_clones(12, 4, [3, 0], seed=1, noise=0.1).game
+        assert solvers_mod._duplicate_classes(game) is None
+        seen = _solved_games(monkeypatch)
+        solvers_mod.solve(game, "ne", affinity_targets(game))
+        assert len(seen) == 1 and seen[0] is game
+
+    @pytest.mark.parametrize("method", ["ne", "cce"])
+    def test_a_raised_iterate_is_expanded_to_the_full_game(self, method):
+        game = _koth_with_clones(12, 4, [3, 0, 7, 3], seed=1).game
+        with pytest.raises(ConvergenceError) as info:
+            solvers_mod.solve(game, method, uniform_targets(game), max_steps=1)
+        iterate = info.value.iterate
+        if method == "ne":
+            assert tuple(x.size for x in iterate.marginals) == game.shape
+            # uniform targets split each class evenly
+            prompts = iterate.marginals[0]
+            assert prompts[12] == prompts[3] == prompts[15] and prompts[13] == prompts[0]
+        else:
+            assert iterate.joint.shape == game.shape
+        # the skill-world rater rates with it
+        assert [r.size for r in all_regrets(game, iterate)] == list(game.shape)
+
+    def test_a_saved_cce_of_a_clone_game_rebuilds_bit_for_bit(self, tmp_path):
+        game = _koth_with_clones(12, 4, [3, 0, 7, 3], seed=1).game
+        res = solvers_mod.solve(game, "cce", affinity_targets(game))
+        # each class's multiplier sits on its first member
+        assert not np.any(res.duals[0][12:])
+        path = tmp_path / "cce.json"
+        res.save(path)
+        with open(path) as fh:
+            data = json.load(fh)
+        assert data["profile"]["shape"] == list(game.shape)
+        assert np.array_equal(profile_from_dict(data, game).joint, res.profile.joint)
 
 
 class TestSolveLLE:
