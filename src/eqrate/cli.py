@@ -338,6 +338,8 @@ def cmd_decompose(args):
     if args.families:
         with open(args.families, encoding="utf-8") as fh:
             grouping = json.load(fh)
+        if not (isinstance(grouping, dict) and all(isinstance(f, str) for f in grouping.values())):
+            raise ParameterError(f"{args.families}: --families must be a JSON object of label to family")
         inputs.append(args.families)
     if not 0 <= args.player < game.num_players:
         raise ParameterError("player index out of range")

@@ -130,6 +130,20 @@ def test_rate_rejects_a_cce_of_another_game(tmp_path, capsys):
     assert main(argv + ["--game", str(game_path)]) == 0
 
 
+def test_rate_rejects_non_finite_marginals(tmp_path, capsys):
+    game_path, _ = _build_game(tmp_path, prompts=4, models=3)
+    eq, out = tmp_path / "ne.json", tmp_path / "r.json"
+    assert main(["solve", "--game", str(game_path), "--out", str(eq)]) == 0
+    with open(eq, encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["profile"]["marginals"][1][0] = float("nan")
+    eq.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["rate", "--game", str(game_path), "--equilibrium", str(eq), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "NaN" in err and err.count("\n") == 1
+    assert not out.exists() and not (tmp_path / "r.json.csv").exists()
+
+
 def test_clone_test_elo_ranking_matches_rate(tmp_path):
     game, kg = _build_game(tmp_path, prompts=3, models=3)
     argv = ["clone-test", "--game", str(game), "--target", "m0", "--counts", "0"]
@@ -367,6 +381,21 @@ def test_decompose_rejects_an_action_the_player_lacks(tmp_path, capsys, chicken)
     assert main([*argv, "--action", "nope", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == "error: --action 'nope' is not an action of player 1 (p2)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("families", [["a", "b"], {"straight": ["a"]}])
+def test_decompose_rejects_families_that_are_not_a_label_to_family_object(tmp_path, capsys, chicken, families):
+    path, eq, out = tmp_path / "chicken.json", tmp_path / "eq.json", tmp_path / "dec.csv"
+    save_game(chicken, path)
+    assert main(["solve", "--game", str(path), "--out", str(eq)]) == 0
+    fams = tmp_path / "f.json"
+    fams.write_text(json.dumps(families), encoding="utf-8")
+    argv = ["decompose", "--game", str(path), "--equilibrium", str(eq), "--action", "swerve"]
+    argv += ["--player", "0", "--co-player", "1", "--families", str(fams), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {fams}: --families must be a JSON object of label to family\n"
     assert not out.exists()
 
 

@@ -329,15 +329,27 @@ class TestQuotient:
         monkeypatch.undo()
         self.assert_matches_full_solve(game, method, targets, got)
 
-    def test_keys_apart_by_rounding_still_pair(self, monkeypatch):
-        # BLAS may sum a copy's slice in another order than its source's
+    def test_slices_apart_only_by_the_sign_of_a_zero_are_merged(self):
         base = random_game((4, 3), seed=2)
         labels = (base.action_labels[0] + ("copy",), base.action_labels[1])
-        game = Game(base.players, labels, tuple(np.vstack([u, u[1]]) for u in base.utilities))
-        real = solvers_mod._keys
-        nudge = np.array([1.0, 1.0, 1.0, 1.0, 1.0 + 1e-13])
-        monkeypatch.setattr(solvers_mod, "_keys", lambda u, i: real(u, i) * (nudge if i == 0 else 1.0))
+        utilities = [np.vstack([u, u[1]]) for u in base.utilities]
+        for u in utilities:
+            u[1, 0], u[4, 0] = 0.0, -0.0
+        game = Game(base.players, labels, tuple(utilities))
+        assert np.signbit(game.utilities[0][4, 0]) and not np.signbit(game.utilities[0][1, 0])
         assert solvers_mod._duplicate_classes(game)[0].tolist() == [0, 1, 2, 3, 1]
+
+    @pytest.mark.parametrize("other", [0, 2])
+    def test_a_copy_that_differs_in_another_players_tensor_is_not_merged(self, other):
+        # player 1's action 4 copies action 1 in player 1's own tensor only
+        base = random_game((3, 4, 3), seed=5, scale=0.5)
+        labels = list(base.action_labels)
+        labels[1] = (*labels[1], "copy")
+        utilities = [np.concatenate([u, u[:, 1:2]], axis=1) for u in base.utilities]
+        utilities[other][2, 4, 1] += 0.25
+        game = Game(base.players, tuple(labels), tuple(utilities))
+        assert np.array_equal(game.utilities[1][:, 1], game.utilities[1][:, 4])
+        assert solvers_mod._duplicate_classes(game) is None
 
     @pytest.mark.parametrize("case", ["model-copy", "noised-clone"])
     def test_near_duplicates_are_not_merged(self, monkeypatch, case):
