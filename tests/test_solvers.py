@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import time
 from dataclasses import replace
 
@@ -145,6 +146,18 @@ def _koth_with_clones(prompts, models, indices, seed=0, noise=0.0):
 def _koth_clone_game(prompts, models, clones, seed=0):
     """KOTH game of seeded judge scores, with exact clones of prompt 0."""
     return _koth_with_clones(prompts, models, [0] * clones, seed).game
+
+
+def _random_koth_games(prompts, models, count, seed=0):
+    """KOTH games of random king tensors, antisymmetrised per prompt."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        u = rng.choice(koth.SCORES, (prompts, models, models))
+        u = (u - u.transpose(0, 2, 1)) / 2
+        names = ([f"q{p}" for p in range(prompts)], [f"m{m}" for m in range(models)])
+        out.append(koth._koth_game(u, *names, (None,) * prompts).game)
+    return out
 
 
 class TestLLEStep:
@@ -371,6 +384,13 @@ class TestQuotient:
         assert len(seen) == 1 and seen[0] is game
 
     @pytest.mark.parametrize("method", ["ne", "cce"])
+    @pytest.mark.parametrize("name", ["rps", "rps_dup_rock"])
+    def test_missing_targets_are_rejected(self, request, method, name):
+        # the game with a duplicate row once raised TypeError on its quotient
+        with pytest.raises(ParameterError, match="targets"):
+            solvers_mod.solve(request.getfixturevalue(name), method, None)
+
+    @pytest.mark.parametrize("method", ["ne", "cce"])
     def test_a_raised_iterate_is_expanded_to_the_full_game(self, method):
         game = _koth_with_clones(12, 4, [3, 0, 7, 3], seed=1).game
         with pytest.raises(ConvergenceError) as info:
@@ -511,7 +531,7 @@ class TestSolveLLE:
         assert res.to_dict()["restarts"] == res.restarts
 
     def test_fold_raises_fast(self):
-        # the trace stalls at the fold at tau 0.116 after 50 Newton
+        # the trace stalls at the fold at tau 0.116 after 36 Newton
         # iterations and the detour past it needs 78 more; with 100 in all
         # the detour must stop at the cap and raise there, not overrun it
         config = QREConfig(max_steps=100)
@@ -532,20 +552,20 @@ class TestSolveLLE:
         with pytest.raises(ConvergenceError, match="turned back past lambda 0") as exc:
             solve_lle(fold_game(), QREConfig(max_steps=2000))
         assert time.perf_counter() - start < 1.0
-        assert exc.value.trace[-1].step < 500  # 172: 50 to the stall, 122 back
+        assert exc.value.trace[-1].step < 500  # 158: 36 to the stall, 122 back
         assert isinstance(exc.value.iterate, ProductProfile)
 
     @pytest.mark.parametrize("case", ["fold", "3x3_18"])
     def test_every_newton_solve_counts_against_the_budget(self, case, monkeypatch):
         # a detour's tangents are bordered Newton solves too, so a walk of
         # arclength steps accepted with no correction is still bounded.
-        # The fold game's detour runs from step 50 to 128; the first of
-        # random_game((3, 3), 18)'s from 29 to 73, and every cap in it is
+        # The fold game's detour runs from step 36 to 114; the first of
+        # random_game((3, 3), 18)'s from 27 to 71, and every cap in it is
         # tried
         if case == "fold":
-            game, caps = fold_game(), range(50, 130, 7)
+            game, caps = fold_game(), range(36, 116, 7)
         else:
-            game, caps = random_game((3, 3), 18), range(29, 74)
+            game, caps = random_game((3, 3), 18), range(27, 72)
         real, calls = solvers_mod._newton_direction, []
 
         def spy(*args):
@@ -615,13 +635,90 @@ class TestSolveLLE:
         assert saved["restarts"] == res.restarts
         assert "forced_anneals" not in saved
 
-    def test_rejected_prediction_reruns_from_last_solution(self):
-        # the extrapolated start misses this game's Newton basin at one
-        # temperature; a trace without the detour stalls there, at tau 0.440
+    def test_rejected_prediction_reruns_from_last_solution(self, monkeypatch):
+        # on the full grid the extrapolated start misses this game's Newton
+        # basin at one temperature; a trace without the detour stalls there,
+        # at tau 0.440.  A trace that skips temperatures steps past it
+        monkeypatch.setattr(solvers_mod, "SKIP_TOL", 0.0)
         game = random_game((3, 4, 2), 7)
         res = solve_lle(game, QREConfig(epsilon_ne=0.0))
         assert res.termination == "terminal_tau"
         assert res.restarts > 0
+
+    @pytest.mark.parametrize("case", ["koth", "fold", "3x3_18"])
+    def test_solved_temperatures_lie_on_the_grid(self, case):
+        # the trace skips grid temperatures but solves no other one; the
+        # fold and 3x3 traces detour too
+        if case == "koth":
+            game = _koth_clone_game(8, 4, 0)
+        else:
+            game = fold_game() if case == "fold" else random_game((3, 3), 18)
+        config = QREConfig(epsilon_ne=0.0)
+        res = solve_lle(game, config)
+        assert res.termination == "terminal_tau"
+        for tau in {r.tau for r in res.trace}:
+            if tau != config.tau_terminal:
+                n = round(math.log(tau / config.tau_init) / math.log(config.tau_decay))
+                assert tau == pytest.approx(config.tau_init * config.tau_decay**n, rel=1e-12)
+
+    def test_skipping_keeps_the_grid_trace_profile(self, monkeypatch):
+        game = _koth_clone_game(12, 5, 0, seed=3)
+        config = QREConfig(epsilon_ne=0.0)
+        skipped = solve_lle(game, config)
+        monkeypatch.setattr(solvers_mod, "SKIP_TOL", 0.0)
+        grid = solve_lle(game, config)
+        assert skipped.termination == grid.termination == "terminal_tau"
+        stages = [len({r.tau for r in res.trace}) for res in (skipped, grid)]
+        assert stages[0] < stages[1] == 91
+        for a, b in zip(skipped.profile.marginals, grid.profile.marginals):
+            assert np.abs(a - b).max() <= 1e-10
+
+    def test_a_stalled_skip_retries_the_next_grid_temperature(self, monkeypatch):
+        # with a coarse predictor target this trace skips to tau 0.135,
+        # stalls there, and solves the next grid temperature, 0.158, with
+        # no detour
+        monkeypatch.setattr(solvers_mod, "SKIP_TOL", 0.05)
+        corrections, real = [], solvers_mod._correct
+
+        def spy(ops, y, tau, *args):
+            out = real(ops, y, tau, *args)
+            corrections.append((tau, out[2] is not None))
+            return out
+
+        monkeypatch.setattr(solvers_mod, "_correct", spy)
+        monkeypatch.setattr(solvers_mod, "_detour", lambda *args: pytest.fail("detour started"))
+        game = random_game((3, 4, 2), 14)
+        config = QREConfig(epsilon_ne=0.0)
+        res = solve_lle(game, config)
+        assert res.termination == "terminal_tau" and res.restarts == 0
+        stalls = [k for k, (_, solved) in enumerate(corrections) if not solved]
+        assert stalls
+        solved = [tau for tau, ok in corrections if ok]
+        for k in stalls:
+            (stalled, _), (retried, ok) = corrections[k], corrections[k + 1]
+            last = solved[sum(ok for _, ok in corrections[:k]) - 1]
+            assert ok and stalled < retried == last * config.tau_decay
+
+    def test_a_singular_newton_system_fails_the_step(self, monkeypatch):
+        # at tau_decay 0.4 this game's corrector meets a singular system at
+        # tau 0.0256, which once escaped the trace as LinAlgError; it is a
+        # failed correction, and a detour passes it
+        game = _random_koth_games(20, 6, 6)[5]
+        targets = affinity_targets(game)
+        singular, real = [], solvers_mod._newton_direction
+
+        def spy(*args):
+            d = real(*args)
+            singular.append(d is None)
+            return d
+
+        monkeypatch.setattr(solvers_mod, "_newton_direction", spy)
+        res = solvers_mod.solve(game, "ne", targets, tau_decay=0.4, epsilon_ne=0.0)
+        assert any(singular)
+        assert res.termination == "terminal_tau" and res.restarts >= 1
+        fine = solvers_mod.solve(game, "ne", targets, tau_decay=0.99, epsilon_ne=0.0)
+        for a, b in zip(res.profile.marginals, fine.profile.marginals):
+            assert np.abs(a - b).max() <= 1e-10
 
     def test_predictor_passes_a_corrector_stall(self):
         # tracing from each last solution stalls at tau 0.277, but the
