@@ -10,15 +10,16 @@ fields, and ``main`` writes the manifest of each command that succeeds,
 with input hashes so results can be reproduced bit-exactly.  Each
 clone-test ``ranking_<method>_<count>.csv`` is in ``rate``'s CSV format;
 a clone's label is ``<source>__clone<k>``.  ``solve`` is deterministic;
-its manifest adds ``restarts``: LLE arclength detours past a stalled
-temperature, or CCE L-BFGS-B resumes.  A CCE's manifest also gives
-``newton_steps``, the steps of its projected Newton finish, which
-``steps`` counts too.  ``solve``, ``clone-test`` and the simulation's
-equilibrium ratings solve a game with exact duplicate actions on its
-quotient, one action per class of duplicates (``solvers.solve``), and
-expand the result to the full game.  The manifest's ``steps``,
-``stages``, ``restarts`` and ``newton_steps`` then count the quotient's
-work.
+its manifest adds ``stages``, the distinct temperatures of the trace (for
+an NE, the points its arclength trace accepted, the one at the terminal
+temperature included), and ``restarts``: CCE L-BFGS-B resumes, 0 for an
+NE.  A CCE's manifest also gives ``newton_steps``, the steps of its
+projected Newton finish, which ``steps`` counts too.  ``solve``,
+``clone-test`` and the simulation's equilibrium ratings solve a game
+with exact duplicate actions on its quotient, one action per class of
+duplicates (``solvers.solve``), and expand the result to the full game.
+The manifest's ``steps``, ``stages``, ``restarts`` and ``newton_steps``
+then count the quotient's work.
 
 Game files are JSON.  ``build`` writes a prompt/king/rebel game as its
 king tensor alone: ``players``, ``actions``, ``king``, ``shape`` and

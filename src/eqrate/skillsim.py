@@ -166,7 +166,8 @@ class _EquilibriumRater:
     only ordinally here and positive rescaling preserves the order.  An ne
     or cce solve that raises ``ConvergenceError`` rates with its
     unconverged iterate, and that event is kept in ``fallbacks``; an ne
-    solve passes a fold of the QRE branch by its arclength detour.
+    solve's arclength trace passes a fold of the QRE branch as it passes
+    any other point.
     """
 
     # desk-scale overrides of the ne arm's QREConfig; pass solver={} for the

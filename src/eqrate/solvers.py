@@ -4,15 +4,12 @@ Two selection routes:
 
 * ``solve_lle`` follows the principal branch of logit quantal-response
   equilibria, from the target profile at infinite temperature toward the
-  zero-temperature limit (McKelvey & Palfrey 1995), by predictor-corrector
-  continuation on the QRE fixed point over a geometric temperature grid
-  (Turocy 2005; Allgower & Georg 1990): polynomial extrapolation in 1/tau,
-  then Newton, skipping grid temperatures while the predictions land on the
-  branch.  A temperature where the branch folds back, or whose prediction
-  misses, is reached by pseudo-arclength continuation.
-  The logits are tilted by per-player target distributions, so a
-  max-affinity-entropy target makes the traced equilibrium invariant to
-  cloned actions.
+  zero-temperature limit (McKelvey & Palfrey 1995), by one
+  pseudo-arclength predictor-corrector loop in the log-marginals and
+  lambda = 1/tau (Turocy 2005; Allgower & Georg 1990), from lambda 0 on
+  through every fold of the branch.  The logits are tilted by per-player
+  target distributions, so a max-affinity-entropy target makes the traced
+  equilibrium invariant to cloned actions.
 * ``solve_mre_cce`` finds the coarse correlated equilibrium of maximum
   relative entropy to a target joint, by bounded L-BFGS-B on the convex
   dual of the problem (Ortiz, Schapire & Kakade 2007), finished by
@@ -30,7 +27,6 @@ multiplicative belief updates over a set of equilibria.
 import functools
 import json
 import math
-from collections import deque
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import combinations
 
@@ -44,53 +40,32 @@ from .errors import ConvergenceError, DimensionError, ParameterError
 from .games import Game, JointDistribution, ProductProfile, exploitability
 
 # Solver defaults.
-DEFAULT_TAU_INIT = 1.0
-DEFAULT_TAU_DECAY = 0.95
 DEFAULT_TAU_TERMINAL = 1e-2
 DEFAULT_EPSILON_NE = 1e-3
 
-# The LLE trace returns only its last temperature, so only that one, and the
-# last solved point an arclength detour starts from, is solved until the QRE
-# residual's max-norm is at most NEWTON_TOL.  Every other temperature only
-# has to give the next prediction a start inside the corrector's basin
-# (Allgower & Georg 1990, ch. 6), and is solved to NEWTON_STAGE_TOL: over
-# 441 seeded random and KOTH games that cuts the corrector iterations from
-# 97,793 to 55,928 and moves no terminal profile by more than 6e-14.  Its
-# record stays exact, as ``_correct`` normalises the iterate: the record's
-# exploitability is taken at each temperature, for the early exit, and the
-# losses of all of them in one batch when the trace ends.  A temperature
-# not solved within NEWTON_STAGE_ITERS iterations, or where backtracking
-# shrinks the step below NEWTON_MIN_DAMPING without reducing the residual,
-# has stalled: the branch has folded back or the iterate left its basin.
+# The LLE trace (``solve_lle``) follows the QRE branch by pseudo-arclength
+# continuation in v = (y, lambda = 1/tau), y the log-marginals (Allgower &
+# Georg 1990, ch. 6).  Its arclength weights each log-marginal by its
+# target and lambda by ARC_LAMBDA_WEIGHT.  The step length h starts at
+# ARC_FIRST_STEP and follows the prediction's error e, the max-norm distance
+# from the prediction to the corrected point, at order p: h <- h * min(0.9 *
+# (ARC_PREDICT_TOL / e)**(1/p), 4); a step whose factor falls below 1/2 is
+# retried at half the length.  A step's corrector takes at most
+# NEWTON_ITERS Newton iterations, until the residual's max-norm is at most
+# ARC_TOL, halved for the rest of the trace by each failed step; only the
+# returned point, at tau_terminal, is solved on to NEWTON_TOL.  The trace
+# raises once h falls below ARC_MIN_STEP.  Over 2,250 random KOTH games
+# (150 each of 20x6, 10x4, 30x8, 8x3 and 40x5 prompts x models, drawn by
+# default_rng(1), (2) and (3)) none raises, where a temperature grid with
+# arclength detours raised on 11; ARC_TOL 1e-3, ARC_PREDICT_TOL 1.5e-2 or
+# an ARC_LAMBDA_WEIGHT of 1 each lost the branch or raised on some.
 NEWTON_TOL = 1e-10
-NEWTON_STAGE_TOL = 1e-4
-NEWTON_STAGE_ITERS = 30
+NEWTON_ITERS = 30
 NEWTON_MIN_DAMPING = 2.0**-30
-# The trace solves a subsequence of the temperature grid, ``skip`` grid steps
-# at a time (Den Heijer & Rheinboldt 1981).  After each temperature solved
-# from a prediction of order p (1 the last solution, 2 a line, 3 the
-# quadratic), whose max-norm distance in log-marginals from the solution is
-# e, skip doubles if e < SKIP_TOL * 2**-p and halves, to 1 at least, if
-# e > SKIP_TOL.  Over 750 random KOTH games (150 each of 20x6, 10x4, 30x8,
-# 8x3 and 40x5 prompts x models) that cuts the Newton iterations of the 742
-# that solve from 150,132 to 133,518, and those of the bench's 21
-# skill-world solves from 931 over 966 temperatures to 584 over 411.  No
-# terminal profile moves by more than 5.1e-13, the 30 early exits stop
-# within 2.2e-3 of the grid's profile, and the same 8 games raise.  A
-# continuous step in lambda went further and lost the branch on 4 of 18
-# fold-prone games.  0 solves every grid temperature.
-SKIP_TOL = 1e-2
-# The arclength detour past such a temperature (``_detour``) starts with step
-# length h = min(lambda gap, ARC_MAX_STEP).  A step's corrector takes at most
-# ARC_CORRECTOR_ITERS Newton steps, the first at most ARC_FIRST_CORRECTION * h
-# long and each later one at most half the one before, and its new tangent
-# keeps a cosine of ARC_MIN_COSINE with the last; h grows by half, to
-# ARC_MAX_STEP at most, after a corrector of at most two steps.  Every fold
-# and stall met in tests and benchmarks passes with these.
-ARC_CORRECTOR_ITERS = 8
-ARC_FIRST_CORRECTION = 0.1
-ARC_MIN_COSINE = 0.995
-ARC_MAX_STEP = 1.0
+ARC_TOL = 3e-4
+ARC_PREDICT_TOL = 1e-2
+ARC_FIRST_STEP = 0.3
+ARC_LAMBDA_WEIGHT = 0.1
 ARC_MIN_STEP = 1e-10
 
 # L-BFGS-B on the CCE dual hands over to the projected Newton finish
@@ -131,9 +106,9 @@ CCE_HESSIAN_CELLS = 2**12
 # its support the actions with more than SUPPORT_FRACTION of the player's
 # largest mass.  At tau 1e-2 the off-support mass of a KOTH game's traced
 # profiles is still above that fraction: on the 12x4 game of the bench
-# generator, traced to 1e-2, neither the LLE nor any of the 10 priors that do
-# not fold polish (5 of 10 would with a 1e-2 fraction); traced to 1e-3, all
-# of them do.
+# generator (content seed 0), traced to 1e-2, neither the LLE nor any of the
+# 10 priors of ``default_rng(0)`` polishes (4 of the 11 would with a 1e-2
+# fraction); traced to 1e-3, all of them do.
 ENUM_TAU_TERMINAL = 1e-3
 SUPPORT_FRACTION = 1e-3
 # candidates whose rating vectors are closer than this in L2 are one
@@ -150,32 +125,22 @@ def _check_max_steps(value) -> None:
 
 @dataclass(frozen=True)
 class QREConfig:
-    """Settings of the LLE trace: the temperature grid from ``tau_init``,
-    times ``tau_decay``, down to ``tau_terminal``, of which ``solve_lle``
-    solves the temperatures its predictor needs, every one near a stall or
-    fold; the early exit ``epsilon_ne``; the cap ``max_steps`` on Newton
-    iterations in all; and the per-player ``targets`` (default: affinity
-    targets)."""
+    """Settings of the LLE trace: the temperature ``tau_terminal`` whose
+    point of the QRE branch ``solve_lle`` returns; the early exit
+    ``epsilon_ne``; the cap ``max_steps`` on Newton iterations in all; and
+    the per-player ``targets`` (default: affinity targets)."""
 
-    tau_init: float = DEFAULT_TAU_INIT
-    tau_decay: float = DEFAULT_TAU_DECAY
     tau_terminal: float = DEFAULT_TAU_TERMINAL
     # stop early once the true exploitability is at most this; 0 turns the
     # early exit off, so the trace always runs to tau_terminal
     epsilon_ne: float = DEFAULT_EPSILON_NE
-    # Newton iterations in all, counting those spent from a rejected
-    # prediction, on its retry and on the arclength detour past it, its
-    # tangents included
+    # Newton iterations in all, counting those of rejected steps
     max_steps: int = 200_000
     targets: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
-        if not (self.tau_init > 0 and self.tau_terminal > 0):
-            raise ParameterError("temperatures tau_init and tau_terminal must be positive")
-        if self.tau_terminal >= self.tau_init:
-            raise ParameterError("tau_terminal must be below tau_init")
-        if not 0.0 < self.tau_decay < 1.0:
-            raise ParameterError("tau_decay must lie in (0, 1)")
+        if not 0 < self.tau_terminal < math.inf:
+            raise ParameterError(f"tau_terminal must be positive and finite, not {self.tau_terminal}")
         if not self.epsilon_ne >= 0:
             raise ParameterError(f"epsilon_ne must be nonnegative, not {self.epsilon_ne}")
         _check_max_steps(self.max_steps)
@@ -229,8 +194,8 @@ class EquilibriumResult:
     targets: tuple[np.ndarray, ...] | None = None
     duals: list[np.ndarray] | None = None
     config: dict | None = None
-    # LLE: arclength detours past stalled temperatures; CCE: 1 if L-BFGS-B
-    # was resumed after a Newton finish that missed the KKT conditions
+    # CCE: 1 if L-BFGS-B was resumed after a Newton finish that missed the
+    # KKT conditions; 0 for an LLE
     restarts: int = 0
     # CCE: steps of the projected Newton finish
     newton_steps: int = 0
@@ -353,10 +318,14 @@ class _Contraction:
         self.rest = np.flatnonzero(self.seg != big)
         # where each player's segment sits within rest
         at = {i: self.slices[i].start - (shape[big] if i > big else 0) for i in range(n)}
-        self.rest_starts = np.array([at[i] for i in range(n) if i != big], dtype=int)
-        self.rest_seg = np.repeat(np.arange(n - 1), [s for i, s in enumerate(shape) if i != big])
+        # one 0/1 row per rest player over the rest, marking its actions
+        rest_seg = np.repeat(np.arange(n - 1), [s for i, s in enumerate(shape) if i != big])
+        self.rest_players = (rest_seg == np.arange(n - 1)[:, None]).astype(float)
         self.cols = np.concatenate([np.arange(offsets[-1])[self.big], self.rest])
-        self.eye = np.eye(self.rest.size)
+        # the unknowns of the corrector's system over the rest, and its I,
+        # each with one more for a border (``_newton_direction``)
+        self.rest_border = np.append(self.rest, offsets[-1])
+        self.eye = np.eye(self.rest.size, self.rest.size + 1)
         self._b_r = np.zeros((self.rest.size, offsets[-1]))
         self._b_mr = np.empty((shape[big], self.rest.size))
         b_rr = self._b_r[:, shape[big] :]
@@ -497,49 +466,70 @@ def _newton_direction(ops: _Contraction, f, x, br, tau: float, border=None) -> n
 
     No player has a block against itself, so J's diagonal blocks are I; the
     largest player's actions are eliminated by a Schur complement, leaving
-    a dense solve over the rest.  With ``border = (c, t, q)``, the bordered
-    system ``[[J, c], [t^T]] [d; e] = -[f; q]`` is solved instead, after
-    the same elimination, and ``[d; e]`` returned.  None if the system is
-    singular (LAPACK gesv's info > 0): a failed step to every caller.
+    a dense solve over the rest.  With ``border = (t, q)``, the bordered
+    system ``[[J, c], [t^T]] [d; e] = -[f; q]`` of the branch in ``(y,
+    lambda = 1/tau)`` is solved instead, after the same elimination, and
+    ``[d; e]`` returned; c is the residual's derivative in lambda, ``-(dev_i
+    - br_i . dev_i)`` per player at the last contraction.  None if the
+    system is singular (LAPACK gesv's info > 0): a failed step to every
+    caller.
     """
     m, r = ops.big, ops.rest
     if r.size == 0 and border is None:
         return -f
     b_r, b_mr = ops.schur_blocks()
-    nb = b_mr.shape[0]
+    nb, n = b_mr.shape
+    k = n + (border is not None)
+    k_r, k_mr, system = np.empty((n, nb + k)), np.empty((nb, k)), np.empty((k, k))
+    unknowns, eye = ops.rest_border[:k], ops.eye[:, :k]
     # x / tau over cols; its tail is the rest's
     x_cols = x[ops.cols] / tau
-    # apply I - 1 br_i^T within each rest player's rows
-    k_r = np.add.reduceat(br[r][:, None] * b_r, ops.rest_starts, axis=0)[ops.rest_seg]
-    np.subtract(b_r, k_r, out=k_r)
-    k_r *= x_cols
-    k_rm, k_rr = k_r[:, :nb], k_r[:, nb:]
-    k_mr = b_mr - br[m] @ b_mr
-    k_mr *= x_cols[nb:]
-    schur = k_rm @ k_mr
-    schur += k_rr
-    np.subtract(ops.eye, schur, out=schur)
-    rhs = -f[r] - k_rm @ f[m]
+    # K = P B diag(x) / tau, P applying I - 1 br_i^T within each rest
+    # player's rows; a border adds the column -c, the regrets at br
+    pulled = ops.rest_players.T @ ((ops.rest_players * br[r]) @ b_r)
+    np.subtract(b_r, pulled, out=k_r[:, : nb + n])
+    k_r[:, : nb + n] *= x_cols
+    np.subtract(b_mr, br[m] @ b_mr, out=k_mr[:, :n])
+    k_mr[:, :n] *= x_cols[nb:]
     if border is not None:
-        # d_m = k_mr d_r - c_m e - f_m, substituted into the rest's rows and
-        # the border row
-        c, t, q = border
-        t_m, t_r = t[:-1][m], t[:-1][r]
-        schur = np.block([
-            [schur, (c[r] + k_rm @ c[m])[:, None]],
-            [t_r + t_m @ k_mr, t[-1] - t_m @ c[m]],
-        ])
-        rhs = np.append(rhs, t_m @ f[m] - q)
-    _, _, d_r, info = lapack.dgesv(schur, rhs, overwrite_a=True, overwrite_b=True)
+        regrets = ops.regrets(br, ops.dev)
+        k_r[:, -1] = regrets[r]
+        k_mr[:, -1] = regrets[m]
+    k_rm, f_m = k_r[:, :nb], f[m]
+    # d_m = k_mr d_r - f_m, substituted into the rest's rows and the border
+    # row
+    rhs = np.empty(k)
+    np.matmul(k_rm, k_mr, out=system[:n])
+    system[:n] += k_r[:, nb:]
+    np.subtract(eye, system[:n], out=system[:n])
+    np.subtract(-f[r], k_rm @ f_m, out=rhs[:n])
+    if border is not None:
+        t, q = border
+        t_m = t[m]
+        np.add(t_m @ k_mr, t[unknowns], out=system[n])
+        rhs[n] = t_m @ f_m - q
+    _, _, d_r, info = lapack.dgesv(system, rhs, overwrite_b=True)
     if info != 0:
         return None
-    d = np.empty(f.size + (border is not None))
-    d[r] = d_r[: r.size]
-    d[m] = k_mr @ d_r[: r.size] - f[m]
-    if border is not None:
-        d[m] -= c[m] * d_r[-1]
-        d[-1] = d_r[-1]
+    d = np.empty(f.size + k - n)
+    d[unknowns] = d_r
+    d[m] = k_mr @ d_r - f_m
     return d
+
+
+def _normalised(ops: _Contraction, y: np.ndarray, x: np.ndarray):
+    """A solved iterate y normalised, ``y - log s_i`` with ``s_i`` the sum
+    of player i's ``e^y``, and the parts of its trace record, rescaled from
+    the last residual's at y: ``x = e^y / s`` and the deviation payoffs
+    ``dev`` at x.  Deviation payoffs are multilinear in the co-players'
+    marginals, so player i's at x are those at e^y over ``prod_{k != i}
+    s_k``: the record is exact at the normalised profile, at any tolerance,
+    without another contraction.  Scales the residual's x in place."""
+    s = np.add.reduceat(x, ops.starts)
+    scale = s[ops.seg]
+    x /= scale
+    dev = ops.dev / (math.prod(s.tolist()) / scale)
+    return y - np.log(scale), (x, dev)
 
 
 def _correct(ops: _Contraction, y: np.ndarray, tau: float, logt: np.ndarray, cap: int, tol: float):
@@ -548,18 +538,10 @@ def _correct(ops: _Contraction, y: np.ndarray, tau: float, logt: np.ndarray, cap
 
     Returns the iterate, the iterations taken, and the parts of its trace
     record, or None if max|F| missed ``tol`` within ``cap`` iterations or
-    is not finite at y (a prediction whose e^y overflows).  A solved
-    iterate is returned normalised, ``y - log s_i`` with ``s_i`` the sum of
-    player i's ``e^y``, and its parts are the last residual's, rescaled to
-    that profile: ``x = e^y / s``, the deviation payoffs ``dev`` at x and
-    the softmax input ``dev / tau + log t`` of the soft best response,
-    whose log-partitions ``solve_lle`` takes for all its records at once.
-    Deviation payoffs are multilinear in the co-players' marginals, so
-    player i's at x are those at e^y over ``prod_{k != i} s_k``; the record
-    is therefore exact at the returned profile, at any ``tol``, without
-    another contraction.  A singular Newton system fails the correction.  A
-    residual that overflows only warns here; ``solve_lle`` silences that
-    around its whole trace, detours included.
+    is not finite at y (a start whose e^y overflows).  A solved iterate is
+    returned ``_normalised``, with its parts.  A singular Newton system
+    fails the correction.  A residual that overflows only warns here;
+    ``solve_lle`` silences that around its whole trace.
     """
     f, x, br = _qre_residual(ops, y, tau, logt)
     res = np.maximum.reduce(np.abs(f))
@@ -586,234 +568,174 @@ def _correct(ops: _Contraction, y: np.ndarray, tau: float, logt: np.ndarray, cap
             if alpha < NEWTON_MIN_DAMPING:
                 return y, its, None
         y, res = trial, trial_res
-    s = np.add.reduceat(x, ops.starts)
-    scale = s[ops.seg]
-    x /= scale
-    dev = ops.dev / (math.prod(s.tolist()) / scale)
-    v = dev / tau
-    v += logt
-    return y - np.log(scale), its, (x, dev, v)
+    y, parts = _normalised(ops, y, x)
+    return y, its, parts
 
 
-def _extrapolate(history, lam: float) -> np.ndarray:
-    """The Lagrange interpolant through the ``(lam_k, y_k)`` of history,
-    evaluated at lam."""
-    for k, (lam_k, y_k) in enumerate(history):
+def _extrapolate(points, s: float) -> np.ndarray:
+    """The Lagrange interpolant through the ``(s_k, v_k)`` of points,
+    evaluated at s."""
+    for k, (s_k, v_k) in enumerate(points):
         weight = 1.0
-        for j, (lam_j, _) in enumerate(history):
+        for j, (s_j, _) in enumerate(points):
             if j != k:
-                weight *= (lam - lam_j) / (lam_k - lam_j)
+                weight *= (s - s_j) / (s_k - s_j)
         if k == 0:
-            pred = weight * y_k
+            pred = weight * v_k
         else:
-            pred += weight * y_k
+            pred += weight * v_k
     return pred
 
 
-def _branch_residual(ops: _Contraction, v: np.ndarray, logt: np.ndarray):
-    """``_qre_residual`` at ``v = [y; lambda]``, lambda = 1/tau being 0 at
-    infinite temperature, with tau and the residual's derivative in
-    lambda, ``-(dev_i - br_i . dev_i)`` per player."""
-    tau = 1.0 / v[-1] if v[-1] else np.inf
-    f, x, br = _qre_residual(ops, v[:-1], tau, logt)
-    return f, x, br, tau, -ops.regrets(br, ops.dev)
-
-
-def _tangent(ops: _Contraction, v: np.ndarray, t: np.ndarray, logt: np.ndarray) -> np.ndarray | None:
-    """The branch's unit tangent at v, oriented along t: the bordered
-    Newton system with t as its last row and right-hand side ``[0; 1]``;
-    None where that system is singular."""
-    f, x, br, tau, c = _branch_residual(ops, v, logt)
-    d = _newton_direction(ops, np.zeros_like(f), x, br, tau, (c, t, -1.0))
-    return None if d is None else d / np.linalg.norm(d)
-
-
-def _detour(
-    ops: _Contraction, y, lam: float, tau_end: float, logt: np.ndarray, budget: int, tol: float
-):
-    """Follow the QRE branch from its solved point (y, lam) by
-    pseudo-arclength continuation in ``(y, lambda)`` (Allgower & Georg
-    1990, ch. 6) until it crosses ``1/tau_end`` going forward, then solve
-    tau_end to ``tol`` by ``_correct`` from the line through the two branch
-    points that bracket the crossing.  Each step predicts along the unit
-    tangent and corrects by Newton on the hyperplane normal to it, to
-    ``NEWTON_TOL``; a step whose corrector fails or meets a singular
-    system, whose tangent turns too far or cannot be solved for, or whose
-    crossing ``_correct`` fails is retried at half the length.
-
-    Returns the solution at tau_end, its ``_correct`` parts, the
-    bracketing ``(lambda, y)`` pairs, the Newton iterations taken, at most
-    ``budget``, and why it failed.  Each tangent is a bordered Newton solve
-    and counts as an iteration.  The first three are None, and the reason
-    is set, once the budget is spent, once the step length is below
-    ``ARC_MIN_STEP``, if the first tangent's system is singular, or once an
-    accepted point lies at lambda < 0: the detour has turned back past
-    infinite temperature and would walk the branch the wrong way until the
-    budget runs out.
-    """
-    if budget < 1:
-        return None, None, None, 0, "the detour spent its Newton budget"
-    lam_end = 1.0 / tau_end
-    v = np.append(y, lam)
-    t = _tangent(ops, v, np.append(np.zeros_like(y), 1.0), logt)
-    if t is None:
-        return None, None, None, 1, "the Newton system is singular where the detour starts"
-    h = min(lam_end - lam, ARC_MAX_STEP)
-    its = 1
-    while h >= ARC_MIN_STEP and its < budget:
-        w, limit = v + h * t, ARC_FIRST_CORRECTION * h
-        for k in range(ARC_CORRECTOR_ITERS + 1):
-            f, x, br, tau, c = _branch_residual(ops, w, logt)
-            if np.maximum.reduce(np.abs(f)) <= NEWTON_TOL or k == ARC_CORRECTOR_ITERS or its == budget:
-                break
-            dw = _newton_direction(ops, f, x, br, tau, (c, t, 0.0))
-            its += 1
-            if dw is None:
-                break
-            size = np.linalg.norm(dw)
-            if not size <= limit:  # also rejects a nan step
-                break
-            w, limit = w + dw, 0.5 * size
-        accepted = np.maximum.reduce(np.abs(f)) <= NEWTON_TOL and its < budget
-        if accepted:
-            t_w = _tangent(ops, w, t, logt)
-            its += 1
-            accepted = t_w is not None and t_w @ t >= ARC_MIN_COSINE
-        if accepted and w[-1] < 0:
-            why = "the arclength detour from a stalled temperature turned back past lambda 0"
-            return None, None, None, its, why
-        if accepted and v[-1] < lam_end <= w[-1]:
-            bracket = [(v[-1], v[:-1]), (w[-1], w[:-1])]
-            cap = min(NEWTON_STAGE_ITERS, budget - its)
-            y_end, k_end, parts = _correct(
-                ops, _extrapolate(bracket, lam_end), tau_end, logt, cap, tol
-            )
-            its += k_end
-            if parts is not None:
-                return y_end, parts, bracket, its, None
-            accepted = False
-        if not accepted:
-            h *= 0.5
-            continue
-        v, t = w, t_w
-        if k <= 2:
-            h = min(1.5 * h, ARC_MAX_STEP)
-    if its >= budget:
-        return None, None, None, its, "the detour spent its Newton budget"
-    return None, None, None, its, f"the arclength step fell below {ARC_MIN_STEP:g} past a stalled temperature"
+def _arc_correct(ops: _Contraction, w: np.ndarray, normal: np.ndarray, logt: np.ndarray, tol: float, cap: int):
+    """Newton on the hyperplane through ``w = [y; lambda]`` normal to
+    ``normal`` (the bordered ``_newton_direction``), until the QRE
+    residual's max-norm is at most ``tol``, for at most ``cap`` iterations,
+    or until the system is singular.  Returns the last iterate, its e^y and
+    tau, that max-norm and the iterations taken."""
+    its = 0
+    while True:
+        lam = float(w[-1])
+        tau = 1.0 / lam if lam else math.inf
+        f, x, br = _qre_residual(ops, w[:-1], tau, logt)
+        res = np.maximum.reduce(np.abs(f))
+        if not res > tol or its == cap:
+            return w, x, tau, res, its
+        dw = _newton_direction(ops, f, x, br, tau, (normal, 0.0))
+        its += 1
+        if dw is None:
+            return w, x, tau, res, its
+        w = w + dw
 
 
 def solve_lle(game: Game, config: QREConfig | None = None) -> EquilibriumResult:
     """Trace the principal branch of the logit QRE toward its
     low-temperature limit, the LLE.
 
-    The temperatures lie on a grid: ``tau_init`` times powers of
-    ``tau_decay``, down to ``tau_terminal``.  The trace solves a
-    subsequence of it, ``skip`` grid steps at a time (``SKIP_TOL``): skip
-    starts at 1, doubles while the predictions land on the branch and
-    halves, to 1 at least, when they miss it by more than ``SKIP_TOL``.
-    At each temperature the QRE fixed point is solved by damped Newton in
-    the log-marginals (``_correct``), from a prediction: the Lagrange
-    interpolant in ``lambda = 1/tau`` through the last three solved
-    temperatures' log-marginals, a line through two, the solution itself
-    after one (the trace's first temperature starts from the target
-    profile).  ``tau_terminal`` is solved until the residual's max-norm is
-    at most ``NEWTON_TOL``; every other temperature only to
-    ``NEWTON_STAGE_TOL``, which keeps the next prediction in the
-    corrector's basin at about half the Newton iterations.  A temperature
-    whose residual misses its tolerance within ``NEWTON_STAGE_ITERS``
-    iterations from its prediction, or meets a singular Newton system, has
-    stalled: the branch folds back there, or the prediction left the
-    corrector's basin.  One reached by skipping is retried once, from the
-    same history, at the next grid temperature, with skip back at 1.  One
-    at skip 1 is reached by an arclength detour along the branch
-    (``_detour``), counted in ``restarts``, from the last solved
-    temperature, first solved on to ``NEWTON_TOL``; the predictor's history
-    then holds the two branch points bracketing the crossing, and the
-    solution.  So near a fold the trace walks the whole grid, as with
-    ``SKIP_TOL = 0``, which solves every grid temperature.
-    ``ConvergenceError`` is raised when the detour's step falls below
-    ``ARC_MIN_STEP`` or the detour turns back past lambda 0, or once
-    ``max_steps`` caps the Newton iterations in all, those of rejected
-    predictions, retries and detours, and the detour's tangents, included.
-    Stops once the terminal temperature is solved, or as soon as the
-    start's or a solved temperature's true (unregularized) exploitability
-    reaches ``epsilon_ne``; with ``epsilon_ne=0`` that early exit is off
-    and the trace always runs to ``tau_terminal``.  The trace starts at
-    the target profile, the fixed point at infinite temperature.  The
-    trace holds the start, one record per temperature and the final
-    profile, ``step`` counting Newton iterations.  Deterministic.
+    One pseudo-arclength predictor-corrector loop follows the branch in ``v
+    = (y, lambda)``, y the log-marginals and lambda = 1/tau (Allgower &
+    Georg 1990, ch. 6; Turocy 2005), from lambda 0, where it is the target
+    profile t, to ``tau_terminal``.  Arclength is measured with each
+    log-marginal weighted by its target, so a class of exact clones counts
+    as one action and the trace, early exit included, is invariant to
+    cloning; lambda has weight ``ARC_LAMBDA_WEIGHT``.  The first direction
+    is the exact tangent at lambda 0, (the regrets at t, 1), normalised.
+    Each step predicts with the Lagrange interpolant in arclength through
+    the last three accepted points (two after the first step), and corrects
+    by Newton on the hyperplane through the prediction normal to the
+    direction from the last point to it (the bordered
+    ``_newton_direction``), so the trace passes folds of the branch, where
+    lambda turns back, as it passes any other point.  The step length
+    follows the prediction's error (``ARC_PREDICT_TOL``).  A step fails, and
+    is retried from the same point at half the length, if its corrector
+    misses its tolerance (``ARC_TOL``) within ``NEWTON_ITERS`` iterations or
+    meets a singular system, if the prediction missed by so much that the
+    step would be more than halved, or if the corrected point lies at lambda
+    <= 0: it may have left the branch.  Each failure also halves the
+    corrector's tolerance for the rest of the trace, and the point the step
+    failed from is first solved on to ``NEWTON_TOL``, once, on its own
+    hyperplane: near a sharp fold a point within the tolerance can lie too
+    far off the branch for any shorter step to start from.  Once an
+    accepted point lies at or past ``1/tau_terminal``, ``tau_terminal`` is
+    solved to ``NEWTON_TOL`` by ``_correct`` from the chord between that
+    point and the one before; a failure there also halves the step.  ``ConvergenceError`` is raised
+    when the step falls below ``ARC_MIN_STEP``, or once ``max_steps`` caps
+    the Newton iterations in all, those of failed steps included.
 
-    A solved temperature's record comes from the corrector's last
-    residual, rescaled to the normalised profile that ``_correct``
-    returns, so it is exact at that profile up to rounding, however loose
-    the temperature's tolerance.  Its exploitability is taken at that
-    temperature; its loss is filled in when the trace ends, whether it
-    returns or raises, the log-partitions of every such record's soft best
-    response taken in one batch.  The exact record (``_qre_gap``) is taken
-    at the start, on a stalled iterate, at the terminal temperature and
-    wherever the corrector's exploitability is at most ``2 * epsilon_ne``;
-    so the early exit is decided on the returned profile's exact
-    exploitability, and ``exploitability`` and the final record come from
-    it.
+    Stops once ``tau_terminal`` is solved, or as soon as the start's or an
+    accepted point's true (unregularized) exploitability reaches
+    ``epsilon_ne``; with ``epsilon_ne=0`` that early exit is off and the
+    trace always runs to ``tau_terminal``.  The trace holds the start
+    (``tau`` None, at infinite temperature, where the QRE loss is 0), one
+    record per accepted point and the returned profile's again, ``step``
+    counting Newton iterations; ``restarts`` is 0.  Deterministic.
+
+    An accepted point's record comes from the corrector's last residual,
+    rescaled to the normalised profile (``_normalised``), so it is exact at
+    that profile up to rounding, however loose the corrector's tolerance.
+    Its exploitability is taken at that point; its loss is filled in when
+    the trace ends, whether it returns or raises, in one batch.  The exact
+    record (``_qre_gap``) is taken at ``tau_terminal`` and wherever the
+    corrector's exploitability is at most ``2 * epsilon_ne``; so the early
+    exit is decided on the returned profile's exact exploitability, and
+    ``exploitability`` and the final record come from it.
     """
     config = config or QREConfig()
     if config.targets is None:
         config = replace(config, targets=kernels.affinity_targets(game))
     targets = _validate_targets(game, config.targets)
     logt = np.log(np.concatenate(targets))
+    lam_end = 1.0 / config.tau_terminal
 
     ops = _Contraction(game)
-    y = logt.copy()
-    history = deque(maxlen=3)  # (1/tau, y) of the last solved temperatures
-
-    tau = last = config.tau_init
-    step = restarts = 0
-    skip = 1  # grid steps to the next temperature
-    loss, exploit = _qre_gap(ops, y, tau, logt)
-    trace = [TraceRecord(step, tau, loss, exploit)]
-    termination = None
-    if config.epsilon_ne > 0 and exploit <= config.epsilon_ne:
-        termination = "epsilon_ne"
-    pending = []  # (trace index, v, x . (y - v)) of the corrector's records
+    x = np.concatenate(targets)
+    dev = ops.contract(x)
+    exploit = ops.exploitability(x, dev)
+    trace = [TraceRecord(0, None, 0.0, exploit)]
+    # the metric of arclength: each log-marginal weighted by its target, so
+    # that exact clones, which split one target, count as one action
+    metric = np.append(x, ARC_LAMBDA_WEIGHT)
+    tangent = np.append(ops.regrets(x, dev), 1.0)
+    tangent /= math.sqrt(tangent @ (metric * tangent))
+    points = [(0.0, np.append(logt, 0.0))]  # (arclength, v) of the last accepted points
+    y, h, step = logt, ARC_FIRST_STEP, 0
+    termination = "epsilon_ne" if config.epsilon_ne > 0 and exploit <= config.epsilon_ne else None
+    pending = []  # (trace index, x, y, dev) of the corrector's records
+    tol = ARC_TOL  # the corrector's; halved, with the step, by each failure
+    loose = False  # whether the last point was solved to tol only
     with np.errstate(over="ignore", invalid="ignore"):
         while termination is None:
-            terminal = tau <= config.tau_terminal * (1 + 1e-12)
-            tol = NEWTON_TOL if terminal else NEWTON_STAGE_TOL
-            order = len(history)
-            start = _extrapolate(history, 1.0 / tau) if order > 1 else y
-            y_next, its, parts = _correct(
-                ops, start, tau, logt, min(NEWTON_STAGE_ITERS, config.max_steps - step), tol
-            )
-            step += its
-            if parts is None and step < config.max_steps:
-                if skip > 1:
-                    # retry at the next grid temperature
-                    skip = 1
-                    tau = max(last * config.tau_decay, config.tau_terminal)
-                    continue
-                restarts += 1
-                order = 0  # a detour's temperature grades no prediction
-                # before any temperature is solved, y is the exact point at
-                # lambda 0; a solved one is solved on to NEWTON_TOL, as the
-                # detour's branch points are
-                lam = history[-1][0] if history else 0.0
-                if history:
-                    cap = min(NEWTON_STAGE_ITERS, config.max_steps - step)
-                    y, its, _ = _correct(ops, y, 1.0 / lam, logt, cap, NEWTON_TOL)
-                    step += its
-                found, parts, bracket, its, why = _detour(
-                    ops, y, lam, tau, logt, config.max_steps - step, tol
-                )
-                step += its
-                if parts is not None:
-                    y_next = found
-                    history = deque(bracket, maxlen=3)
-            y = y_next
-            if parts is None:
+            if h < ARC_MIN_STEP:
+                why = f"the arclength step fell below {ARC_MIN_STEP:g}"
                 break
-            history.append((1.0 / tau, y))
-            x, dev, v = parts
+            s, v = points[-1]
+            if len(points) == 1:
+                pred, order = v + h * tangent, 2
+            else:
+                pred, order = _extrapolate(points, s + h), len(points)
+            direction = pred - v
+            normal = metric * direction
+            normal /= math.sqrt(direction @ normal)
+            cap = min(NEWTON_ITERS, config.max_steps - step)
+            w, x, tau, res, its = _arc_correct(ops, pred, normal, logt, tol, cap)
+            step += its
+            lam = float(w[-1])
+            chord = w - v
+            e = float(np.maximum.reduce(np.abs(w - pred)))
+            grow = 0.9 * (ARC_PREDICT_TOL / e) ** (1.0 / order) if e else 4.0
+            # a point whose prediction missed by so much that h would be cut
+            # below half, or at lambda <= 0, may have left the branch
+            ok = res <= tol and grow >= 0.5 and lam > 0
+            terminal = ok and lam >= lam_end
+            if terminal:
+                tau = config.tau_terminal
+                start = v[:-1] + (lam_end - v[-1]) / (lam - v[-1]) * chord[:-1]
+                cap = min(NEWTON_ITERS, config.max_steps - step)
+                y_end, its, parts = _correct(ops, start, tau, logt, cap, NEWTON_TOL)
+                step += its
+            elif ok:
+                y_end, parts = _normalised(ops, w[:-1], x)
+            else:
+                parts = None
+            if parts is None:
+                if step >= config.max_steps:
+                    why = f"all {config.max_steps} Newton iterations spent"
+                    break
+                h *= 0.5
+                tol = max(0.5 * tol, NEWTON_TOL)
+                if loose:
+                    # the point a step failed from is solved on to
+                    # NEWTON_TOL, once, on its own hyperplane
+                    cap = min(NEWTON_ITERS, config.max_steps - step)
+                    tight, _, _, res, its = _arc_correct(ops, v, last_normal, logt, NEWTON_TOL, cap)
+                    step += its
+                    loose = False
+                    if res <= NEWTON_TOL:
+                        points[-1] = (s, tight)
+                continue
+            loose, last_normal = True, normal
+            y = y_end
+            x, dev = parts
             exploit = ops.exploitability(x, dev)
             # the corrector's record differs from the exact one by rounding
             # only, but near epsilon_ne rounding could decide the exit, so it
@@ -822,55 +744,50 @@ def solve_lle(game: Game, config: QREConfig | None = None) -> EquilibriumResult:
                 loss, exploit = _qre_gap(ops, y, tau, logt)
             else:
                 loss = np.nan
-                pending.append((len(trace), v, float(x @ (y - v))))
+                pending.append((len(trace), x, y, dev))
             trace.append(TraceRecord(step, tau, loss, exploit))
             if config.epsilon_ne > 0 and exploit <= config.epsilon_ne:
                 termination = "epsilon_ne"
             elif terminal:
                 termination = "terminal_tau"
-            else:
-                if order:
-                    err = np.maximum.reduce(np.abs(y - start))
-                    if err < SKIP_TOL * 2.0**-order:
-                        skip *= 2
-                    elif err > SKIP_TOL:
-                        skip = max(skip // 2, 1)
-                last = tau
-                tau = max(tau * config.tau_decay**skip, config.tau_terminal)
+            h *= min(grow, 4.0)
+            points = [*points[-2:], (s + math.sqrt(chord @ (metric * chord)), w)]
 
     # a record from the corrector gets its loss here, on the raising path
-    # too: tau (sum_i lse_i(v) + x . (y - v)), the log-partitions of every
-    # such record's softmax input v taken in one batch
+    # too: tau (sum_i lse_i(v) + x . (y - v)), v = dev / tau + log t the
+    # soft best response's input, in one batch over every such record's
+    # profile x, log-marginals y and deviation payoffs dev
     if pending:
-        rows, vs, dots = zip(*pending)
-        _, lse = ops.log_softmax(np.stack(vs, axis=1))
-        for k, total, dot in zip(rows, lse.sum(axis=0).tolist(), dots):
-            trace[k].loss = trace[k].tau * (total + dot)
-
-    if termination is None:
-        # the stalled iterate gets its own record
-        loss, exploit = _qre_gap(ops, y, tau, logt)
-    trace.append(TraceRecord(step, tau, loss, exploit))
+        rows, *columns = zip(*pending)
+        xs, ys, vs = (np.stack(c, axis=1) for c in columns)
+        vs /= [trace[k].tau for k in rows]
+        vs += logt[:, None]
+        _, lse = ops.log_softmax(vs)
+        ys -= vs
+        ys *= xs
+        totals = lse.sum(axis=0) + ys.sum(axis=0)
+        for k, total in zip(rows, totals.tolist()):
+            trace[k].loss = trace[k].tau * total
+    last = trace[-1]
+    trace.append(replace(last, step=step))
     profile = ops.profile(y)
     if termination is None:
-        # short of max_steps, only a failed detour stops the trace
-        reason = f"all {config.max_steps} Newton iterations spent" if step >= config.max_steps else why
+        lam = 0.0 if last.tau is None else 1.0 / last.tau
         raise ConvergenceError(
-            f"solve_lle: {reason} (tau={tau:.4g}, loss={loss:.3e}, "
-            f"exploitability={exploit:.3e}, step {step})",
+            f"solve_lle: {why} (lambda={lam:.4g}, loss={last.loss:.3e}, "
+            f"exploitability={last.exploitability:.3e}, step {step})",
             iterate=profile,
             trace=trace,
         )
     return EquilibriumResult(
         profile=profile,
-        exploitability=exploit,
+        exploitability=last.exploitability,
         trace=trace,
         converged=True,
         method="ne",
         termination=termination,
         targets=targets,
         config=_settings(config),
-        restarts=restarts,
     )
 
 
@@ -1337,7 +1254,7 @@ def _polish(ops: _Contraction, x: np.ndarray) -> np.ndarray | None:
     x = np.where(keep, x, 0.0)
     v = ops.seg_sum(x * ops.contract(x))
     k = support.size
-    for _ in range(NEWTON_STAGE_ITERS):
+    for _ in range(NEWTON_ITERS):
         f, jac = _indifference(ops, x, v, support)
         if np.abs(f).max() <= NEWTON_TOL:
             break

@@ -3,9 +3,10 @@ continuation, kept as a reference for the selected equilibrium, with the
 ``_Adam`` optimizer it runs and the gradient's pull through the pair
 blocks (the solvers use neither).
 
-It descends the QRE loss over per-player logits with Adam, multiplying tau
-by ``tau_decay`` at each ``interval``-step check where the loss is at most
-``gate``; a stage whose loss stops falling halves the step.
+It descends the QRE loss over per-player logits with Adam from tau
+``tau_init``, multiplying tau by ``tau_decay`` at each ``interval``-step
+check where the loss is at most ``gate``, down to the config's
+``tau_terminal``; a stage whose loss stops falling halves the step.
 """
 
 import numpy as np
@@ -64,14 +65,16 @@ class _Adam:
         z -= mhat
 
 
-def solve_lle_adam(game, config: QREConfig, interval=250, gate=1e-5, learning_rate=1e-2):
+def solve_lle_adam(
+    game, config: QREConfig, interval=250, gate=1e-5, learning_rate=1e-2, tau_init=1.0, tau_decay=0.95
+):
     """Returns the final profile, the termination and the step count."""
     logt = np.log(np.concatenate(_validate_targets(game, config.targets)))
     ops = _Contraction(game)
     z = logt.copy()
     adam = _Adam(z.size, learning_rate)
     min_lr = learning_rate / 128.0
-    tau = config.tau_init
+    tau = tau_init
     step = 0
     termination = "max_steps"
     stall_window = max(4 * interval, 1000)
@@ -91,7 +94,7 @@ def solve_lle_adam(game, config: QREConfig, interval=250, gate=1e-5, learning_ra
             if tau <= config.tau_terminal * (1 + 1e-12):
                 termination = "terminal_tau"
                 break
-            tau = max(tau * config.tau_decay, config.tau_terminal)
+            tau = max(tau * tau_decay, config.tau_terminal)
             adam.lr = learning_rate
             best_loss = np.inf
             last_progress = step

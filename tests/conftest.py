@@ -73,8 +73,9 @@ def random_game(shape, seed, scale=1.0):
 
 def fold_game():
     """A 4x3 KOTH game of seeded judge scores whose principal QRE branch
-    folds back between tau 0.122 and 0.116, so a temperature-monotone LLE
-    trace stalls there."""
+    turns steeply between tau 0.122 and 0.116 (the Jacobian's smallest
+    singular value dips to 6.5e-3 near tau 0.1185), so a trace over a
+    temperature grid stalls there."""
     rng = np.random.default_rng(2)
     models = ["m_a", "m_b", "m_c"]
     records = [

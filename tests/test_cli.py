@@ -36,10 +36,10 @@ def test_solve_manifest_reports_termination_and_stages(tmp_path, chicken):
     with open(out, encoding="utf-8") as fh:
         trace = json.load(fh)["trace"]
     assert manifest["termination"] == "terminal_tau"
-    # tau_init 1 down to 0.01 on the grid of factors 0.95, whose 91
-    # temperatures the trace thins to 29 where its predictor lands on the
-    # branch
-    assert manifest["stages"] == 29 == len({r["tau"] for r in trace})
+    # the start at lambda 0 has no temperature; each of the 31 points the
+    # arclength trace accepts, down to tau 0.01, has its own
+    assert trace[0]["tau"] is None
+    assert manifest["stages"] == 31 == len({r["tau"] for r in trace[1:]})
     assert manifest["steps"] == trace[-1]["step"]
     assert manifest["restarts"] == 0
     timings = manifest["timings"]
@@ -265,7 +265,7 @@ def test_simulate_rejects_unknown_keys(tmp_path, capsys):
         # the second run would overwrite the first one's trajectory files
         {"methods": ["elo", "elo"], "trials": 1, "iterations": 1},
         # the elo arm would run before the ne arm's QREConfig rejects its value
-        {"methods": ["elo", "ne"], "trials": 1, "iterations": 1, "solver": {"tau_decay": 2.0}},
+        {"methods": ["elo", "ne"], "trials": 1, "iterations": 1, "solver": {"tau_terminal": 0.0}},
         {"rating_method": "ne", "trials": 1, "iterations": 1, "solver": {"max_steps": "5"}},
         # which of the two would run is not the config's to leave open
         {"methods": ["ne"], "rating_method": "cce", "trials": 1, "iterations": 1},
@@ -467,7 +467,7 @@ def test_clone_test_tables_use_the_rate_csv_format(manifests):
 def test_equilibrium_files_keep_their_config_and_trace_keys(manifests):
     tmp, _ = manifests
     configs = {
-        "ne": ["tau_init", "tau_decay", "tau_terminal", "epsilon_ne", "max_steps"],
+        "ne": ["tau_terminal", "epsilon_ne", "max_steps"],
         "cce": ["max_steps", "epsilon_cce"],
     }
     for method, keys in configs.items():

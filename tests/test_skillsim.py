@@ -126,16 +126,16 @@ def test_ne_rating_is_one_cold_lle_trace():
 
 
 def test_fold_records_no_fallback():
-    # the QRE branch folds near tau 0.12, above the default overrides'
-    # terminal temperature; the trace detours past the fold and rates with
-    # the solved profile
+    # the QRE branch turns steeply near tau 0.12, above the default
+    # overrides' terminal temperature, where a temperature grid stalls; the
+    # arclength trace passes and rates with the solved profile
     game = fold_game()
     targets = affinity_targets(game)
     rater = skillsim._EquilibriumRater(skillsim.SimConfig(rating_method="ne"))
     profile = rater._solve(game, targets, 3)
     assert rater.fallbacks == []
     result = solvers.solve_lle(game, solvers.QREConfig(targets=targets, tau_terminal=0.1))
-    assert result.restarts >= 1
+    assert result.termination == "terminal_tau"
     for got, want in zip(profile.marginals, result.profile.marginals):
         assert np.array_equal(got, want)
 
@@ -167,26 +167,30 @@ def test_a_trial_past_its_inner_round_cap_is_aborted(tmp_path):
 
 
 def test_solver_keys_checked_against_the_arm():
-    with pytest.raises(ParameterError, match="tau_init"):
-        skillsim.SimConfig(rating_method="cce", solver={"tau_init": 1.0})
+    with pytest.raises(ParameterError, match="tau_terminal"):
+        skillsim.SimConfig(rating_method="cce", solver={"tau_terminal": 1e-2})
     with pytest.raises(ParameterError, match="epsilon_cce"):
         skillsim.SimConfig(rating_method="ne", solver={"epsilon_cce": 1e-4})
     with pytest.raises(ParameterError, match="force_anneal_on_stall"):
         skillsim.SimConfig(rating_method="ne", solver={"force_anneal_on_stall": True})
+    # the temperature grid's settings went with the grid
+    for key in ("tau_init", "tau_decay"):
+        with pytest.raises(ParameterError, match=f"solver key '{key}' is not a QREConfig setting"):
+            skillsim.SimConfig(rating_method="ne", solver={key: 0.9})
 
 
 def test_solver_values_checked_by_the_arm_config():
     # the rater sets the targets, so the key is rejected by name
     with pytest.raises(ParameterError, match="'targets'"):
         skillsim.SimConfig(rating_method="ne", solver={"targets": None})
-    with pytest.raises(ParameterError, match="tau_decay"):
-        skillsim.SimConfig(rating_method="ne", solver={"tau_decay": 2.0})
+    with pytest.raises(ParameterError, match="tau_terminal"):
+        skillsim.SimConfig(rating_method="ne", solver={"tau_terminal": float("inf")})
     with pytest.raises(ParameterError, match="epsilon_cce"):
         skillsim.SimConfig(rating_method="cce", solver={"epsilon_cce": -1.0})
     with pytest.raises(ParameterError, match="max_steps"):
         skillsim.SimConfig(rating_method="cce", solver={"max_steps": "5"})
     # the elo arm solves nothing and checks no solver values
-    skillsim.SimConfig(rating_method="elo", solver={"tau_decay": 2.0})
+    skillsim.SimConfig(rating_method="elo", solver={"tau_terminal": float("inf")})
 
 
 def test_cce_selection_keeps_more_prompt_skills_than_elo():

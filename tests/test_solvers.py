@@ -26,7 +26,6 @@ from eqrate.solvers import (
     QREConfig,
     _CCEDual,
     _Contraction,
-    _branch_residual,
     _correct,
     _indifference,
     _newton_direction,
@@ -50,11 +49,6 @@ from reference import (
     qre_residual,
 )
 from conftest import fold_game, random_game, uniform_product
-
-# toy payoffs reach -12, so approximating the infinite-temperature start
-# needs a hotter initial temperature than the [-1, 1]-scale default
-HOT = dict(tau_init=100.0)
-
 
 class TestQREBestResponse:
     def test_huge_tau_flattens_to_target(self, chicken):
@@ -148,16 +142,20 @@ def _koth_clone_game(prompts, models, clones, seed=0):
     return _koth_with_clones(prompts, models, [0] * clones, seed).game
 
 
-def _random_koth_games(prompts, models, count, seed=0):
-    """KOTH games of random king tensors, antisymmetrised per prompt."""
+def _sweep_game(prompts, models, index, seed=1):
+    """Game ``index`` of shape ``(prompts, models)`` in a seeded sweep of
+    random KOTH games: ``default_rng(seed)`` draws 150 king tensors of each
+    shape (20, 6), (10, 4), (30, 8), (8, 3) and (40, 5) in turn, and each is
+    antisymmetrised per prompt."""
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        u = rng.choice(koth.SCORES, (prompts, models, models))
-        u = (u - u.transpose(0, 2, 1)) / 2
-        names = ([f"q{p}" for p in range(prompts)], [f"m{m}" for m in range(models)])
-        out.append(koth._koth_game(u, *names, (None,) * prompts).game)
-    return out
+    for shape in [(20, 6), (10, 4), (30, 8), (8, 3), (40, 5)]:
+        for k in range(150):
+            u = rng.choice(koth.SCORES, (shape[0], shape[1], shape[1]))
+            if shape == (prompts, models) and k == index:
+                u = (u - u.transpose(0, 2, 1)) / 2
+                names = ([f"q{p}" for p in range(prompts)], [f"m{m}" for m in range(models)])
+                return koth._koth_game(u, *names, (None,) * prompts).game
+    raise ValueError(f"no game {index} of shape {(prompts, models)}")
 
 
 class TestLLEStep:
@@ -206,16 +204,15 @@ class TestNewtonDirection:
             f, x, br = _qre_residual(ops, y, tau, logt)
             d = _newton_direction(ops, f, x, br, tau)
             assert np.abs(jac @ d + f).max() <= 1e-6 * np.abs(f).max()
-            # the arclength detour's bordered system in (y, lambda = 1/tau),
-            # with a random last row
-            v = np.append(y, 1.0 / tau)
-            plus = _qre_residual(ops, y, 1.0 / (v[-1] + h), logt)[0]
-            minus = _qre_residual(ops, y, 1.0 / (v[-1] - h), logt)[0]
+            # the trace's bordered system in (y, lambda = 1/tau), with a
+            # random last row
+            lam = 1.0 / tau
+            plus = _qre_residual(ops, y, 1.0 / (lam + h), logt)[0]
+            minus = _qre_residual(ops, y, 1.0 / (lam - h), logt)[0]
             d_lam = (plus - minus) / (2 * h)
-            f, x, br, tau_v, c = _branch_residual(ops, v, logt)
-            assert np.abs(c - d_lam).max() <= 1e-7
-            t, q = rng.normal(size=v.size), float(rng.normal())
-            de = _newton_direction(ops, f, x, br, tau_v, (c, t, q))
+            f, x, br = _qre_residual(ops, y, tau, logt)
+            t, q = rng.normal(size=y.size + 1), float(rng.normal())
+            de = _newton_direction(ops, f, x, br, tau, (t, q))
             scale = max(np.abs(f).max(), abs(q))
             assert np.abs(jac @ de[:-1] + d_lam * de[-1] + f).max() <= 1e-6 * scale
             assert abs(t @ de + q) <= 1e-9 * scale
@@ -230,11 +227,17 @@ def test_qre_config_rejects_nonpositive_counts(field, value):
 
 @pytest.mark.parametrize(
     "config, field",
-    [(QREConfig, "tau_init"), (QREConfig, "tau_terminal"), (QREConfig, "epsilon_ne"), (CCEConfig, "epsilon_cce")],
+    [(QREConfig, "tau_terminal"), (QREConfig, "epsilon_ne"), (CCEConfig, "epsilon_cce")],
 )
 def test_configs_reject_nan(config, field):
     with pytest.raises(ParameterError, match=field):
         config(**{field: float("nan")})
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+def test_qre_config_needs_a_positive_finite_terminal_temperature(value):
+    with pytest.raises(ParameterError, match="tau_terminal must be positive and finite"):
+        QREConfig(tau_terminal=value)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -259,8 +262,6 @@ def test_solve_calls_each_method_solver_by_its_module_name(monkeypatch, chicken)
     # a game without duplicate actions reaches the solver as it is
     assert all(game is chicken and config.targets is targets for _, game, config in calls)
     assert ne.config == {
-        "tau_init": QREConfig.tau_init,
-        "tau_decay": QREConfig.tau_decay,
         "tau_terminal": QREConfig.tau_terminal,
         "epsilon_ne": 0.0,
         "max_steps": QREConfig.max_steps,
@@ -450,7 +451,7 @@ class TestSolveLLE:
         assert abs(regrets[0][0] - regrets[0][1]) <= 1e-9
 
     def test_chicken_mixed_ne(self, chicken):
-        res = solve_lle(chicken, QREConfig(targets=uniform_targets(chicken), **HOT))
+        res = solve_lle(chicken, QREConfig(targets=uniform_targets(chicken)))
         for m in res.profile.marginals:
             assert m[0] == pytest.approx(11 / 12, abs=1e-2)
         from eqrate.games import expected_utility
@@ -464,7 +465,7 @@ class TestSolveLLE:
     def test_qre_fixed_point_residual_at_termination(self, chicken, rps):
         for game in (chicken, rps):
             targets = affinity_targets(game)
-            config = QREConfig(targets=targets, epsilon_ne=0.0, **HOT)
+            config = QREConfig(targets=targets, epsilon_ne=0.0)
             res = solve_lle(game, config)
             assert res.termination == "terminal_tau"
             assert qre_residual(game, res.profile, config.tau_terminal, targets) <= 1e-2
@@ -490,26 +491,32 @@ class TestSolveLLE:
         )
 
     def test_nonconvergence_raises_with_trace(self, chicken):
-        config = QREConfig(targets=uniform_targets(chicken), max_steps=5, **HOT)
+        config = QREConfig(targets=uniform_targets(chicken), max_steps=5)
         with pytest.raises(ConvergenceError) as exc:
             solve_lle(chicken, config)
         assert exc.value.trace is not None
         assert isinstance(exc.value.iterate, ProductProfile)
 
     @pytest.mark.parametrize(
-        "case", ["fold", "3x3_18", "3x3_12", *(f"4x4_11_draw{k}" for k in (0, 7, 8, 10, 12, 14))]
+        "case",
+        ["fold", "3x3_18", "3x3_12", *(f"4x4_11_draw{k}" for k in (0, 7, 8, 10, 12, 14)), "koth_12x5_7"],
     )
     def test_detour_passes_a_stalled_temperature(self, case):
-        # without the detour each trace stalls: the fold game's branch
-        # folds back between tau 0.122 and 0.116 (the Jacobian's smallest
-        # singular value falls from 3e-2 to 3e-7); random_game((3, 3), 18)
-        # takes a step too long for the corrector's basin at tau 0.377 and
-        # folds near lambda 2.76 and 16.9; random_game((3, 3), 12) folds
-        # below tau 1e-2; the random_game((4, 4), 11) priors of
-        # default_rng(0) stall between tau 0.104 and 0.056
+        # a trace over a temperature grid stalls on each of these games,
+        # and the arclength trace passes: the fold game's branch turns
+        # steeply between tau 0.122 and 0.116 (the Jacobian's smallest
+        # singular value dips to 6.5e-3 near tau 0.1185); random_game((3,
+        # 3), 18) folds back in lambda near 2.76 and 16.9, and
+        # random_game((3, 3), 12) below tau 1e-2; the random_game((4, 4), 11)
+        # priors of default_rng(0) stall a grid between tau 0.104 and 0.056;
+        # the 12x5 KOTH game lost its branch at tau 0.085 on a grid whose
+        # detour started from a loosely solved point.  Each ends within
+        # 1e-15 of a tau_decay=0.99 grid trace's profile.
         config = QREConfig(epsilon_ne=0.0)
         if case == "fold":
             game = fold_game()
+        elif case == "koth_12x5_7":
+            game = _koth_clone_game(12, 5, 0, seed=7)
         elif case.startswith("3x3"):
             game = random_game((3, 3), int(case[4:]))
             if case == "3x3_12":
@@ -518,54 +525,123 @@ class TestSolveLLE:
             game = random_game((4, 4), 11)
             rng = np.random.default_rng(0)
             draws = [tuple(rng.dirichlet(np.ones(n)) for n in game.shape) for _ in range(16)]
-            config = replace(
-                config, targets=draws[int(case[11:])], tau_init=100.0, tau_terminal=1e-3
-            )
+            config = replace(config, targets=draws[int(case[11:])], tau_terminal=1e-3)
         start = time.perf_counter()
         res = solve_lle(game, config)
         assert time.perf_counter() - start < 1.0
         assert res.converged and res.termination == "terminal_tau"
         assert res.trace[-1].tau == config.tau_terminal
         assert qre_residual(game, res.profile, config.tau_terminal, res.targets) <= 1e-10
-        assert res.restarts >= 1
-        assert res.to_dict()["restarts"] == res.restarts
+        assert res.restarts == res.to_dict()["restarts"] == 0
+        if case.startswith("3x3"):
+            # the accepted points pass the folds: lambda falls between some
+            taus = [r.tau for r in res.trace[1:-1]]
+            assert any(b > a for a, b in zip(taus, taus[1:]))
+
+    @pytest.mark.parametrize(
+        "shape, index",
+        [((20, 6), 19), ((20, 6), 52), ((30, 8), 92), ((40, 5), 6), ((20, 6), 92)],
+        ids=["20x6_19", "20x6_52", "30x8_92", "40x5_6", "20x6_92"],
+    )
+    def test_sweep_games_end_on_the_fine_grid_branch(self, shape, index):
+        # games of the seeded sweep of random KOTH games (_sweep_game) that
+        # a tau_decay=0.95 grid trace with arclength detours got wrong:
+        # 20x6 #19 and #52 ended 0.33 and 0.41 (max-abs marginal) from a
+        # finer grid's profile, on another branch; 30x8 #92 spent all
+        # 200,000 Newton iterations in 19 s, and 40x5 #6 raised.  20x6 #92
+        # folds sharply near lambda 77.8, where a trace whose corrector
+        # tolerance does not tighten with its failed steps raises.  The
+        # pinned marginals are a tau_decay=0.99 grid trace's, at default
+        # settings
+        game = _sweep_game(*shape, index)
+        start = time.perf_counter()
+        res = solvers_mod.solve(game, "ne", affinity_targets(game))
+        assert time.perf_counter() - start < 1.0
+        assert res.termination == "terminal_tau"
+        for got, want in zip(res.profile.marginals, _SWEEP_FINE_GRID[f"{shape[0]}x{shape[1]}_{index}"], strict=True):
+            assert np.abs(got - want).max() <= 1e-9
+
+    def test_a_failed_step_solves_its_start_point_on(self, monkeypatch):
+        # a prior of a 12x4 KOTH game traced to tau 1e-3, as enumerate_nes
+        # does: near lambda 517 a point accepted at ARC_TOL lies too far off
+        # the branch for any shorter step's corrector to converge, and the
+        # trace raised; solved on to NEWTON_TOL once a step from it fails,
+        # it does not.  The trace ends where one that corrects every point
+        # to NEWTON_TOL ends
+        game = _koth_clone_game(12, 4, 0, seed=3)
+        rng = np.random.default_rng(0)
+        draws = [tuple(rng.dirichlet(np.ones(n)) for n in game.shape) for _ in range(5)]
+        config = QREConfig(targets=draws[4], epsilon_ne=0.0, tau_terminal=1e-3)
+        res = solve_lle(game, config)
+        assert res.termination == "terminal_tau"
+        monkeypatch.setattr(solvers_mod, "ARC_TOL", solvers_mod.NEWTON_TOL)
+        monkeypatch.setattr(solvers_mod, "ARC_PREDICT_TOL", 1e-3)
+        tight = solve_lle(game, config)
+        for a, b in zip(res.profile.marginals, tight.profile.marginals):
+            assert np.abs(a - b).max() <= 1e-10
+
+    def test_the_trace_keeps_the_branch_where_every_grid_jumps(self):
+        # game (10, 4) #121 of the sweep: temperature grids of factor 0.95,
+        # 0.99, 0.995 and 0.999 all end 0.60 (max-abs marginal) from the
+        # branch's end, jumping sheets near tau 0.078 where the branch turns
+        # fast but smoothly (the smallest singular value of the Jacobian in
+        # y dips only to 9.8e-3).  A step whose prediction misses by much is
+        # retried shorter, and the trace ends where one at ARC_TOL 1e-10 and
+        # ARC_PREDICT_TOL 1e-4 does; those marginals are pinned
+        game = _sweep_game(10, 4, 121)
+        res = solvers_mod.solve(game, "ne", affinity_targets(game))
+        assert res.termination == "terminal_tau"
+        want = [
+            [0.0, 9.087e-08, 0.33702453719, 1e-11, 1.9e-10, 0.66265373039, 0.00031478882, 6.85197e-06, 0.0, 5.7e-10],
+            [0.41594169567, 0.51951157842, 0.06454672591, 0.0],
+            [0.1597864814, 6e-11, 0.20343941444, 0.6367741041],
+        ]
+        for got, w in zip(res.profile.marginals, want, strict=True):
+            assert np.abs(got - w).max() <= 1e-9
+
+    def test_the_first_step_follows_the_exact_tangent(self, monkeypatch):
+        # at lambda 0 the branch is the target profile t, and its tangent is
+        # (the regrets at t, 1): the first prediction lies along it
+        game = random_game((3, 4, 2), 5)
+        targets = affinity_targets(game)
+        calls, real = [], solvers_mod._qre_residual
+        monkeypatch.setattr(
+            solvers_mod, "_qre_residual", lambda ops, y, tau, logt: calls.append((y.copy(), tau)) or real(ops, y, tau, logt)
+        )
+        solve_lle(game, QREConfig(targets=targets, epsilon_ne=0.0))
+        # unit in the trace's metric: log-marginals weighted by their targets
+        regrets = np.concatenate(all_regrets(game, ProductProfile(targets)))
+        metric = np.append(np.concatenate(targets), solvers_mod.ARC_LAMBDA_WEIGHT)
+        tangent = np.append(regrets, 1.0)
+        tangent /= math.sqrt(metric @ tangent**2)
+        y, tau = calls[0]
+        step = solvers_mod.ARC_FIRST_STEP
+        assert 1.0 / tau == pytest.approx(step * tangent[-1], rel=1e-12)
+        assert np.abs(y - (np.log(np.concatenate(targets)) + step * tangent[:-1])).max() <= 1e-12
 
     def test_fold_raises_fast(self):
-        # the trace stalls at the fold at tau 0.116 after 36 Newton
-        # iterations and the detour past it needs 78 more; with 100 in all
-        # the detour must stop at the cap and raise there, not overrun it
-        config = QREConfig(max_steps=100)
+        # the fold game's trace reaches the steep turn after about 22 Newton
+        # iterations and leaves it after 35, of 68 in all; with 30 it must
+        # stop at the cap there and raise, not overrun it
+        config = QREConfig(max_steps=30)
         start = time.perf_counter()
-        with pytest.raises(ConvergenceError, match="all 100 Newton iterations spent") as exc:
+        with pytest.raises(ConvergenceError, match="all 30 Newton iterations spent") as exc:
             solve_lle(fold_game(), config)
         assert time.perf_counter() - start < 1.0
         assert isinstance(exc.value.iterate, ProductProfile)
         assert exc.value.trace[-1].step == config.max_steps
         assert 0.115 < exc.value.trace[-1].tau < 0.122
 
-    def test_detour_turned_back_raises_fast(self, monkeypatch):
-        # a detour set off backwards walks the fold game's branch down to
-        # lambda 0 and on past it; it must stop there with its own reason,
-        # not spend all max_steps
-        _reverse_first_tangent(monkeypatch)
-        start = time.perf_counter()
-        with pytest.raises(ConvergenceError, match="turned back past lambda 0") as exc:
-            solve_lle(fold_game(), QREConfig(max_steps=2000))
-        assert time.perf_counter() - start < 1.0
-        assert exc.value.trace[-1].step < 500  # 158: 36 to the stall, 122 back
-        assert isinstance(exc.value.iterate, ProductProfile)
-
     @pytest.mark.parametrize("case", ["fold", "3x3_18"])
     def test_every_newton_solve_counts_against_the_budget(self, case, monkeypatch):
-        # a detour's tangents are bordered Newton solves too, so a walk of
-        # arclength steps accepted with no correction is still bounded.
-        # The fold game's detour runs from step 36 to 114; the first of
-        # random_game((3, 3), 18)'s from 27 to 71, and every cap in it is
-        # tried
+        # the bordered corrector's and the last temperature's Newton
+        # iterations alike, on rejected steps too.  The fold game's trace
+        # takes 68; random_game((3, 3), 18)'s 146, with folds from step 34
+        # to 120, and every third cap over them is tried
         if case == "fold":
-            game, caps = fold_game(), range(36, 116, 7)
+            game, caps = fold_game(), range(1, 68, 6)
         else:
-            game, caps = random_game((3, 3), 18), range(27, 72)
+            game, caps = random_game((3, 3), 18), range(30, 146, 3)
         real, calls = solvers_mod._newton_direction, []
 
         def spy(*args):
@@ -574,8 +650,8 @@ class TestSolveLLE:
 
         monkeypatch.setattr(solvers_mod, "_newton_direction", spy)
         res = solve_lle(game, QREConfig(epsilon_ne=0.0))
-        assert res.termination == "terminal_tau" and res.restarts >= 1
-        assert len(calls) == res.trace[-1].step
+        assert res.termination == "terminal_tau"
+        assert len(calls) == res.trace[-1].step > caps[-1]
         for cap in caps:
             calls.clear()
             with pytest.raises(ConvergenceError, match=f"all {cap} Newton iterations spent") as exc:
@@ -583,26 +659,16 @@ class TestSolveLLE:
             assert len(calls) == exc.value.trace[-1].step == cap
 
     def test_overflowing_prediction_is_not_a_solved_temperature(self):
-        # a prediction of this game's trace, at tau 0.090 after a detour,
-        # overflows e^y; its residual is nan, which once passed the
-        # corrector's test with no iteration, and the trace went on to
-        # return a pure profile at exploitability 2.5 with nan records
+        # a prediction of a grid trace of this game, at tau 0.090 after a
+        # detour, overflowed e^y; its residual is nan, which once
+        # passed the corrector's test with no iteration, and the trace went
+        # on to return a pure profile at exploitability 2.5 with nan records
         game = _koth_clone_game(12, 5, 0, seed=20)
         res = solve_lle(game, QREConfig(epsilon_ne=0.0))
         assert res.termination == "terminal_tau"
         assert all(np.isfinite([r.loss, r.exploitability]).all() for r in res.trace)
         assert res.exploitability == pytest.approx(8.54e-3, abs=1e-5)
         assert res.exploitability == pytest.approx(exploitability(game, res.profile), abs=1e-12)
-        assert qre_residual(game, res.profile, 1e-2, res.targets) <= 1e-10
-
-    def test_detour_starts_from_a_tightly_solved_point(self):
-        # temperatures before the last are solved to NEWTON_STAGE_TOL only;
-        # a detour from such a point, not first solved on to NEWTON_TOL,
-        # loses this game's branch at tau 0.085 (its step falls below
-        # ARC_MIN_STEP)
-        game = _koth_clone_game(12, 5, 0, seed=7)
-        res = solve_lle(game, QREConfig(epsilon_ne=0.0))
-        assert res.termination == "terminal_tau" and res.restarts >= 1
         assert qre_residual(game, res.profile, 1e-2, res.targets) <= 1e-10
 
     def test_corrector_rejects_a_non_finite_start(self):
@@ -614,118 +680,50 @@ class TestSolveLLE:
             assert (its, parts) == (0, None)
             assert out_y is y
 
-    def test_forced_anneal_is_counted(self, tmp_path, monkeypatch):
-        # the fold that a forced anneal used to pass is now passed by a
-        # detour; each detour is counted in restarts and saved with it
-        detours = []
-        real = solvers_mod._detour
-
-        def spy(*args):
-            detours.append(args[3])
-            return real(*args)
-
-        monkeypatch.setattr(solvers_mod, "_detour", spy)
-        res = solve_lle(fold_game())
-        assert res.converged and res.termination == "terminal_tau"
-        assert res.restarts == len(detours) >= 1
-        path = tmp_path / "eq.json"
-        res.save(path)
-        with open(path) as fh:
-            saved = json.load(fh)
-        assert saved["restarts"] == res.restarts
-        assert "forced_anneals" not in saved
-
     def test_rejected_prediction_reruns_from_last_solution(self, monkeypatch):
-        # on the full grid the extrapolated start misses this game's Newton
-        # basin at one temperature; a trace without the detour stalls there,
-        # at tau 0.440.  A trace that skips temperatures steps past it
-        monkeypatch.setattr(solvers_mod, "SKIP_TOL", 0.0)
-        game = random_game((3, 4, 2), 7)
-        res = solve_lle(game, QREConfig(epsilon_ne=0.0))
+        # the folds of random_game((3, 3), 18) reject some steps: each is
+        # predicted again from the same last accepted point, at half the
+        # step
+        real, calls = solvers_mod._extrapolate, []
+
+        def spy(points, s):
+            calls.append((points[-1][0], s))
+            return real(points, s)
+
+        monkeypatch.setattr(solvers_mod, "_extrapolate", spy)
+        res = solve_lle(random_game((3, 3), 18), QREConfig(epsilon_ne=0.0))
         assert res.termination == "terminal_tau"
-        assert res.restarts > 0
-
-    @pytest.mark.parametrize("case", ["koth", "fold", "3x3_18"])
-    def test_solved_temperatures_lie_on_the_grid(self, case):
-        # the trace skips grid temperatures but solves no other one; the
-        # fold and 3x3 traces detour too
-        if case == "koth":
-            game = _koth_clone_game(8, 4, 0)
-        else:
-            game = fold_game() if case == "fold" else random_game((3, 3), 18)
-        config = QREConfig(epsilon_ne=0.0)
-        res = solve_lle(game, config)
-        assert res.termination == "terminal_tau"
-        for tau in {r.tau for r in res.trace}:
-            if tau != config.tau_terminal:
-                n = round(math.log(tau / config.tau_init) / math.log(config.tau_decay))
-                assert tau == pytest.approx(config.tau_init * config.tau_decay**n, rel=1e-12)
-
-    def test_skipping_keeps_the_grid_trace_profile(self, monkeypatch):
-        game = _koth_clone_game(12, 5, 0, seed=3)
-        config = QREConfig(epsilon_ne=0.0)
-        skipped = solve_lle(game, config)
-        monkeypatch.setattr(solvers_mod, "SKIP_TOL", 0.0)
-        grid = solve_lle(game, config)
-        assert skipped.termination == grid.termination == "terminal_tau"
-        stages = [len({r.tau for r in res.trace}) for res in (skipped, grid)]
-        assert stages[0] < stages[1] == 91
-        for a, b in zip(skipped.profile.marginals, grid.profile.marginals):
-            assert np.abs(a - b).max() <= 1e-10
-
-    def test_a_stalled_skip_retries_the_next_grid_temperature(self, monkeypatch):
-        # with a coarse predictor target this trace skips to tau 0.135,
-        # stalls there, and solves the next grid temperature, 0.158, with
-        # no detour
-        monkeypatch.setattr(solvers_mod, "SKIP_TOL", 0.05)
-        corrections, real = [], solvers_mod._correct
-
-        def spy(ops, y, tau, *args):
-            out = real(ops, y, tau, *args)
-            corrections.append((tau, out[2] is not None))
-            return out
-
-        monkeypatch.setattr(solvers_mod, "_correct", spy)
-        monkeypatch.setattr(solvers_mod, "_detour", lambda *args: pytest.fail("detour started"))
-        game = random_game((3, 4, 2), 14)
-        config = QREConfig(epsilon_ne=0.0)
-        res = solve_lle(game, config)
-        assert res.termination == "terminal_tau" and res.restarts == 0
-        stalls = [k for k, (_, solved) in enumerate(corrections) if not solved]
-        assert stalls
-        solved = [tau for tau, ok in corrections if ok]
-        for k in stalls:
-            (stalled, _), (retried, ok) = corrections[k], corrections[k + 1]
-            last = solved[sum(ok for _, ok in corrections[:k]) - 1]
-            assert ok and stalled < retried == last * config.tau_decay
+        reruns = [(a, b) for a, b in zip(calls, calls[1:]) if a[0] == b[0]]
+        assert reruns
+        for (s, first), (_, second) in reruns:
+            assert second - s == pytest.approx((first - s) / 2, rel=1e-9)
 
     def test_a_singular_newton_system_fails_the_step(self, monkeypatch):
-        # at tau_decay 0.4 this game's corrector meets a singular system at
-        # tau 0.0256, which once escaped the trace as LinAlgError; it is a
-        # failed correction, and a detour passes it
-        game = _random_koth_games(20, 6, 6)[5]
-        targets = affinity_targets(game)
-        singular, real = [], solvers_mod._newton_direction
+        # LAPACK reports the corrector's fifth system singular: that step
+        # fails, is retried at half the length, and the trace ends where it
+        # would have.  A singular system once escaped as LinAlgError
+        game = fold_game()
+        config = QREConfig(epsilon_ne=0.0)
+        want = solve_lle(game, config)
+        real, calls = solvers_mod.lapack.dgesv, []
 
-        def spy(*args):
-            d = real(*args)
-            singular.append(d is None)
-            return d
+        def singular_fifth(a, b, **kwargs):
+            calls.append(None)
+            out = real(a, b, **kwargs)
+            return (*out[:3], 1) if len(calls) == 5 else out
 
-        monkeypatch.setattr(solvers_mod, "_newton_direction", spy)
-        res = solvers_mod.solve(game, "ne", targets, tau_decay=0.4, epsilon_ne=0.0)
-        assert any(singular)
-        assert res.termination == "terminal_tau" and res.restarts >= 1
-        fine = solvers_mod.solve(game, "ne", targets, tau_decay=0.99, epsilon_ne=0.0)
-        for a, b in zip(res.profile.marginals, fine.profile.marginals):
+        monkeypatch.setattr(solvers_mod.lapack, "dgesv", singular_fifth)
+        res = solve_lle(game, config)
+        assert len(calls) > 5 and res.termination == "terminal_tau"
+        assert res.trace[-1].step > want.trace[-1].step
+        for a, b in zip(res.profile.marginals, want.profile.marginals):
             assert np.abs(a - b).max() <= 1e-10
 
     def test_predictor_passes_a_corrector_stall(self):
-        # tracing from each last solution stalls at tau 0.277, but the
+        # a grid trace from each last solution stalls at tau 0.277, but the
         # Jacobian's smallest singular value there dips only to 2.1e-2 (at
-        # tau 0.287, on a 0.995 grid), against 3e-7 at the fold of
-        # test_fold_raises_fast: the branch goes on, the start was outside
-        # the corrector's basin
+        # tau 0.287, on a 0.995 grid): the branch goes on, the start was
+        # outside the corrector's basin
         game = random_game((6, 3, 3), 19)
         for tau_terminal in (1e-2, 1e-3):
             config = QREConfig(epsilon_ne=0.0, tau_terminal=tau_terminal)
@@ -734,14 +732,15 @@ class TestSolveLLE:
             assert qre_residual(game, res.profile, tau_terminal, res.targets) <= 1e-9
 
     def test_predictor_cuts_newton_steps(self):
-        # 286 Newton iterations over 91 temperatures from each last solution
+        # 286 Newton iterations over 91 grid temperatures from each last
+        # solution; the arclength trace takes 50
         game = _koth_clone_game(8, 4, 0)
         res = solve_lle(game, QREConfig(epsilon_ne=0.0))
         assert res.termination == "terminal_tau"
-        assert res.trace[-1].step <= 200
+        assert res.trace[-1].step <= 100
 
     def test_final_record_repeats_the_last_temperature(self, chicken):
-        config = QREConfig(targets=uniform_targets(chicken), epsilon_ne=0.0, **HOT)
+        config = QREConfig(targets=uniform_targets(chicken), epsilon_ne=0.0)
         res = solve_lle(chicken, config)
         assert res.trace[-1] == res.trace[-2]
         assert res.exploitability == res.trace[-1].exploitability
@@ -763,11 +762,11 @@ class TestSolveLLE:
 class TestCloneInvariance:
     def test_chicken_affinity_targets_invariant(self, chicken, chicken_dup_straight):
         base = solve_lle(
-            chicken, QREConfig(targets=affinity_targets(chicken), **HOT)
+            chicken, QREConfig(targets=affinity_targets(chicken))
         )
         dup = solve_lle(
             chicken_dup_straight,
-            QREConfig(targets=affinity_targets(chicken_dup_straight), **HOT),
+            QREConfig(targets=affinity_targets(chicken_dup_straight)),
         )
         base_r = all_regrets(chicken, base.profile)
         dup_r = all_regrets(chicken_dup_straight, dup.profile)
@@ -780,10 +779,10 @@ class TestCloneInvariance:
         assert abs(dup_r[0][1] - dup_r[0][2]) <= 1e-6
 
     def test_shannon_targets_break_on_clone(self, chicken, chicken_dup_straight):
-        base = solve_lle(chicken, QREConfig(targets=uniform_targets(chicken), **HOT))
+        base = solve_lle(chicken, QREConfig(targets=uniform_targets(chicken)))
         dup = solve_lle(
             chicken_dup_straight,
-            QREConfig(targets=uniform_targets(chicken_dup_straight), **HOT),
+            QREConfig(targets=uniform_targets(chicken_dup_straight)),
         )
         base_r = np.concatenate(all_regrets(chicken, base.profile))
         dup_r = all_regrets(chicken_dup_straight, dup.profile)
@@ -842,8 +841,8 @@ class TestCloneInvariance:
 
 class TestAgainstAdamReference:
     """The Newton continuation selects the equilibrium the annealed Adam
-    descent traced (``tests/adam_lle.py``), whose own spread between tau_init
-    1 and 100 is up to 4e-4 on these games."""
+    descent traced (``tests/adam_lle.py``), whose own spread between initial
+    temperatures 1 and 100 is up to 4e-4 on these games."""
 
     def games(self, chicken):
         return {
@@ -866,9 +865,6 @@ class TestAgainstAdamReference:
         if name.startswith("koth"):
             king = ours.player_index("king")
             assert ours.ranking(king) == theirs.ranking(king)
-        hot = solve_lle(game, replace(config, tau_init=100.0))
-        for a, b in zip(all_regrets(game, res.profile), all_regrets(game, hot.profile)):
-            assert np.abs(a - b).max() <= 1e-10
         assert qre_residual(game, res.profile, config.tau_terminal, config.targets) <= 1e-9
 
     def test_koth_king_clone_shift(self):
@@ -1209,7 +1205,7 @@ class TestEnumerate:
             count=3,
             epsilon=1e-3,
             seed=0,
-            lle_config=QREConfig(targets=uniform_targets(chicken), **HOT),
+            lle_config=QREConfig(targets=uniform_targets(chicken)),
         )
         assert result.complete
         assert len(result.profiles) == 3
@@ -1233,7 +1229,7 @@ class TestEnumerate:
             count=3,
             epsilon=1e-3,
             seed=0,
-            lle_config=QREConfig(targets=uniform_targets(chicken), **HOT),
+            lle_config=QREConfig(targets=uniform_targets(chicken)),
         )
         for prof in result.profiles:
             regs = all_regrets(chicken, prof)
@@ -1271,7 +1267,7 @@ class TestEnumerate:
             count=3,
             epsilon=1e-3,
             seed=0,
-            lle_config=QREConfig(targets=uniform_targets(chicken), **HOT),
+            lle_config=QREConfig(targets=uniform_targets(chicken)),
         )
         (mixed,) = [p for p in result.profiles if min(m[0] for m in p.marginals) > 0.8]
         for m in mixed.marginals:
@@ -1287,9 +1283,9 @@ class TestEnumerate:
             assert exploitability(game, prof) <= 1e-9
 
     def test_stalled_priors_counted(self):
-        # 8 of this game's priors stall at a fold of their branch without
-        # the detour; with it none stalls, and the equilibria reached are
-        # polished
+        # 8 of this game's priors stall a temperature grid at a fold of
+        # their branch; the arclength trace passes every fold, so none
+        # stalls, and the equilibria reached are polished
         game = random_game((4, 4), 11)
         result = enumerate_nes(game, count=5, seed=0)
         assert result.stalled == 0
@@ -1300,7 +1296,7 @@ class TestEnumerate:
     def test_lle_branch_folding_past_its_stop(self):
         # element 0 is traced deeper than lle_config asks.  This game's LLE
         # branch folds between tau 1e-2 and 1e-3, and the deep trace
-        # detours past the fold to a profile that polishes, where the LLE
+        # passes the fold to a profile that polishes, where the LLE
         # at tau 1e-2 is 5.2e-3 from an equilibrium.  The second game's
         # branch folds above tau 1e-2.
         game = random_game((3, 3), 12)
@@ -1392,42 +1388,29 @@ class TestRiskDominance:
         assert res.payoff_table.shape == (3, 2)
 
 
-def _reverse_first_tangent(monkeypatch):
-    """Wrap ``solvers._tangent`` so that a detour's first tangent points
-    backwards."""
-    real, calls = solvers_mod._tangent, []
-
-    def first_reversed(*args):
-        calls.append(real(*args))
-        return -calls[-1] if len(calls) == 1 else calls[-1]
-
-    monkeypatch.setattr(solvers_mod, "_tangent", first_reversed)
-
-
 def _solved_stages(monkeypatch):
-    """Wrap ``solvers._correct`` to keep (tau, y, ops, logt) of every solved
-    temperature."""
+    """Wrap ``solvers._normalised`` to keep (y, ops) of every accepted point
+    of the trace, the one at the terminal temperature included."""
     stages = []
-    real = solvers_mod._correct
+    real = solvers_mod._normalised
 
-    def spy(ops, y, tau, logt, *args):
-        out = real(ops, y, tau, logt, *args)
-        if out[2] is not None:
-            stages.append((tau, out[0].copy(), ops, logt))
+    def spy(ops, y, x):
+        out = real(ops, y, x)
+        stages.append((out[0].copy(), ops))
         return out
 
-    monkeypatch.setattr(solvers_mod, "_correct", spy)
+    monkeypatch.setattr(solvers_mod, "_normalised", spy)
     return stages
 
 
 class TestTraceRecords:
-    """A solved temperature's record comes from the corrector's last
-    residual; the exact ``_qre_gap`` is kept for the records that decide or
-    end the trace."""
+    """An accepted point's record comes from the corrector's last residual;
+    the exact ``_qre_gap`` is kept for the records that decide or end the
+    trace."""
 
     def games(self, chicken):
         return {
-            "chicken": (chicken, QREConfig(targets=uniform_targets(chicken), **HOT)),
+            "chicken": (chicken, QREConfig(targets=uniform_targets(chicken))),
             "random": (random_game((3, 4, 2), seed=3), QREConfig()),
             "koth": (_koth_clone_game(8, 4, 0), QREConfig()),
         }
@@ -1438,15 +1421,14 @@ class TestTraceRecords:
         stages = _solved_stages(monkeypatch)
         res = solve_lle(game, replace(config, epsilon_ne=0.0))
         assert res.termination == "terminal_tau"
-        records = res.trace[1:-1]
+        records, logt = res.trace[1:-1], np.log(np.concatenate(res.targets))
         assert len(records) == len(stages) > 1
-        for record, (tau, y, ops, logt) in zip(records, stages):
-            loss, exploit = _qre_gap(ops, y, tau, logt)
-            assert record.tau == tau
+        for record, (y, ops) in zip(records, stages):
+            loss, exploit = _qre_gap(ops, y, record.tau, logt)
             assert abs(record.loss - loss) <= 1e-9
             assert abs(record.exploitability - exploit) <= 1e-9
-        tau, y, ops, logt = stages[-1]
-        assert (records[-1].loss, records[-1].exploitability) == _qre_gap(ops, y, tau, logt)
+        y, ops = stages[-1]
+        assert (records[-1].loss, records[-1].exploitability) == _qre_gap(ops, y, records[-1].tau, logt)
         assert res.trace[-1] == res.trace[-2]
 
     @pytest.mark.parametrize("name", ["chicken", "random", "koth"])
@@ -1473,35 +1455,41 @@ class TestTraceRecords:
         assert counts["residual"] > len(res.trace)
         assert counts["contract"] == counts["residual"] + 2
 
-    @pytest.mark.parametrize("case", ["capped", "turned_back"])
+    @pytest.mark.parametrize("case", ["capped", "small_step"])
     def test_raised_trace_has_every_loss(self, case, monkeypatch):
         # the losses of the corrector's records are filled when the trace
         # ends, also when it raises: on the fold game once max_steps runs
-        # out in the detour, and once a detour turns back past lambda 0
-        if case == "turned_back":
-            _reverse_first_tangent(monkeypatch)
+        # out at its steep turn, and once the step falls below a minimum
+        # raised to 0.1
+        if case == "small_step":
+            monkeypatch.setattr(solvers_mod, "ARC_MIN_STEP", 0.1)
         stages = _solved_stages(monkeypatch)
-        with pytest.raises(ConvergenceError) as exc:
-            solve_lle(fold_game(), QREConfig(max_steps=100 if case == "capped" else 2000))
+        game = fold_game()
+        with pytest.raises(ConvergenceError, match="iterations spent" if case == "capped" else "fell below 0.1") as exc:
+            solve_lle(game, QREConfig(max_steps=30))
         trace, iterate = exc.value.trace, exc.value.iterate
-        _, _, ops, logt = stages[0]
-        # the start, every solved temperature, and the stalled iterate; the
-        # last solved temperature is solved once more before the detour
-        points = [(trace[0].tau, logt)] + [(tau, y) for tau, y, _, _ in stages[: len(trace) - 2]]
-        points.append((trace[-1].tau, np.log(np.concatenate(iterate.marginals))))
-        assert len(stages) == len(trace) - 1
-        for record, (tau, y) in zip(trace, points, strict=True):
-            loss, exploit = _qre_gap(ops, y, tau, logt)
-            assert record.tau == tau
+        # the start at lambda 0, where the loss is 0; every accepted point;
+        # and the last of them again, the raised iterate
+        targets = affinity_targets(game)
+        logt = np.log(np.concatenate(targets))
+        assert trace[0].tau is None and trace[0].loss == 0.0
+        assert trace[0].exploitability == pytest.approx(exploitability(game, ProductProfile(targets)), abs=1e-12)
+        assert len(stages) == len(trace) - 2 > 1
+        for record, (y, ops) in zip(trace[1:-1], stages, strict=True):
+            loss, exploit = _qre_gap(ops, y, record.tau, logt)
             assert np.isfinite(record.loss) and abs(record.loss - loss) <= 1e-9
             assert abs(record.exploitability - exploit) <= 1e-9
+        assert replace(trace[-1], step=trace[-2].step) == trace[-2]
+        for a, b in zip(iterate.marginals, np.split(np.exp(stages[-1][0]), np.cumsum(game.shape)[:-1])):
+            assert np.abs(a - b).max() <= 1e-12
 
     def test_early_exit_is_decided_on_the_exact_exploitability(self, monkeypatch):
         game = _koth_clone_game(8, 4, 0)
         stages = _solved_stages(monkeypatch)
         full = solve_lle(game, QREConfig(epsilon_ne=0.0))
         cheap = [r.exploitability for r in full.trace[1:-1]]
-        exact = [_qre_gap(ops, y, tau, logt)[1] for tau, y, ops, logt in stages]
+        logt = np.log(np.concatenate(full.targets))
+        exact = [_qre_gap(ops, y, r.tau, logt)[1] for r, (y, ops) in zip(full.trace[1:-1], stages, strict=True)]
         # a stage whose record from the corrector reads below its exact
         # value and below every earlier record: an exit decided on that
         # record would stop there, one decided on the exact value may not
@@ -1521,11 +1509,13 @@ class TestTraceRecords:
         else:
             assert res.termination == "epsilon_ne"
             assert len(res.trace) == first + 3
-            assert res.trace[-1].tau == stages[first][0]
+            assert res.trace[-1].tau == full.trace[1 + first].tau
             assert res.exploitability == exact[first]
         assert abs(res.exploitability - exploitability(game, res.profile)) <= 1e-12
 
     def test_exact_gap_only_at_the_start_and_the_terminal_temperature(self, monkeypatch):
+        # the start's record is exact by its own: the target profile's
+        # exploitability, and the loss 0 of infinite temperature
         calls = []
         real = solvers_mod._qre_gap
 
@@ -1534,30 +1524,34 @@ class TestTraceRecords:
             return real(*args)
 
         monkeypatch.setattr(solvers_mod, "_qre_gap", spy)
-        res = solve_lle(_koth_clone_game(8, 4, 0), QREConfig(epsilon_ne=0.0))
+        game = _koth_clone_game(8, 4, 0)
+        res = solve_lle(game, QREConfig(epsilon_ne=0.0))
         assert res.termination == "terminal_tau"
-        assert calls == [res.trace[0].tau, res.trace[-1].tau]
+        assert calls == [res.trace[-1].tau]
+        assert res.trace[0].loss == 0.0
+        assert res.trace[0].exploitability == exploitability(game, ProductProfile(res.targets))
 
     def test_loose_stages_change_only_the_step_count(self, chicken, monkeypatch):
-        # every temperature solved to NEWTON_TOL, as the terminal one is,
-        # against the trace's own; the fold game's trace detours once
+        # every accepted point solved to NEWTON_TOL, as the terminal one is,
+        # against the trace's own ARC_TOL.  The tolerance moves the points a
+        # little, and with them where an early exit stops, but not the
+        # profile at tau_terminal
         games = {**self.games(chicken), "fold": (fold_game(), QREConfig())}
-        tols = (solvers_mod.NEWTON_STAGE_TOL, solvers_mod.NEWTON_TOL)
+        tols = (solvers_mod.ARC_TOL, solvers_mod.NEWTON_TOL)
         for game, config in games.values():
             solves = []
             for stage_tol in tols:
-                monkeypatch.setattr(solvers_mod, "NEWTON_STAGE_TOL", stage_tol)
+                monkeypatch.setattr(solvers_mod, "ARC_TOL", stage_tol)
                 solves.append([solve_lle(game, replace(config, epsilon_ne=eps)) for eps in (0.0, 1e-3, 1e-2)])
-            for k, (loose, tight) in enumerate(zip(*solves)):
-                gap = max(np.abs(a - b).max() for a, b in zip(loose.profile.marginals, tight.profile.marginals))
+            for eps, loose, tight in zip((0.0, 1e-3, 1e-2), *solves):
                 assert loose.termination == tight.termination
-                assert loose.trace[-1].tau == tight.trace[-1].tau
-                if k == 0:
-                    assert loose.termination == "terminal_tau"
-                    assert gap <= 1e-12
-                    assert loose.trace[-1].step < tight.trace[-1].step
-                else:
-                    assert gap <= 1e-5
+                if loose.termination == "epsilon_ne":
+                    assert max(loose.exploitability, tight.exploitability) <= eps
+                    continue
+                gap = max(np.abs(a - b).max() for a, b in zip(loose.profile.marginals, tight.profile.marginals))
+                assert loose.trace[-1].tau == tight.trace[-1].tau == config.tau_terminal
+                assert gap <= 1e-12
+                assert loose.trace[-1].step < tight.trace[-1].step
 
 
 def _step(U):
@@ -1699,3 +1693,50 @@ _STALE_MODELS = [
     [2.4280650719700567, 0.9532056798429827, 2.3433915634359943, 0.2753376847509663],
     [0.3353398679937831, 0.49080653502164434, 3.407820130239465, 1.7660334667451074],
 ]
+
+
+# each player's terminal marginals of four games of _sweep_game, traced by a
+# tau_decay=0.99 grid at otherwise default settings, to 11 decimals
+_SWEEP_FINE_GRID = {
+    "20x6_19": [
+        [2.14615e-06, 0.00023451274, 0.24777456821, 1.1433e-07, 1.64891e-06, 0.0910385899, 2.61093e-06,
+         0.19393928496, 9.61e-09, 0.00070798502, 0.28272087433, 1.301e-08, 0.00044112661, 0.00080409451,
+         4.711e-08, 0.13375158842, 8.84822e-06, 2.264e-08, 3.36e-08, 0.04857188079],
+        [6.67458e-06, 0.14285969922, 0.27510865905, 0.14796550838, 0.21886059979, 0.21519885899],
+        [0.46482351724, 0.14591600407, 8.7e-08, 0.26752046543, 0.1217397975, 1.2875e-07],
+    ],
+    "20x6_52": [
+        [1.8132e-07, 1.913e-08, 6.62495e-06, 2.63189e-06, 6.972e-08, 2.88e-08, 0.00010813329, 2.42e-09,
+         0.41800343597, 1.0751e-07, 6.776552e-05, 0.00025586694, 4.23595e-06, 1.2744e-07, 2.419e-08, 3e-11,
+         0.17011950938, 0.00013925081, 2e-11, 0.41129198473],
+        [1e-11, 0.34739450832, 0.0, 0.0, 0.49944209366, 0.15316339802],
+        [0.33669770989, 0.31729361033, 0.17458870564, 0.17141902579, 9.4209e-07, 6.26e-09],
+    ],
+    "30x8_92": [
+        [0.31418592896, 3.5177e-07, 2.029e-08, 8.36251e-06, 3.540438e-05, 0.23048377682, 7.671924e-05,
+         0.0002414027, 6.01181e-06, 0.00047271499, 0.2045830903, 1.827025e-05, 1.052916e-05, 1.03425e-06,
+         0.08160939629, 0.00097185323, 0.00148575597, 8.180198e-05, 0.02598361524, 0.00012179244,
+         0.01460801183, 0.0002163542, 2.63334e-06, 1.7385e-07, 0.00164151361, 4.372167e-05, 0.08043684532,
+         1.557844e-05, 0.00017016369, 0.04248717146],
+        [0.0, 0.17020497926, 4.59e-09, 0.26691520965, 0.17648025408, 0.02478205704, 0.00015798719,
+         0.36145950819],
+        [6.2868e-07, 0.19622999532, 0.05877803541, 0.3021762391, 0.30051298036, 0.10806702803, 0.03423509301,
+         1e-10],
+    ],
+    "40x5_6": [
+        [1.39e-09, 0.0, 0.13582958628, 1.3923e-07, 3.023e-07, 8.144e-08, 0.06403065723, 0.21439481116,
+         0.00017742047, 0.0, 2.528e-08, 5.320454e-05, 1.136e-08, 0.0, 3.798e-08, 9.48735e-06, 3.23647e-06,
+         0.00639488464, 4.051e-08, 9.9e-10, 0.0, 5.145e-08, 3.035828e-05, 0.0, 2.22e-09, 1.085e-08,
+         0.00014875741, 2.083e-08, 0.00010402801, 2e-11, 0.01007036341, 0.00060687409, 0.08845451263,
+         0.11250441869, 0.00141247216, 0.36574673779, 8.77094e-06, 2.1832e-07, 1e-11, 1.847427e-05],
+        [0.38123912675, 0.00141857458, 0.29581986746, 0.31476606741, 0.0067563638],
+        [0.0, 0.14054094252, 0.27354778646, 0.20030190589, 0.38560936513],
+    ],
+    "20x6_92": [
+        [0.0, 0.0, 9e-11, 1.229423e-05, 0.00154311859, 1.66891e-05, 8.955e-08, 1.7e-09, 0.00373206077,
+         5.491806e-05, 2e-11, 0.00040837579, 0.28311071967, 0.0, 1.12e-09, 0.51976851238, 5.6e-10,
+         6.5725e-07, 0.19116729541, 0.0001852657],
+        [0.07243890725, 0.43500648768, 0.02733576076, 0.0, 0.19539913193, 0.26981971236],
+        [0.14655056931, 3e-11, 0.41777654624, 0.43538075936, 0.00029211272, 1.233e-08],
+    ],
+}
