@@ -275,13 +275,14 @@ def cmd_rate(args):
     return inputs, [args.out, csv_path], {}
 
 
-def _method_report(kg: koth.KOTHGame, method: str, affinity) -> ratings.RatingReport:
+def _method_report(kg: koth.KOTHGame, method: str, affinity, classes) -> ratings.RatingReport:
     """The rating report of one clone-test method tag; ``affinity`` holds
-    the game's affinity targets, shared by its ne and cce methods."""
+    the game's affinity targets and ``classes`` its duplicate classes, both
+    shared by its ne and cce methods."""
     if method == "elo":
         return _elo_report(kg)
     targets = solvers.uniform_targets(kg.game) if method.endswith("shannon") else affinity
-    result = solvers.solve(kg.game, method.split("-")[0], targets)
+    result = solvers.solve(kg.game, method.split("-")[0], targets, classes)
     return ratings.rate(kg.game, result.profile, method.upper())
 
 
@@ -311,8 +312,9 @@ def cmd_clone_test(args):
         else:
             injected = kg
         affinity = kernels.affinity_targets(injected.game)
+        classes = solvers._duplicate_classes(injected.game)
         for method in CLONE_TEST_METHODS:
-            report = _method_report(injected, method, affinity)
+            report = _method_report(injected, method, affinity, classes)
             order = report.ranking(report.player_index("king"))
             path = f"{args.out_dir}/ranking_{method}_{count}.csv"
             report.save_csv(path)

@@ -14,6 +14,7 @@ allows.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -116,7 +117,9 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - 1.0
     ind = np.arange(1, len(v) + 1)
-    rho = np.count_nonzero(u - css / ind > 0)
+    # u - c > 0 exactly when u > c: a difference of distinct floats is
+    # never rounded to 0
+    rho = np.count_nonzero(u > css / ind)
     theta = css[rho - 1] / rho
     return np.maximum(v - theta, 0.0)
 
@@ -149,16 +152,20 @@ def max_affinity_entropy(
     eta = 1.0 / (2.0 * float(np.max(A.T @ A.sum(axis=1))))
     x = y = np.full(n, 1.0 / n)
     t_mom, residual = 1.0, np.inf
+    # the gradient of the negated (affine-shifted) entropy is 2 U'U y; the
+    # loop takes its half and steps by 2 eta: doubling is exact, so the step
+    # is the one by eta to the bit
+    twice_eta = 2.0 * eta
     for _ in range(max_iters):
-        grad = 2.0 * (U.T @ (U @ y))  # of the negated (affine-shifted) entropy
-        nxt = project_simplex(y - eta * grad)
-        residual = np.maximum.reduce(np.abs(nxt - x)) / eta
+        half = np.dot(U.T, np.dot(U, y))
+        nxt = project_simplex(y - twice_eta * half)
+        step = nxt - x
+        residual = np.maximum.reduce(np.abs(step)) / eta
         if residual <= tolerance:
             return nxt
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
         momentum = (t_mom - 1.0) / t_next
-        step = nxt - x
-        if float(grad @ step) > 0:  # momentum points uphill: restart
+        if np.dot(half, step) > 0:  # momentum points uphill: restart
             t_next, momentum = 1.0, 0.0
         y = nxt + momentum * step
         x, t_mom = nxt, t_next

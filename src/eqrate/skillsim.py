@@ -19,7 +19,7 @@ import numpy as np
 from . import koth as koth_mod
 from . import solvers
 from .errors import ConvergenceError, ParameterError
-from .games import Game, Profile, all_regrets
+from .games import Game, all_regrets
 from .kernels import affinity_targets
 from .ratings import elo_ratings, separability
 
@@ -159,13 +159,14 @@ def _snapshot(t: int, prompts: list, models: list) -> dict:
 
 
 class _EquilibriumRater:
-    """Per-trial equilibrium rating: one cold solve per call.
+    """Per-trial equilibrium rating: one cold solve per call, rated by the
+    regrets the solve returns with its equilibrium.
 
     Payoffs are scaled to max-abs 1 before solving so the solver schedule
     and kernel bandwidth operate at their design scale; ratings are used
     only ordinally here and positive rescaling preserves the order.  An ne
-    or cce solve that raises ``ConvergenceError`` rates with its
-    unconverged iterate, and that event is kept in ``fallbacks``; an ne
+    or cce solve that raises ``ConvergenceError`` rates with the regrets at
+    its unconverged iterate, and that event is kept in ``fallbacks``; an ne
     solve's arclength trace passes a fold of the QRE branch as it passes
     any other point.
     """
@@ -181,16 +182,19 @@ class _EquilibriumRater:
         self.overrides = dict(defaults if config.solver is None else config.solver)
         self.fallbacks: list[dict] = []
 
-    def _solve(self, game, targets, iteration) -> Profile:
+    def _solve(self, game, targets, iteration) -> list[np.ndarray]:
+        """The regrets of each player's actions at the equilibrium of
+        ``game``, as the solve returns them; at the iterate of a solve that
+        raised ``ConvergenceError``, taken here."""
         event = {"iteration": iteration, "shape": list(game.shape)}
         try:
-            return solvers.solve(game, self.method, targets, **self.overrides).profile
+            return solvers.solve(game, self.method, targets, **self.overrides).regrets
         except ConvergenceError as exc:
             # rate with the last iterate rather than dying; candidate
             # selection only needs the rating order
             event.update(kind="convergence_error", exploitability=exc.trace[-1].exploitability)
             self.fallbacks.append(event)
-            return exc.iterate
+            return all_regrets(game, exc.iterate)
 
     def rate(self, prompts: np.ndarray, models: np.ndarray, t: int):
         u_k = _king_tensor(prompts, models)
@@ -199,7 +203,7 @@ class _EquilibriumRater:
             u_k = u_k / scale
         game = _skill_game(u_k)
         targets = affinity_targets(game)
-        regs = all_regrets(game, self._solve(game, targets, t))
+        regs = self._solve(game, targets, t)
         return regs[0], regs[1]
 
 

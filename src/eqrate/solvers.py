@@ -37,7 +37,7 @@ from scipy.special import softmax
 
 from . import kernels
 from .errors import ConvergenceError, DimensionError, ParameterError
-from .games import Game, JointDistribution, ProductProfile, exploitability
+from .games import Game, JointDistribution, ProductProfile, all_regrets, exploitability
 
 # Solver defaults.
 DEFAULT_TAU_TERMINAL = 1e-2
@@ -185,6 +185,16 @@ class TraceRecord:
 
 @dataclass
 class EquilibriumResult:
+    """A solve's equilibrium, its exploitability and its trace.
+
+    ``regrets`` holds one vector per player, each action's deviation gain
+    at ``profile``, from the solve's own evaluation of it: the contraction
+    of the LLE's final exact record, or the CCE dual's evaluation that
+    built the joint.  It is kept in memory only; ``to_dict`` does not
+    write it, and ``ratings.rate`` takes the regrets of a loaded profile
+    afresh.
+    """
+
     profile: ProductProfile | JointDistribution
     exploitability: float
     trace: list[TraceRecord]
@@ -199,6 +209,7 @@ class EquilibriumResult:
     restarts: int = 0
     # CCE: steps of the projected Newton finish
     newton_steps: int = 0
+    regrets: list[np.ndarray] | None = None
 
     def to_dict(self) -> dict:
         """JSON-ready dict.  A product profile is stored as its
@@ -252,7 +263,9 @@ def profile_from_dict(data: dict, game: Game) -> ProductProfile | JointDistribut
     A profile whose shape is not the game's raises ``ParameterError``, as
     do marginals with a NaN or infinite entry and a joint whose
     exploitability on ``game`` exceeds the dict's ``config.epsilon_cce``:
-    that CCE was solved on another game.
+    that CCE was solved on another game.  A ``cce_dual`` joint's
+    exploitability comes from the evaluation that rebuilt it, as the solve's
+    did.
     """
     prof = data["profile"]
     product = prof["type"] == "product"
@@ -271,12 +284,14 @@ def profile_from_dict(data: dict, game: Game) -> ProductProfile | JointDistribut
         _validate_targets(game, targets)
         # the stored targets are the solve's own; validation may renormalise
         # them by an ulp, so the joint is built from them as stored
-        _, x, _ = _CCEDual(game, targets).evaluate(np.concatenate(prof["duals"], dtype=float))
+        _, x, regrets = _CCEDual(game, targets).evaluate(np.concatenate(prof["duals"], dtype=float))
         profile = JointDistribution(x)
+        gap = _gap(regrets)
     else:
         profile = JointDistribution(np.asarray(prof["joint"], dtype=float).reshape(shape))
+        gap = exploitability(game, profile)
     bound = (data.get("config") or {}).get("epsilon_cce")
-    if bound is not None and not (gap := exploitability(game, profile)) <= bound:
+    if bound is not None and not gap <= bound:
         raise ParameterError(
             f"the stored CCE has exploitability {gap:.3e} on this game, not within its bound "
             f"{bound:.1e}: it was solved on another game, or holds a NaN"
@@ -291,16 +306,18 @@ class _Contraction:
     ``slices[i]``, so per-player softmax and dot products are segment
     reductions over ``starts``.  For each ordered pair (i, j) the block
     ``E[u_i | a_i, a_j]``, the remaining players mixed independently, is
-    kept as rows of player j's stack.  Player i's payoff tensor is stored
-    with the remaining players' axes leading, so one ``w @ mat`` refreshes
-    the block, ``w`` being the Kronecker product of their marginals; with
-    two players the blocks are constant.  ``contract`` and ``pull`` return
-    their own buffers, valid until the next call.
+    ``blocks[i, j]``, kept beside the block of (j, i), which mixes the same
+    players.  The two payoff tensors are stored with those players' axes
+    leading, so one ``w @ mat`` refreshes both blocks, ``w`` being the
+    Kronecker product of their marginals; with two players the blocks are
+    constant.  ``contract`` and ``schur_blocks`` return their own buffers,
+    valid until the next call.
 
     For the Newton corrector the actions split into the largest player's,
     ``big``, and the ``rest``; ``schur_blocks`` gathers the pair blocks
     between and within the two groups, the rest's rows stacked over the
-    columns ``cols``: big, then rest.
+    columns ``cols``: big, then rest.  The corrector's work buffers are
+    kept here too (``_newton_direction``).
     """
 
     def __init__(self, game: Game):
@@ -310,58 +327,93 @@ class _Contraction:
         self.starts = offsets[:-1]
         self.seg = np.repeat(np.arange(n), shape)
         self.slices = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
-        self._x = np.empty(offsets[-1])
+        self.marginals = np.empty(offsets[-1])
         self.dev = game.utilities[0].astype(float) if n == 1 else np.empty(offsets[-1])
-        self.stacks = stacks = [np.empty((offsets[-1] - shape[j], shape[j])) for j in range(n)]
         big = int(np.argmax(shape))
+        nb, size = shape[big], offsets[-1]
         self.big = self.slices[big]
         self.rest = np.flatnonzero(self.seg != big)
+        nr = self.rest.size
         # where each player's segment sits within rest
-        at = {i: self.slices[i].start - (shape[big] if i > big else 0) for i in range(n)}
+        at = {i: self.slices[i].start - (nb if i > big else 0) for i in range(n)}
         # one 0/1 row per rest player over the rest, marking its actions
         rest_seg = np.repeat(np.arange(n - 1), [s for i, s in enumerate(shape) if i != big])
         self.rest_players = (rest_seg == np.arange(n - 1)[:, None]).astype(float)
-        self.cols = np.concatenate([np.arange(offsets[-1])[self.big], self.rest])
-        # the unknowns of the corrector's system over the rest, and its I,
-        # each with one more for a border (``_newton_direction``)
-        self.rest_border = np.append(self.rest, offsets[-1])
-        self.eye = np.eye(self.rest.size, self.rest.size + 1)
-        self._b_r = np.zeros((self.rest.size, offsets[-1]))
-        self._b_mr = np.empty((shape[big], self.rest.size))
-        b_rr = self._b_r[:, shape[big] :]
-        self._gather = [(self._b_r[:, : shape[big]], stacks[big])]
+        # the flat indices of the corrector's system's columns before
+        # elimination, cols and then lambda, and of its unknowns, the rest
+        # and then lambda; the border of a direction at fixed tau
+        self.order = np.concatenate([np.arange(self.big.start, self.big.stop), self.rest, [size]])
+        self.cols = self.order[:-1]
+        self.unknowns = self.order[nb:]
+        lam = np.zeros(size + 1)
+        lam[-1] = 1.0
+        self.fixed_tau = (lam, 0.0)
+        # the gathered blocks, each with the deviation payoffs as one more
+        # column; the big rows with a spare zero column for the residual
+        self._b_r = np.zeros((nr, size + 1))
+        self._b_mr = np.zeros((nb, nr + 2))
+        # the elimination's work (``_newton_direction``): x / tau over cols,
+        # then ones for the border and the residual; the rows to eliminate;
+        # the big rows over the identity of the unknowns; -I over the rest's
+        # rows, transposed, with a last row for the right-hand side; and the
+        # unknowns then -1
+        self._scale = np.ones(size + 2)
+        self._rows = np.empty((nr + 1, size + 1))
+        self._stack = np.zeros((size + 1, nr + 2))
+        self._stack[nb:, :-1] = np.eye(nr + 1)
+        self._minus_eye = np.zeros((nr + 2, nr + 1))
+        self._minus_eye[:nr, :nr] = -np.eye(nr)
+        self._tail = np.full(nr + 2, -1.0)
+        # the pair blocks: B_ij and B_ji share the remaining players, so one
+        # buffer holds both and one w @ mat refreshes it
+        self.blocks = blocks = {}
         self._refresh = []
-        for j in range(n):
-            row = 0
-            for i in range(n):
-                if i == j:
-                    continue
-                block = stacks[j][row : row + shape[i]]
-                row += shape[i]
-                if j != big:
-                    cols = slice(at[j], at[j] + shape[j])
-                    dest = self._b_mr if i == big else b_rr[at[i] : at[i] + shape[i]]
-                    self._gather.append((dest[:, cols], block))
-                rest = [k for k in range(n) if k not in (i, j)]
-                mat = np.transpose(game.utilities[i], (*rest, i, j)).reshape(-1, block.size)
-                if rest:
-                    xs = [self._x[self.slices[k]] for k in rest]
-                    self._refresh.append((np.ascontiguousarray(mat), xs, block.reshape(-1)))
-                else:
-                    block[:] = mat.reshape(block.shape)
-        # player 0's stack times x_0 is every co-player's deviation payoffs;
-        # player 0's own come from its block against player 1
-        self._devs = [] if n == 1 else [
-            (stacks[0], self._x[self.slices[0]], self.dev[offsets[1] :]),
-            (stacks[1][: shape[0]], self._x[self.slices[1]], self.dev[self.slices[0]]),
+        for i, j in combinations(range(n), 2):
+            rest = [k for k in range(n) if k not in (i, j)]
+            cells = shape[i] * shape[j]
+            mat = np.concatenate(
+                [
+                    game.utilities[i].transpose(*rest, i, j).reshape(-1, cells),
+                    game.utilities[j].transpose(*rest, j, i).reshape(-1, cells),
+                ],
+                axis=1,
+            )
+            buf = np.empty(2 * cells)
+            blocks[i, j] = buf[:cells].reshape(shape[i], shape[j])
+            blocks[j, i] = buf[cells:].reshape(shape[j], shape[i])
+            if rest:
+                self._refresh.append((mat, [self.marginals[self.slices[k]] for k in rest], buf))
+            else:
+                buf[:] = mat[0]
+        # each player's deviation payoffs are its block against player 0
+        # (player 0's against player 1) times that co-player's marginal
+        self._devs = [
+            (blocks[i, int(i == 0)], self.marginals[self.slices[int(i == 0)]], self.dev[self.slices[i]])
+            for i in range(n if n > 1 else 0)
         ]
+        # where each block goes in ``schur_blocks``' matrices: big's rows by
+        # the rest's columns, or a rest player's rows by big's then the
+        # rest's columns
+        self._gather = []
+        for (i, j), block in blocks.items():
+            if i == big:
+                dest = self._b_mr[:, at[j] : at[j] + shape[j]]
+            elif j == big:
+                dest = self._b_r[at[i] : at[i] + shape[i], :nb]
+            else:
+                dest = self._b_r[at[i] : at[i] + shape[i], nb + at[j] : nb + at[j] + shape[j]]
+            self._gather.append((dest, block))
 
     def schur_blocks(self):
         """The pair blocks at the last ``contract``, gathered into two
         matrices: rest rows by ``cols`` (big then rest; zero within a
-        player), and big rows by rest columns."""
+        player), then the rest's deviation payoffs; and big rows by rest
+        columns, then the big player's deviation payoffs and a zero
+        column."""
         for dest, block in self._gather:
             dest[...] = block
+        self._b_r[:, -1] = self.dev[self.rest]
+        self._b_mr[:, -2] = self.dev[self.big]
         return self._b_r, self._b_mr
 
     def seg_sum(self, v: np.ndarray) -> np.ndarray:
@@ -379,8 +431,9 @@ class _Contraction:
 
     def contract(self, x: np.ndarray) -> np.ndarray:
         """Refresh every pair block at the flat marginals x; return each
-        player's deviation payoffs, flat."""
-        self._x[...] = x
+        player's deviation payoffs, flat.  Until the next call ``marginals``
+        holds a copy of x and ``dev`` the returned payoffs."""
+        self.marginals[...] = x
         # np.dot, not np.matmul: the same bits, with less dispatch per call
         for mat, xs, out in self._refresh:
             w = xs[0]
@@ -406,7 +459,12 @@ class _Contraction:
 
 
 def _split(flat: np.ndarray, sizes) -> list[np.ndarray]:
-    return list(np.split(flat, np.cumsum(sizes)[:-1]))
+    """``flat`` cut into consecutive views of the given sizes."""
+    out, start = [], 0
+    for size in sizes:
+        out.append(flat[start : start + size])
+        start += size
+    return out
 
 
 def _validate_targets(game: Game, targets) -> tuple[np.ndarray, ...]:
@@ -417,11 +475,12 @@ def _validate_targets(game: Game, targets) -> tuple[np.ndarray, ...]:
         t = np.asarray(t, dtype=float)
         if t.shape != (game.num_actions(i),):
             raise DimensionError(f"target {i} has wrong length")
-        if not np.all(np.isfinite(t) & (t > 0)):
+        if not (np.isfinite(t) & (t > 0)).all():
             raise ParameterError(f"target {i} must be finite and strictly positive")
-        if abs(t.sum() - 1.0) > 1e-6:
+        total = t.sum()
+        if abs(total - 1.0) > 1e-6:
             raise ParameterError(f"target {i} must be a distribution")
-        out.append(t / t.sum())
+        out.append(t / total)
     return tuple(out)
 
 
@@ -460,87 +519,89 @@ def _qre_residual(ops: _Contraction, y: np.ndarray, tau: float, logt: np.ndarray
 
 
 def _newton_direction(ops: _Contraction, f, x, br, tau: float, border=None) -> np.ndarray | None:
-    """Solve ``J d = -f`` for the Jacobian ``J = I - P B diag(x) / tau`` of
-    the QRE residual, B holding the pair blocks at x and
-    ``P = blockdiag(I - 1 br_i^T)`` the log-softmax derivative.
+    """Solve the bordered system ``[[J, c], [t^T]] [d; e] = -[f; q]`` of the
+    QRE branch in ``(y, lambda = 1/tau)``, ``border = (t, q)``, and return
+    ``[d; e]``.  J is the residual's Jacobian in y, ``I - P B diag(x) /
+    tau``, with B the pair blocks at x and ``P = blockdiag(I - 1 br_i^T)``
+    the log-softmax derivative; c is its derivative in lambda, ``-P dev``,
+    minus the regrets at br of the last contraction's deviation payoffs.
+    Without a border, ``J d = -f`` is solved as the bordered system whose
+    border ``(e_lambda, 0)`` fixes lambda, and d is returned.
 
-    No player has a block against itself, so J's diagonal blocks are I; the
-    largest player's actions are eliminated by a Schur complement, leaving
-    a dense solve over the rest.  With ``border = (t, q)``, the bordered
-    system ``[[J, c], [t^T]] [d; e] = -[f; q]`` of the branch in ``(y,
-    lambda = 1/tau)`` is solved instead, after the same elimination, and
-    ``[d; e]`` returned; c is the residual's derivative in lambda, ``-(dev_i
-    - br_i . dev_i)`` per player at the last contraction.  None if the
-    system is singular (LAPACK gesv's info > 0): a failed step to every
-    caller.
+    No player has a block against itself, so J's diagonal blocks are I.  The
+    rows of ``P [B diag(x) / tau, dev]`` are formed for every action, in
+    ``_Contraction``'s buffers.  The largest player's, ``big``, with its
+    residual as one more column, are stacked over the identity of the other
+    unknowns, the rest's and lambda, and one product with the rest's rows
+    and the border row eliminates big's unknowns, leaving a dense solve
+    over the rest and lambda.  None if that system is singular (LAPACK
+    gesv's info > 0): a failed step to every caller.
     """
-    m, r = ops.big, ops.rest
-    if r.size == 0 and border is None:
-        return -f
+    t, q = ops.fixed_tau if border is None else border
     b_r, b_mr = ops.schur_blocks()
-    nb, n = b_mr.shape
-    k = n + (border is not None)
-    k_r, k_mr, system = np.empty((n, nb + k)), np.empty((nb, k)), np.empty((k, k))
-    unknowns, eye = ops.rest_border[:k], ops.eye[:, :k]
-    # x / tau over cols; its tail is the rest's
-    x_cols = x[ops.cols] / tau
-    # K = P B diag(x) / tau, P applying I - 1 br_i^T within each rest
-    # player's rows; a border adds the column -c, the regrets at br
-    pulled = ops.rest_players.T @ ((ops.rest_players * br[r]) @ b_r)
-    np.subtract(b_r, pulled, out=k_r[:, : nb + n])
-    k_r[:, : nb + n] *= x_cols
-    np.subtract(b_mr, br[m] @ b_mr, out=k_mr[:, :n])
-    k_mr[:, :n] *= x_cols[nb:]
-    if border is not None:
-        regrets = ops.regrets(br, ops.dev)
-        k_r[:, -1] = regrets[r]
-        k_mr[:, -1] = regrets[m]
-    k_rm, f_m = k_r[:, :nb], f[m]
-    # d_m = k_mr d_r - f_m, substituted into the rest's rows and the border
-    # row
-    rhs = np.empty(k)
-    np.matmul(k_rm, k_mr, out=system[:n])
-    system[:n] += k_r[:, nb:]
-    np.subtract(eye, system[:n], out=system[:n])
-    np.subtract(-f[r], k_rm @ f_m, out=rhs[:n])
-    if border is not None:
-        t, q = border
-        t_m = t[m]
-        np.add(t_m @ k_mr, t[unknowns], out=system[n])
-        rhs[n] = t_m @ f_m - q
-    _, _, d_r, info = lapack.dgesv(system, rhs, overwrite_b=True)
+    m, r = ops.big, ops.rest
+    nb, n = b_mr.shape[0], r.size
+    scale, rows, stack = ops._scale, ops._rows, ops._stack
+    # x / tau over cols, ahead of two ones: the deviation payoffs' column
+    # and the residual's are not scaled
+    np.divide(x[ops.cols], tau, out=scale[:-2])
+    # each rest player's rows pulled by I - 1 br_i^T, then scaled
+    pull = ops.rest_players * br[r]
+    np.subtract(b_r, np.dot(ops.rest_players.T, np.dot(pull, b_r)), out=rows[:n])
+    rows[:n] *= scale[:-1]
+    rows[n] = t[ops.order]
+    # big's rows, then its residual: d_m = top @ [d_r; e; -1]
+    top = stack[:nb]
+    np.subtract(b_mr, np.dot(br[m], b_mr), out=top)
+    top[:, -1] = f[m]
+    top *= scale[nb:]
+    # the transposed system, its last row the right-hand side: the rest's
+    # rows come out negated with their residual, which leaves the solution
+    # as it is, and the border row as it is, with t_m . f_m - q
+    system = np.dot(stack.T, rows.T)
+    minus_eye = ops._minus_eye
+    minus_eye[-1, :n] = f[r]
+    minus_eye[-1, n] = -q
+    system += minus_eye
+    _, _, u, info = lapack.dgesv(system[:-1].T, system[-1])
     if info != 0:
         return None
-    d = np.empty(f.size + k - n)
-    d[unknowns] = d_r
-    d[m] = k_mr @ d_r - f_m
-    return d
+    d = np.empty(f.size + 1)
+    d[ops.unknowns] = u
+    tail = ops._tail
+    tail[:-1] = u
+    np.dot(top, tail, out=d[m])
+    return d if border is not None else d[:-1]
 
 
-def _normalised(ops: _Contraction, y: np.ndarray, x: np.ndarray):
-    """A solved iterate y normalised, ``y - log s_i`` with ``s_i`` the sum
-    of player i's ``e^y``, and the parts of its trace record, rescaled from
-    the last residual's at y: ``x = e^y / s`` and the deviation payoffs
-    ``dev`` at x.  Deviation payoffs are multilinear in the co-players'
-    marginals, so player i's at x are those at e^y over ``prod_{k != i}
-    s_k``: the record is exact at the normalised profile, at any tolerance,
-    without another contraction.  Scales the residual's x in place."""
+def _record(ops: _Contraction, y: np.ndarray, x: np.ndarray):
+    """The exploitability of a solved iterate y and the parts of its trace
+    record, from the last residual at y, whose e^y is x: y, x, the
+    deviation payoffs ``dev`` at x and each player's sum ``s_i`` of x.
+    Deviation payoffs are multilinear in the co-players' marginals, so at
+    the normalised profile ``x_i / s_i`` player i's are ``dev_i /
+    prod_{k != i} s_k``: the record is exact at the normalised profile, at
+    any tolerance, without another contraction."""
     s = np.add.reduceat(x, ops.starts)
-    scale = s[ops.seg]
-    x /= scale
-    dev = ops.dev / (math.prod(s.tolist()) / scale)
-    return y - np.log(scale), (x, dev)
+    dev = ops.dev.copy()
+    # max_a (dev_a - v) is max_a dev_a - v, in floating point too, as
+    # rounding is monotone; a NaN gain stays NaN
+    best = np.maximum.reduceat(dev, ops.starts).tolist()
+    value = np.add.reduceat(x * dev, ops.starts).tolist()
+    sums = s.tolist()
+    total = math.prod(sums)
+    exploit = sum(max((b - v / s_i) * (s_i / total), 0.0) for b, v, s_i in zip(best, value, sums))
+    return exploit, (y, x, dev, s)
 
 
 def _correct(ops: _Contraction, y: np.ndarray, tau: float, logt: np.ndarray, cap: int, tol: float):
     """Damped Newton on the QRE residual at tau from y, backtracking on
     max|F|, until max|F| is at most ``tol``.
 
-    Returns the iterate, the iterations taken, and the parts of its trace
-    record, or None if max|F| missed ``tol`` within ``cap`` iterations or
-    is not finite at y (a start whose e^y overflows).  A solved iterate is
-    returned ``_normalised``, with its parts.  A singular Newton system
-    fails the correction.  A residual that overflows only warns here;
+    Returns the iterate, the iterations taken, and its ``_record``, or None
+    if max|F| missed ``tol`` within ``cap`` iterations or is not finite at
+    y (a start whose e^y overflows).  A singular Newton system fails the
+    correction.  A residual that overflows only warns here;
     ``solve_lle`` silences that around its whole trace.
     """
     f, x, br = _qre_residual(ops, y, tau, logt)
@@ -568,8 +629,7 @@ def _correct(ops: _Contraction, y: np.ndarray, tau: float, logt: np.ndarray, cap
             if alpha < NEWTON_MIN_DAMPING:
                 return y, its, None
         y, res = trial, trial_res
-    y, parts = _normalised(ops, y, x)
-    return y, its, parts
+    return y, its, _record(ops, y, x)
 
 
 def _extrapolate(points, s: float) -> np.ndarray:
@@ -651,7 +711,7 @@ def solve_lle(game: Game, config: QREConfig | None = None) -> EquilibriumResult:
     counting Newton iterations; ``restarts`` is 0.  Deterministic.
 
     An accepted point's record comes from the corrector's last residual,
-    rescaled to the normalised profile (``_normalised``), so it is exact at
+    rescaled to the normalised profile (``_record``), so it is exact at
     that profile up to rounding, however loose the corrector's tolerance.
     Its exploitability is taken at that point; its loss is filled in when
     the trace ends, whether it returns or raises, in one batch.  The exact
@@ -672,15 +732,17 @@ def solve_lle(game: Game, config: QREConfig | None = None) -> EquilibriumResult:
     dev = ops.contract(x)
     exploit = ops.exploitability(x, dev)
     trace = [TraceRecord(0, None, 0.0, exploit)]
+    # the regrets of the last exact record
+    regrets = ops.regrets(x, dev)
     # the metric of arclength: each log-marginal weighted by its target, so
     # that exact clones, which split one target, count as one action
     metric = np.append(x, ARC_LAMBDA_WEIGHT)
-    tangent = np.append(ops.regrets(x, dev), 1.0)
+    tangent = np.append(regrets, 1.0)
     tangent /= math.sqrt(tangent @ (metric * tangent))
     points = [(0.0, np.append(logt, 0.0))]  # (arclength, v) of the last accepted points
     y, h, step = logt, ARC_FIRST_STEP, 0
     termination = "epsilon_ne" if config.epsilon_ne > 0 and exploit <= config.epsilon_ne else None
-    pending = []  # (trace index, x, y, dev) of the corrector's records
+    pending = []  # (trace index, y, x, dev, s) of the corrector's records
     tol = ARC_TOL  # the corrector's; halved, with the step, by each failure
     loose = False  # whether the last point was solved to tol only
     with np.errstate(over="ignore", invalid="ignore"):
@@ -711,13 +773,14 @@ def solve_lle(game: Game, config: QREConfig | None = None) -> EquilibriumResult:
                 tau = config.tau_terminal
                 start = v[:-1] + (lam_end - v[-1]) / (lam - v[-1]) * chord[:-1]
                 cap = min(NEWTON_ITERS, config.max_steps - step)
-                y_end, its, parts = _correct(ops, start, tau, logt, cap, NEWTON_TOL)
+                y_end, its, record = _correct(ops, start, tau, logt, cap, NEWTON_TOL)
                 step += its
             elif ok:
-                y_end, parts = _normalised(ops, w[:-1], x)
+                y_end = w[:-1]
+                record = _record(ops, y_end, x)
             else:
-                parts = None
-            if parts is None:
+                record = None
+            if record is None:
                 if step >= config.max_steps:
                     why = f"all {config.max_steps} Newton iterations spent"
                     break
@@ -735,16 +798,16 @@ def solve_lle(game: Game, config: QREConfig | None = None) -> EquilibriumResult:
                 continue
             loose, last_normal = True, normal
             y = y_end
-            x, dev = parts
-            exploit = ops.exploitability(x, dev)
+            exploit, parts = record
             # the corrector's record differs from the exact one by rounding
             # only, but near epsilon_ne rounding could decide the exit, so it
             # is decided on the exact record
             if terminal or exploit <= 2.0 * config.epsilon_ne:
                 loss, exploit = _qre_gap(ops, y, tau, logt)
+                regrets = ops.regrets(ops.marginals, ops.dev)
             else:
                 loss = np.nan
-                pending.append((len(trace), x, y, dev))
+                pending.append((len(trace), *parts))
             trace.append(TraceRecord(step, tau, loss, exploit))
             if config.epsilon_ne > 0 and exploit <= config.epsilon_ne:
                 termination = "epsilon_ne"
@@ -756,10 +819,16 @@ def solve_lle(game: Game, config: QREConfig | None = None) -> EquilibriumResult:
     # a record from the corrector gets its loss here, on the raising path
     # too: tau (sum_i lse_i(v) + x . (y - v)), v = dev / tau + log t the
     # soft best response's input, in one batch over every such record's
-    # profile x, log-marginals y and deviation payoffs dev
+    # profile x, log-marginals y and deviation payoffs dev, each normalised
+    # as ``_record`` says
     if pending:
         rows, *columns = zip(*pending)
-        xs, ys, vs = (np.stack(c, axis=1) for c in columns)
+        # each record a column; np.stack(c, axis=1) builds the same, slower
+        ys, xs, vs, sums = (np.array(c).T.copy() for c in columns)
+        scale = sums[ops.seg]
+        xs /= scale
+        ys -= np.log(scale)
+        vs /= sums.prod(axis=0) / scale
         vs /= [trace[k].tau for k in rows]
         vs += logt[:, None]
         _, lse = ops.log_softmax(vs)
@@ -788,6 +857,7 @@ def solve_lle(game: Game, config: QREConfig | None = None) -> EquilibriumResult:
         termination=termination,
         targets=targets,
         config=_settings(config),
+        regrets=_split(regrets, ops.sizes),
     )
 
 
@@ -927,6 +997,12 @@ def _kkt_residual(flat: np.ndarray, regrets: np.ndarray) -> float:
     return float(np.max(np.where(flat > 0, np.abs(regrets), regrets), initial=0.0))
 
 
+def _gap(regrets) -> float:
+    """Exploitability from each player's regrets: the sum of the largest
+    gains, clipped at 0; a NaN gain stays NaN."""
+    return sum(max(float(r.max()), 0.0) for r in regrets)
+
+
 def _newton_finish(dual: _CCEDual, flat: np.ndarray, tol: float, record, budget: int):
     """Projected Newton steps on the CCE dual from the multipliers ``flat``
     (Bertsekas 1982), until the KKT residual is at most ``tol``, for at most
@@ -1003,7 +1079,8 @@ def solve_mre_cce(game: Game, config: CCEConfig | None = None) -> EquilibriumRes
     and it either meets the KKT conditions (termination ``"kkt"``) or was
     reached within ``max_steps`` with steps to spare (termination
     ``"epsilon_cce"``); otherwise ``ConvergenceError`` carries the final
-    iterate and the trace.  Deterministic.
+    iterate and the trace.  The exploitability and ``regrets`` come from
+    the dual evaluation that built the joint.  Deterministic.
     """
     config = config or CCEConfig()
     targets = _validate_targets(
@@ -1073,7 +1150,7 @@ def solve_mre_cce(game: Game, config: CCEConfig | None = None) -> EquilibriumRes
     _, x, regrets = dual.evaluate(flat)
     kkt = _kkt_residual(flat, np.concatenate(regrets)) <= tol
     profile = JointDistribution(x)
-    final_exploit = exploitability(game, profile)
+    final_exploit = _gap(regrets)
     duals = _split(flat.copy(), dual.sizes)
     # a spent budget leaves a joint that is feasible at best, not yet the
     # entropy maximiser
@@ -1097,6 +1174,7 @@ def solve_mre_cce(game: Game, config: CCEConfig | None = None) -> EquilibriumRes
         config=_settings(config),
         restarts=restarts,
         newton_steps=newton_steps,
+        regrets=list(regrets),
     )
 
 
@@ -1143,7 +1221,7 @@ def _expand(profile: ProductProfile | JointDistribution, classes, shares):
     return JointDistribution(profile.joint[np.ix_(*classes)] * functools.reduce(np.multiply.outer, shares))
 
 
-def solve(game: Game, method: str, targets, **settings) -> EquilibriumResult:
+def solve(game: Game, method: str, targets, classes=..., **settings) -> EquilibriumResult:
     """Solve ``game`` for the equilibrium of ``method``: the LLE for
     ``"ne"``, the MRE CCE for ``"cce"``, toward ``targets``, one
     distribution per player and required.  ``settings`` are fields of the
@@ -1158,18 +1236,22 @@ def solve(game: Game, method: str, targets, **settings) -> EquilibriumResult:
     ``x_a = x_class * t_a / t_class``; the MRE CCE's multipliers are the
     quotient's, each class's on its first member and 0 on the others, and
     its joint is rebuilt from them on ``game``.  The result holds the full
-    game's targets and exploitability, and the quotient solve's trace,
+    game's targets, and its exploitability and ``regrets`` from one
+    evaluation on ``game``: the LLE's expanded profile's, or the CCE dual's
+    that rebuilt the joint.  It holds the quotient solve's trace,
     ``termination``, ``restarts`` and ``newton_steps``, so the ``steps``,
     ``stages``, ``restarts`` and ``newton_steps`` of a CLI manifest count
     the quotient's work.  A ``ConvergenceError`` carries its iterate
     expanded to ``game``.  A game without duplicates goes to the solver as
-    it is.
+    it is.  A caller that solves one game several times passes
+    ``classes``, what ``_duplicate_classes(game)`` returned, so the game is
+    searched once; left out, it is searched here.
     """
     if targets is None:
         raise ParameterError("solve needs targets: one distribution per player")
     config = SOLVER_CONFIGS[method](targets=targets, **settings)
     solver = solve_lle if method == "ne" else solve_mre_cce
-    firsts = _duplicate_classes(game)
+    firsts = _duplicate_classes(game) if classes is ... else classes
     if firsts is None:
         return solver(game, config)
     targets = _validate_targets(game, targets)
@@ -1189,14 +1271,15 @@ def solve(game: Game, method: str, targets, **settings) -> EquilibriumResult:
         raise
     if method == "ne":
         profile = _expand(result.profile, members, shares)
-        return replace(result, profile=profile, exploitability=exploitability(game, profile), targets=targets)
+        regrets = all_regrets(game, profile)
+        return replace(result, profile=profile, exploitability=_gap(regrets), targets=targets, regrets=regrets)
     duals = [np.zeros(n) for n in game.shape]
     for full, r, alpha in zip(duals, reps, result.duals):
         full[r] = alpha
     # the joint as profile_from_dict rebuilds it from the saved result
     _, joint, regrets = _CCEDual(game, targets).evaluate(np.concatenate(duals))
-    exploit = sum(max(float(r.max()), 0.0) for r in regrets)  # a NaN gain stays NaN
-    return replace(result, profile=JointDistribution(joint), exploitability=exploit, targets=targets, duals=duals)
+    profile, regrets = JointDistribution(joint), list(regrets)
+    return replace(result, profile=profile, exploitability=_gap(regrets), targets=targets, duals=duals, regrets=regrets)
 
 
 # ---------------------------------------------------------------------------
@@ -1228,8 +1311,8 @@ def _indifference(ops: _Contraction, x: np.ndarray, v: np.ndarray, support: np.n
     f = np.concatenate([dev[support] - v[seg], ops.seg_sum(x) - 1.0])
     b_r, b_mr = ops.schur_blocks()
     pairs = np.zeros((x.size, x.size))
-    pairs[np.ix_(ops.rest, ops.cols)] = b_r
-    pairs[ops.big, ops.rest] = b_mr
+    pairs[np.ix_(ops.rest, ops.cols)] = b_r[:, :-1]
+    pairs[ops.big, ops.rest] = b_mr[:, :-2]
     member = (seg[:, None] == np.arange(len(ops.sizes))).astype(float)
     jac = np.block([
         [pairs[np.ix_(support, support)], -member],

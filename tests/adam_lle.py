@@ -17,9 +17,9 @@ from eqrate.solvers import QREConfig, _Contraction, _validate_targets
 def _pull(ops: _Contraction, d: np.ndarray) -> np.ndarray:
     """Segment j of the result is ``sum over i != j of d_i @ E[u_i | a_i, a_j]``,
     from the pair blocks of the last ``contract``."""
-    out = np.empty_like(d)
-    for j, stack in enumerate(ops.stacks):
-        np.matmul(d[ops.seg != j], stack, out=out[ops.slices[j]])
+    out = np.zeros_like(d)
+    for (i, j), block in ops.blocks.items():
+        out[ops.slices[j]] += d[ops.slices[i]] @ block
     return out
 
 

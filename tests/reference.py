@@ -106,12 +106,11 @@ def lipschitz_50(U: np.ndarray) -> float:
     return 2.0 * max(float(v @ (U.T @ (U @ v))), 1e-12)
 
 
-def max_entropy_pg_50(K: np.ndarray, tolerance: float, max_iters: int) -> np.ndarray:
-    """``kernels.max_affinity_entropy`` as it was, stepped by
-    ``1 / lipschitz_50`` instead of the row-sum bound."""
-    U = K / np.sqrt((K * K).sum(axis=0))
+def max_entropy_pg(U: np.ndarray, eta: float, tolerance: float, max_iters: int) -> np.ndarray:
+    """``kernels.max_affinity_entropy``'s accelerated projected gradient on
+    the unit-column kernel U with step eta, one numpy call at a time as it
+    was first written."""
     n = U.shape[0]
-    eta = 1.0 / lipschitz_50(U)
     x = np.full(n, 1.0 / n)
     y = x
     t_mom = 1.0
@@ -129,6 +128,13 @@ def max_entropy_pg_50(K: np.ndarray, tolerance: float, max_iters: int) -> np.nda
         x = nxt
         t_mom = t_next
     raise AssertionError("projected gradient did not converge")
+
+
+def max_entropy_pg_50(K: np.ndarray, tolerance: float, max_iters: int) -> np.ndarray:
+    """``kernels.max_affinity_entropy`` as it was, stepped by
+    ``1 / lipschitz_50`` instead of the row-sum bound."""
+    U = K / np.sqrt((K * K).sum(axis=0))
+    return max_entropy_pg(U, 1.0 / lipschitz_50(U), tolerance, max_iters)
 
 
 def affinity_targets_50(

@@ -179,6 +179,24 @@ def test_clone_test_computes_affinity_targets_once_per_count(tmp_path, monkeypat
     assert shapes == [(3, 3, 3), (5, 3, 3)]
 
 
+def test_clone_test_searches_each_game_for_duplicates_once(tmp_path, monkeypatch):
+    # the four ne and cce solves of one count share the game's classes; the
+    # clones of count 2 are exact, so that game is solved on its quotient
+    game, _ = _build_game(tmp_path, prompts=3, models=3)
+    found = []
+    real = solvers._duplicate_classes
+
+    def spy(g):
+        found.append((g.shape, real(g)))
+        return found[-1][1]
+
+    monkeypatch.setattr(solvers, "_duplicate_classes", spy)
+    argv = ["clone-test", "--game", str(game), "--target", "m0", "--counts", "0,2"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    assert [shape for shape, _ in found] == [(3, 3, 3), (5, 3, 3)]
+    assert found[0][1] is None and found[1][1] is not None
+
+
 @pytest.mark.parametrize(
     "flags, name",
     [(["--variance", "nan"], "variance"), (["--method", "cce", "--epsilon", "nan"], "epsilon_cce")],

@@ -119,9 +119,30 @@ def test_ne_rating_is_one_cold_lle_trace():
     u_k = skillsim._king_tensor(prompts, models)
     game = skillsim._skill_game(u_k / np.abs(u_k).max())
     config = solvers.QREConfig(targets=affinity_targets(game), tau_terminal=0.1)
-    expected = all_regrets(game, solvers.solve_lle(game, config).profile)
+    expected = solvers.solve_lle(game, config).regrets
     assert np.array_equal(r_p, expected[0])
     assert np.array_equal(r_m, expected[1])
+    assert rater.fallbacks == []
+
+
+@pytest.mark.parametrize("method", ["ne", "cce"])
+@pytest.mark.parametrize("duplicates", [False, True])
+def test_ratings_are_the_regrets_at_the_solved_profile(method, duplicates):
+    # the rater rates from the solve's own regrets; with an exact copy of a
+    # prompt the solve runs on the quotient and takes them on the full game
+    rng = np.random.default_rng(5)
+    prompts = rng.dirichlet(np.ones(4), size=9)
+    if duplicates:
+        prompts = np.concatenate([prompts, prompts[2:3]])
+    models = rng.dirichlet(np.ones(4), size=4)
+    rater = skillsim._EquilibriumRater(skillsim.SimConfig(rating_method=method))
+    ratings_ = rater.rate(prompts, models, 1)
+    u_k = skillsim._king_tensor(prompts, models)
+    game = skillsim._skill_game(u_k / np.abs(u_k).max())
+    assert (solvers._duplicate_classes(game) is not None) == duplicates
+    result = solvers.solve(game, method, affinity_targets(game), **rater.overrides)
+    for got, want in zip(ratings_, all_regrets(game, result.profile)):
+        assert np.abs(got - want).max() <= 1e-12
     assert rater.fallbacks == []
 
 
@@ -132,11 +153,11 @@ def test_fold_records_no_fallback():
     game = fold_game()
     targets = affinity_targets(game)
     rater = skillsim._EquilibriumRater(skillsim.SimConfig(rating_method="ne"))
-    profile = rater._solve(game, targets, 3)
+    regrets = rater._solve(game, targets, 3)
     assert rater.fallbacks == []
     result = solvers.solve_lle(game, solvers.QREConfig(targets=targets, tau_terminal=0.1))
     assert result.termination == "terminal_tau"
-    for got, want in zip(profile.marginals, result.profile.marginals):
+    for got, want in zip(regrets, result.regrets):
         assert np.array_equal(got, want)
 
 

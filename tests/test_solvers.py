@@ -44,6 +44,7 @@ from reference import (
     _cce_loss_alpha,
     affinity_targets_50,
     cce_dual_logit,
+    max_entropy_pg,
     qre_best_response,
     qre_loss,
     qre_residual,
@@ -216,6 +217,63 @@ class TestNewtonDirection:
             scale = max(np.abs(f).max(), abs(q))
             assert np.abs(jac @ de[:-1] + d_lam * de[-1] + f).max() <= 1e-6 * scale
             assert abs(t @ de + q) <= 1e-9 * scale
+
+    @staticmethod
+    def dense_bordered(game, y, tau, logt, t, q):
+        """The bordered system ``[[J, c], [t^T]]`` and its right-hand side
+        ``-[f; q]``, built densely from the payoff tensors at x = e^y."""
+        n, offsets = game.num_players, np.cumsum([0, *game.shape])
+        x = np.exp(y)
+        xs = np.split(x, offsets[1:-1])
+        segment = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
+
+        def contract(i, keep):
+            out = game.utilities[i]
+            for k in reversed(range(n)):
+                if k not in keep:
+                    out = np.tensordot(out, xs[k], axes=(k, 0))
+            return out
+
+        pairs, dev = np.zeros((x.size, x.size)), np.empty(x.size)
+        for i in range(n):
+            dev[segment[i]] = contract(i, (i,))
+            for j in range(n):
+                if j != i:
+                    block = contract(i, (i, j))
+                    pairs[segment[i], segment[j]] = block if i < j else block.T
+        v = dev / tau + logt
+        br = np.concatenate([np.exp(p - logsumexp(p)) for p in np.split(v, offsets[1:-1])])
+        pull = np.zeros((x.size, x.size))
+        for seg in segment:
+            pull[seg, seg] = np.eye(seg.stop - seg.start) - br[seg][None, :]
+        dense = np.zeros((x.size + 1, x.size + 1))
+        dense[:-1, :-1] = np.eye(x.size) - pull @ pairs * (x / tau)
+        dense[:-1, -1] = -pull @ dev
+        dense[-1] = t
+        return dense, -np.append(y - np.log(br), q)
+
+    @pytest.mark.parametrize("shape", [(2, 5, 3), (6, 3, 3), (3, 4)])
+    def test_matches_the_dense_bordered_solve(self, shape):
+        # (2, 5, 3) eliminates a player in the middle, (6, 3, 3) the first
+        game = random_game(shape, seed=41)
+        rng = np.random.default_rng(7)
+        ops = _Contraction(game)
+        for _ in range(3):
+            logt = np.log(np.concatenate([rng.dirichlet(np.ones(n)) for n in shape]))
+            tau = float(rng.uniform(0.1, 2.0))
+            y = rng.normal(scale=1.5, size=sum(shape))
+            t, q = rng.normal(size=y.size + 1), float(rng.normal())
+            dense, rhs = self.dense_bordered(game, y, tau, logt, t, q)
+            f, x, br = _qre_residual(ops, y, tau, logt)
+            assert np.abs(f + rhs[:-1]).max() <= 1e-12
+            want = np.linalg.solve(dense, rhs)
+            got = _newton_direction(ops, f, x, br, tau, (t, q))
+            assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+            # without a border the direction solves J d = -f
+            want = np.linalg.solve(dense[:-1, :-1], rhs[:-1])
+            got = _newton_direction(ops, f, x, br, tau)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
 
 
 @pytest.mark.parametrize("field", ["max_steps"])
@@ -746,6 +804,18 @@ class TestSolveLLE:
         assert res.exploitability == res.trace[-1].exploitability
         assert res.exploitability == pytest.approx(exploitability(chicken, res.profile), abs=1e-12)
 
+    @pytest.mark.parametrize("epsilon_ne", [0.0, 1e-3, 10.0])
+    def test_regrets_are_taken_at_the_returned_profile(self, chicken, epsilon_ne):
+        # from the final exact record's contraction: at tau_terminal, at an
+        # early exit, or at the start (every profile is within 10)
+        res = solve_lle(chicken, QREConfig(targets=affinity_targets(chicken), epsilon_ne=epsilon_ne))
+        assert len(res.trace) == 2 if epsilon_ne == 10.0 else len(res.trace) > 2
+        for got, want in zip(res.regrets, all_regrets(chicken, res.profile), strict=True):
+            assert np.abs(got - want).max() <= 1e-12
+        # the same contraction as the final record's exploitability
+        assert sum(max(float(r.max()), 0.0) for r in res.regrets) == res.exploitability
+        assert "regrets" not in res.to_dict()
+
     def test_serialization_round_trip(self, tmp_path, rps):
         res = solve_lle(rps, QREConfig(targets=affinity_targets(rps)))
         path = tmp_path / "eq.json"
@@ -926,6 +996,32 @@ class TestCCE:
             },
         }
         assert np.array_equal(profile_from_dict(legacy, game).joint, res.profile.joint)
+
+    @pytest.mark.parametrize("route", ["direct", "quotient", "file"])
+    def test_exploitability_comes_from_the_dual_evaluation(self, route):
+        # the reported exploitability is the gap of the regrets that the
+        # joint was built with, not of one more pass over the joint; on
+        # these games the two differ in the last bits
+        game = _koth_clone_game(12, 4, 3) if route == "quotient" else _koth_clone_game(8, 4, 0)
+        targets = affinity_targets(game)
+        if route == "quotient":
+            assert solvers_mod._duplicate_classes(game) is not None
+            res = solvers_mod.solve(game, "cce", targets)
+        else:
+            res = solve_mre_cce(game, CCEConfig(targets=targets))
+        assert res.exploitability == sum(max(float(r.max()), 0.0) for r in res.regrets)
+        profile = res.profile
+        if route == "file":
+            data = json.loads(json.dumps(res.to_dict()))
+            assert "regrets" not in data
+            # the rebuild's check takes the same evaluation's gap, so the
+            # reported exploitability is itself within the bound
+            data["config"]["epsilon_cce"] = res.exploitability
+            profile = profile_from_dict(data, game)
+            assert np.array_equal(profile.joint, res.profile.joint)
+        assert abs(res.exploitability - exploitability(game, profile)) <= 1e-14
+        for got, want in zip(res.regrets, all_regrets(game, profile)):
+            assert np.abs(got - want).max() <= 1e-14
 
     def test_stored_cce_of_another_game_rejected(self, chicken):
         data = solve_mre_cce(chicken).to_dict()
@@ -1389,17 +1485,16 @@ class TestRiskDominance:
 
 
 def _solved_stages(monkeypatch):
-    """Wrap ``solvers._normalised`` to keep (y, ops) of every accepted point
-    of the trace, the one at the terminal temperature included."""
+    """Wrap ``solvers._record`` to keep (y, ops) of every accepted point of
+    the trace, the one at the terminal temperature included."""
     stages = []
-    real = solvers_mod._normalised
+    real = solvers_mod._record
 
     def spy(ops, y, x):
-        out = real(ops, y, x)
-        stages.append((out[0].copy(), ops))
-        return out
+        stages.append((y.copy(), ops))
+        return real(ops, y, x)
 
-    monkeypatch.setattr(solvers_mod, "_normalised", spy)
+    monkeypatch.setattr(solvers_mod, "_record", spy)
     return stages
 
 
@@ -1480,8 +1575,9 @@ class TestTraceRecords:
             assert np.isfinite(record.loss) and abs(record.loss - loss) <= 1e-9
             assert abs(record.exploitability - exploit) <= 1e-9
         assert replace(trace[-1], step=trace[-2].step) == trace[-2]
+        # the last point's log-marginals, normalised
         for a, b in zip(iterate.marginals, np.split(np.exp(stages[-1][0]), np.cumsum(game.shape)[:-1])):
-            assert np.abs(a - b).max() <= 1e-12
+            assert np.abs(a - b / b.sum()).max() <= 1e-12
 
     def test_early_exit_is_decided_on_the_exact_exploitability(self, monkeypatch):
         game = _koth_clone_game(8, 4, 0)
@@ -1608,6 +1704,19 @@ class TestTargetsStep:
             for t, ref in zip(ours, refs, strict=True):
                 assert np.abs(t - ref).max() <= 1e-6, (variance, mode)
 
+    @pytest.mark.parametrize("name", ["rps_dup_rock", "koth_clones", "random", "skillworld"])
+    def test_targets_equal_the_reference_loop_to_the_bit(self, name, rps_dup_rock):
+        # the maximiser's loop dispatches fewer numpy calls than the
+        # reference's, with the same arithmetic
+        game = _targets_game(name, rps_dup_rock)
+        dissimilarity = {"joint": kernels.dissimilarity_joint, "factorized": kernels.dissimilarity_factorized}
+        for variance, mode in itertools.product([1e-6, 1e-4, 1e-2], dissimilarity):
+            for i in range(game.num_players):
+                K = kernels.similarity_kernel(dissimilarity[mode](game, i), variance)
+                U = kernels._unit_columns(K)
+                want = max_entropy_pg(U, _step(U), kernels.TARGET_TOLERANCE, 100_000)
+                assert np.array_equal(kernels.max_affinity_entropy(K, tolerance=kernels.TARGET_TOLERANCE), want)
+
     @pytest.mark.parametrize("n", [5, 13, 29])
     def test_identity_kernel_is_uniform_after_one_step(self, n, monkeypatch):
         norms, points, project = [], [], kernels.project_simplex
@@ -1636,7 +1745,8 @@ class TestCCERestart:
         res = solve_mre_cce(game, config)
         assert res.converged and res.exploitability <= 1e-12
         assert res.exploitability <= config.epsilon_cce
-        assert res.exploitability == exploitability(game, res.profile)
+        # from the dual evaluation that built the joint
+        assert abs(res.exploitability - exploitability(game, res.profile)) <= 1e-14
         assert [r.step for r in res.trace] == list(range(len(res.trace)))
         assert res.to_dict()["restarts"] == res.restarts
 
