@@ -252,15 +252,11 @@ def _read_solved(args):
     game, _ = _read_game(args.game)
     with open(args.equilibrium, encoding="utf-8") as fh:
         eq = json.load(fh)
-    prof = eq.get("profile") if isinstance(eq, dict) else None
-    # the keys profile_from_dict reads for each profile type
-    needed = {"product": ("marginals",), "cce_dual": ("duals", "shape"), "joint": ("joint", "shape")}
-    keys = needed.get(prof.get("type")) if isinstance(prof, dict) else None
-    # a CCE's multipliers rebuild its joint with the file's targets
-    if keys is None or any(key not in prof for key in keys) or (prof["type"] == "cce_dual" and "targets" not in eq):
-        types = ", ".join(needed)
-        raise ParameterError(f"{args.equilibrium}: an equilibrium file holds a profile of type {types} with its keys")
-    return game, solvers.profile_from_dict(eq, game), eq.get("method", "eq")
+    try:
+        profile = solvers.profile_from_dict(eq, game)
+    except ParameterError as exc:
+        raise ParameterError(f"{args.equilibrium}: {exc}") from None
+    return game, profile, eq.get("method", "eq")
 
 
 def cmd_rate(args):

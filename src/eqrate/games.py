@@ -192,17 +192,18 @@ def all_regrets(game: Game, profile: Profile) -> list[np.ndarray]:
     return out
 
 
-def exploitability(game: Game, profile: Profile) -> float:
-    """Sum over players of the (clipped) maximum deviation gain.
+def exploitability_from_regrets(regrets) -> float:
+    """Sum over players of the largest deviation gain in each player's
+    regret vector, clipped below at zero so approximate profiles never
+    report negative exploitability; a NaN gain stays NaN."""
+    return sum(max(float(r.max()), 0.0) for r in regrets)
 
-    Zero iff the profile is an exact CCE (an exact NE when the profile is a
-    product).  Per-player gains are clipped below at zero so approximate
-    profiles never report negative exploitability; a NaN gain stays NaN.
-    """
-    total = 0.0
-    for r in all_regrets(game, profile):
-        total += max(float(r.max()), 0.0)
-    return total
+
+def exploitability(game: Game, profile: Profile) -> float:
+    """Sum over players of the (clipped) maximum deviation gain
+    (``exploitability_from_regrets``).  Zero iff the profile is an exact
+    CCE (an exact NE when the profile is a product)."""
+    return exploitability_from_regrets(all_regrets(game, profile))
 
 
 def game_to_dict(game: Game) -> dict:

@@ -37,7 +37,7 @@ from scipy.special import softmax
 
 from . import kernels
 from .errors import ConvergenceError, DimensionError, ParameterError
-from .games import Game, JointDistribution, ProductProfile, all_regrets, exploitability
+from .games import Game, JointDistribution, ProductProfile, all_regrets, exploitability, exploitability_from_regrets
 
 # Solver defaults.
 DEFAULT_TAU_TERMINAL = 1e-2
@@ -50,18 +50,20 @@ DEFAULT_EPSILON_NE = 1e-3
 # ARC_FIRST_STEP and follows the prediction's error e, the max-norm distance
 # from the prediction to the corrected point, at order p: h <- h * min(0.9 *
 # (ARC_PREDICT_TOL / e)**(1/p), 4); a step whose factor falls below 1/2 is
-# retried at half the length.  A step's corrector takes at most
-# NEWTON_ITERS Newton iterations, until the residual's max-norm is at most
-# ARC_TOL, halved for the rest of the trace by each failed step; only the
-# returned point, at tau_terminal, is solved on to NEWTON_TOL.  The trace
+# retried at half the length.  Every correction is full Newton steps on a
+# hyperplane (``_arc_correct``), at most NEWTON_ITERS of them: a step's
+# until the residual's max-norm is at most ARC_TOL, halved for the rest of
+# the trace by each failed step; the landing on tau_terminal, on the
+# hyperplane of fixed lambda, until it is at most NEWTON_TOL.  The trace
 # raises once h falls below ARC_MIN_STEP.  Over 2,250 random KOTH games
 # (150 each of 20x6, 10x4, 30x8, 8x3 and 40x5 prompts x models, drawn by
 # default_rng(1), (2) and (3)) none raises, where a temperature grid with
 # arclength detours raised on 11; ARC_TOL 1e-3, ARC_PREDICT_TOL 1.5e-2 or
-# an ARC_LAMBDA_WEIGHT of 1 each lost the branch or raised on some.
+# an ARC_LAMBDA_WEIGHT of 1 each lost the branch or raised on some.  The
+# landing needs no line search: a damped Newton with step halving, once
+# used there, halved no step in 2,165 landings on those games.
 NEWTON_TOL = 1e-10
 NEWTON_ITERS = 30
-NEWTON_MIN_DAMPING = 2.0**-30
 ARC_TOL = 3e-4
 ARC_PREDICT_TOL = 1e-2
 ARC_FIRST_STEP = 0.3
@@ -92,9 +94,10 @@ CCE_KKT_TOL = 1e-12
 # step the backtrack tries the longest step that clips no multiplier, then
 # halves: on a 30-iteration skill-world cce trial that took 1,642 loss
 # evaluations for 939 steps, against 4,287 for 946 halving from the full
-# step.
+# step.  A step shorter than NEWTON_MIN_DAMPING ends the finish.
 CCE_ARMIJO = 1e-4
 CCE_LOSS_ROUNDING = 1e-13
+NEWTON_MIN_DAMPING = 2.0**-30
 # The finish's Hessian is accumulated over blocks of the joint of about
 # this many cells, so no gain matrix over the whole joint is built.  With
 # blocks of 2**15 cells a bench clone_attack run peaked 2.4 MB above one
@@ -260,14 +263,20 @@ def profile_from_dict(data: dict, game: Game) -> ProductProfile | JointDistribut
     and ``shape``) is the format written before CCEs were stored as their
     multipliers; it still loads.
 
-    A profile whose shape is not the game's raises ``ParameterError``, as
-    do marginals with a NaN or infinite entry and a joint whose
-    exploitability on ``game`` exceeds the dict's ``config.epsilon_cce``:
-    that CCE was solved on another game.  A ``cce_dual`` joint's
-    exploitability comes from the evaluation that rebuilt it, as the solve's
-    did.
+    A dict without a profile of one of those types and its keys (and a
+    ``cce_dual``'s ``targets``) raises ``ParameterError``, as do a profile
+    whose shape is not the game's, marginals with a NaN or infinite entry
+    and a joint whose exploitability on ``game`` exceeds the dict's
+    ``config.epsilon_cce``: that CCE was solved on another game.  A
+    ``cce_dual`` joint's exploitability comes from the evaluation that
+    rebuilt it, as the solve's did.
     """
-    prof = data["profile"]
+    needed = {"product": ("marginals",), "cce_dual": ("duals", "shape"), "joint": ("joint", "shape")}
+    prof = data.get("profile") if isinstance(data, dict) else None
+    keys = needed.get(prof.get("type")) if isinstance(prof, dict) else None
+    # a CCE's multipliers rebuild its joint with the dict's targets
+    if keys is None or any(k not in prof for k in keys) or (prof["type"] == "cce_dual" and data.get("targets") is None):
+        raise ParameterError(f"an equilibrium file holds a profile of type {', '.join(needed)} with its keys")
     product = prof["type"] == "product"
     shape = tuple(len(m) for m in prof["marginals"]) if product else tuple(prof["shape"])
     if shape != game.shape:
@@ -286,7 +295,7 @@ def profile_from_dict(data: dict, game: Game) -> ProductProfile | JointDistribut
         # them by an ulp, so the joint is built from them as stored
         _, x, regrets = _CCEDual(game, targets).evaluate(np.concatenate(prof["duals"], dtype=float))
         profile = JointDistribution(x)
-        gap = _gap(regrets)
+        gap = exploitability_from_regrets(regrets)
     else:
         profile = JointDistribution(np.asarray(prof["joint"], dtype=float).reshape(shape))
         gap = exploitability(game, profile)
@@ -341,13 +350,12 @@ class _Contraction:
         self.rest_players = (rest_seg == np.arange(n - 1)[:, None]).astype(float)
         # the flat indices of the corrector's system's columns before
         # elimination, cols and then lambda, and of its unknowns, the rest
-        # and then lambda; the border of a direction at fixed tau
+        # and then lambda; e_lambda, the normal of a hyperplane of fixed tau
         self.order = np.concatenate([np.arange(self.big.start, self.big.stop), self.rest, [size]])
         self.cols = self.order[:-1]
         self.unknowns = self.order[nb:]
-        lam = np.zeros(size + 1)
-        lam[-1] = 1.0
-        self.fixed_tau = (lam, 0.0)
+        self.fixed_tau = np.zeros(size + 1)
+        self.fixed_tau[-1] = 1.0
         # the gathered blocks, each with the deviation payoffs as one more
         # column; the big rows with a spare zero column for the residual
         self._b_r = np.zeros((nr, size + 1))
@@ -518,15 +526,13 @@ def _qre_residual(ops: _Contraction, y: np.ndarray, tau: float, logt: np.ndarray
     return y - log_br, x, np.exp(log_br)
 
 
-def _newton_direction(ops: _Contraction, f, x, br, tau: float, border=None) -> np.ndarray | None:
+def _newton_direction(ops: _Contraction, f, x, br, tau: float, border) -> np.ndarray | None:
     """Solve the bordered system ``[[J, c], [t^T]] [d; e] = -[f; q]`` of the
     QRE branch in ``(y, lambda = 1/tau)``, ``border = (t, q)``, and return
     ``[d; e]``.  J is the residual's Jacobian in y, ``I - P B diag(x) /
     tau``, with B the pair blocks at x and ``P = blockdiag(I - 1 br_i^T)``
     the log-softmax derivative; c is its derivative in lambda, ``-P dev``,
     minus the regrets at br of the last contraction's deviation payoffs.
-    Without a border, ``J d = -f`` is solved as the bordered system whose
-    border ``(e_lambda, 0)`` fixes lambda, and d is returned.
 
     No player has a block against itself, so J's diagonal blocks are I.  The
     rows of ``P [B diag(x) / tau, dev]`` are formed for every action, in
@@ -535,9 +541,9 @@ def _newton_direction(ops: _Contraction, f, x, br, tau: float, border=None) -> n
     unknowns, the rest's and lambda, and one product with the rest's rows
     and the border row eliminates big's unknowns, leaving a dense solve
     over the rest and lambda.  None if that system is singular (LAPACK
-    gesv's info > 0): a failed step to every caller.
+    gesv's info > 0): a failed correction to ``_arc_correct``.
     """
-    t, q = ops.fixed_tau if border is None else border
+    t, q = border
     b_r, b_mr = ops.schur_blocks()
     m, r = ops.big, ops.rest
     nb, n = b_mr.shape[0], r.size
@@ -571,7 +577,7 @@ def _newton_direction(ops: _Contraction, f, x, br, tau: float, border=None) -> n
     tail = ops._tail
     tail[:-1] = u
     np.dot(top, tail, out=d[m])
-    return d if border is not None else d[:-1]
+    return d
 
 
 def _record(ops: _Contraction, y: np.ndarray, x: np.ndarray):
@@ -594,44 +600,6 @@ def _record(ops: _Contraction, y: np.ndarray, x: np.ndarray):
     return exploit, (y, x, dev, s)
 
 
-def _correct(ops: _Contraction, y: np.ndarray, tau: float, logt: np.ndarray, cap: int, tol: float):
-    """Damped Newton on the QRE residual at tau from y, backtracking on
-    max|F|, until max|F| is at most ``tol``.
-
-    Returns the iterate, the iterations taken, and its ``_record``, or None
-    if max|F| missed ``tol`` within ``cap`` iterations or is not finite at
-    y (a start whose e^y overflows).  A singular Newton system fails the
-    correction.  A residual that overflows only warns here;
-    ``solve_lle`` silences that around its whole trace.
-    """
-    f, x, br = _qre_residual(ops, y, tau, logt)
-    res = np.maximum.reduce(np.abs(f))
-    if not math.isfinite(res):
-        return y, 0, None
-    its = 0
-    while res > tol:
-        if its == cap:
-            return y, its, None
-        d = _newton_direction(ops, f, x, br, tau)
-        its += 1
-        if d is None:
-            return y, its, None
-        alpha = 1.0
-        # an overlong step may overflow e^y; its residual is then nan and
-        # the step is halved
-        while True:
-            trial = y + alpha * d
-            f, x, br = _qre_residual(ops, trial, tau, logt)
-            trial_res = np.maximum.reduce(np.abs(f))
-            if trial_res <= (1.0 - 1e-4 * alpha) * res:
-                break
-            alpha *= 0.5
-            if alpha < NEWTON_MIN_DAMPING:
-                return y, its, None
-        y, res = trial, trial_res
-    return y, its, _record(ops, y, x)
-
-
 def _extrapolate(points, s: float) -> np.ndarray:
     """The Lagrange interpolant through the ``(s_k, v_k)`` of points,
     evaluated at s."""
@@ -651,8 +619,13 @@ def _arc_correct(ops: _Contraction, w: np.ndarray, normal: np.ndarray, logt: np.
     """Newton on the hyperplane through ``w = [y; lambda]`` normal to
     ``normal`` (the bordered ``_newton_direction``), until the QRE
     residual's max-norm is at most ``tol``, for at most ``cap`` iterations,
-    or until the system is singular.  Returns the last iterate, its e^y and
-    tau, that max-norm and the iterations taken."""
+    or until the system is singular: the LLE trace's one corrector, of its
+    steps, of the point a step failed from and of the landing on
+    ``tau_terminal`` (normal e_lambda, ``_Contraction.fixed_tau``).  A
+    residual that is NaN, as where e^y overflows, ends it too, and only
+    warns; ``solve_lle`` silences that around its whole trace.  Returns the
+    last iterate, its e^y and tau, that max-norm and the iterations
+    taken."""
     its = 0
     while True:
         lam = float(w[-1])
@@ -696,11 +669,14 @@ def solve_lle(game: Game, config: QREConfig | None = None) -> EquilibriumResult:
     failed from is first solved on to ``NEWTON_TOL``, once, on its own
     hyperplane: near a sharp fold a point within the tolerance can lie too
     far off the branch for any shorter step to start from.  Once an
-    accepted point lies at or past ``1/tau_terminal``, ``tau_terminal`` is
-    solved to ``NEWTON_TOL`` by ``_correct`` from the chord between that
-    point and the one before; a failure there also halves the step.  ``ConvergenceError`` is raised
-    when the step falls below ``ARC_MIN_STEP``, or once ``max_steps`` caps
-    the Newton iterations in all, those of failed steps included.
+    accepted point lies at or past ``1/tau_terminal``, the trace lands on
+    ``tau_terminal``: from the chord's point at lambda ``1/tau_terminal``,
+    between that point and the one before, Newton on the hyperplane of
+    that lambda solves it to ``NEWTON_TOL``; a failure there also fails the
+    step.  Every correction is ``_arc_correct``.  ``ConvergenceError`` is
+    raised when the step falls below ``ARC_MIN_STEP``, or once
+    ``max_steps`` caps the Newton iterations in all, those of failed steps
+    included.
 
     Stops once ``tau_terminal`` is solved, or as soon as the start's or an
     accepted point's true (unregularized) exploitability reaches
@@ -745,6 +721,14 @@ def solve_lle(game: Game, config: QREConfig | None = None) -> EquilibriumResult:
     pending = []  # (trace index, y, x, dev, s) of the corrector's records
     tol = ARC_TOL  # the corrector's; halved, with the step, by each failure
     loose = False  # whether the last point was solved to tol only
+
+    def correct(w, normal, tol):
+        # at most NEWTON_ITERS iterations and what is left of max_steps
+        nonlocal step
+        w, x, tau, res, its = _arc_correct(ops, w, normal, logt, tol, min(NEWTON_ITERS, config.max_steps - step))
+        step += its
+        return w, x, tau, res
+
     with np.errstate(over="ignore", invalid="ignore"):
         while termination is None:
             if h < ARC_MIN_STEP:
@@ -758,9 +742,7 @@ def solve_lle(game: Game, config: QREConfig | None = None) -> EquilibriumResult:
             direction = pred - v
             normal = metric * direction
             normal /= math.sqrt(direction @ normal)
-            cap = min(NEWTON_ITERS, config.max_steps - step)
-            w, x, tau, res, its = _arc_correct(ops, pred, normal, logt, tol, cap)
-            step += its
+            w, x, tau, res = correct(pred, normal, tol)
             lam = float(w[-1])
             chord = w - v
             e = float(np.maximum.reduce(np.abs(w - pred)))
@@ -769,18 +751,15 @@ def solve_lle(game: Game, config: QREConfig | None = None) -> EquilibriumResult:
             # below half, or at lambda <= 0, may have left the branch
             ok = res <= tol and grow >= 0.5 and lam > 0
             terminal = ok and lam >= lam_end
+            end = w
             if terminal:
-                tau = config.tau_terminal
-                start = v[:-1] + (lam_end - v[-1]) / (lam - v[-1]) * chord[:-1]
-                cap = min(NEWTON_ITERS, config.max_steps - step)
-                y_end, its, record = _correct(ops, start, tau, logt, cap, NEWTON_TOL)
-                step += its
-            elif ok:
-                y_end = w[:-1]
-                record = _record(ops, y_end, x)
-            else:
-                record = None
-            if record is None:
+                # the landing on tau_terminal; its record keeps the
+                # configured tau, which 1 / lam_end may miss by an ulp
+                end = v + (lam_end - v[-1]) / (lam - v[-1]) * chord
+                end[-1] = lam_end
+                end, x, _, res = correct(end, ops.fixed_tau, NEWTON_TOL)
+                ok, tau = res <= NEWTON_TOL, config.tau_terminal
+            if not ok:
                 if step >= config.max_steps:
                     why = f"all {config.max_steps} Newton iterations spent"
                     break
@@ -789,16 +768,14 @@ def solve_lle(game: Game, config: QREConfig | None = None) -> EquilibriumResult:
                 if loose:
                     # the point a step failed from is solved on to
                     # NEWTON_TOL, once, on its own hyperplane
-                    cap = min(NEWTON_ITERS, config.max_steps - step)
-                    tight, _, _, res, its = _arc_correct(ops, v, last_normal, logt, NEWTON_TOL, cap)
-                    step += its
+                    tight, _, _, res = correct(v, last_normal, NEWTON_TOL)
                     loose = False
                     if res <= NEWTON_TOL:
                         points[-1] = (s, tight)
                 continue
             loose, last_normal = True, normal
-            y = y_end
-            exploit, parts = record
+            y = end[:-1]
+            exploit, parts = _record(ops, y, x)
             # the corrector's record differs from the exact one by rounding
             # only, but near epsilon_ne rounding could decide the exit, so it
             # is decided on the exact record
@@ -997,12 +974,6 @@ def _kkt_residual(flat: np.ndarray, regrets: np.ndarray) -> float:
     return float(np.max(np.where(flat > 0, np.abs(regrets), regrets), initial=0.0))
 
 
-def _gap(regrets) -> float:
-    """Exploitability from each player's regrets: the sum of the largest
-    gains, clipped at 0; a NaN gain stays NaN."""
-    return sum(max(float(r.max()), 0.0) for r in regrets)
-
-
 def _newton_finish(dual: _CCEDual, flat: np.ndarray, tol: float, record, budget: int):
     """Projected Newton steps on the CCE dual from the multipliers ``flat``
     (Bertsekas 1982), until the KKT residual is at most ``tol``, for at most
@@ -1094,8 +1065,7 @@ def solve_mre_cce(game: Game, config: CCEConfig | None = None) -> EquilibriumRes
 
     def record(flat: np.ndarray) -> None:
         lse, _, regrets = dual.evaluate(flat)
-        exploit = sum(max(0.0, float(r.max())) for r in regrets)
-        trace.append(TraceRecord(len(trace), None, lse, exploit))
+        trace.append(TraceRecord(len(trace), None, lse, exploitability_from_regrets(regrets)))
 
     def steps_left() -> int:
         return config.max_steps - (len(trace) - 1)
@@ -1150,7 +1120,7 @@ def solve_mre_cce(game: Game, config: CCEConfig | None = None) -> EquilibriumRes
     _, x, regrets = dual.evaluate(flat)
     kkt = _kkt_residual(flat, np.concatenate(regrets)) <= tol
     profile = JointDistribution(x)
-    final_exploit = _gap(regrets)
+    final_exploit = exploitability_from_regrets(regrets)
     duals = _split(flat.copy(), dual.sizes)
     # a spent budget leaves a joint that is feasible at best, not yet the
     # entropy maximiser
@@ -1271,15 +1241,16 @@ def solve(game: Game, method: str, targets, classes=..., **settings) -> Equilibr
         raise
     if method == "ne":
         profile = _expand(result.profile, members, shares)
-        regrets = all_regrets(game, profile)
-        return replace(result, profile=profile, exploitability=_gap(regrets), targets=targets, regrets=regrets)
-    duals = [np.zeros(n) for n in game.shape]
-    for full, r, alpha in zip(duals, reps, result.duals):
-        full[r] = alpha
-    # the joint as profile_from_dict rebuilds it from the saved result
-    _, joint, regrets = _CCEDual(game, targets).evaluate(np.concatenate(duals))
-    profile, regrets = JointDistribution(joint), list(regrets)
-    return replace(result, profile=profile, exploitability=_gap(regrets), targets=targets, duals=duals, regrets=regrets)
+        regrets, duals = all_regrets(game, profile), None
+    else:
+        duals = [np.zeros(n) for n in game.shape]
+        for full, r, alpha in zip(duals, reps, result.duals):
+            full[r] = alpha
+        # the joint as profile_from_dict rebuilds it from the saved result
+        _, joint, regrets = _CCEDual(game, targets).evaluate(np.concatenate(duals))
+        profile, regrets = JointDistribution(joint), list(regrets)
+    gap = exploitability_from_regrets(regrets)
+    return replace(result, profile=profile, exploitability=gap, targets=targets, duals=duals, regrets=regrets)
 
 
 # ---------------------------------------------------------------------------
@@ -1309,10 +1280,9 @@ def _indifference(ops: _Contraction, x: np.ndarray, v: np.ndarray, support: np.n
     dev = ops.contract(x)
     seg = ops.seg[support]
     f = np.concatenate([dev[support] - v[seg], ops.seg_sum(x) - 1.0])
-    b_r, b_mr = ops.schur_blocks()
     pairs = np.zeros((x.size, x.size))
-    pairs[np.ix_(ops.rest, ops.cols)] = b_r[:, :-1]
-    pairs[ops.big, ops.rest] = b_mr[:, :-2]
+    for (i, j), block in ops.blocks.items():
+        pairs[ops.slices[i], ops.slices[j]] = block
     member = (seg[:, None] == np.arange(len(ops.sizes))).astype(float)
     jac = np.block([
         [pairs[np.ix_(support, support)], -member],

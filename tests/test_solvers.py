@@ -25,8 +25,8 @@ from eqrate.solvers import (
     CCEConfig,
     QREConfig,
     _CCEDual,
+    _arc_correct,
     _Contraction,
-    _correct,
     _indifference,
     _newton_direction,
     _qre_gap,
@@ -203,8 +203,10 @@ class TestNewtonDirection:
                 minus = _qre_residual(ops, y - step, tau, logt)[0]
                 jac[:, a] = (plus - minus) / (2 * h)
             f, x, br = _qre_residual(ops, y, tau, logt)
-            d = _newton_direction(ops, f, x, br, tau)
-            assert np.abs(jac @ d + f).max() <= 1e-6 * np.abs(f).max()
+            # the border (e_lambda, 0) fixes lambda: J d = -f
+            d = _newton_direction(ops, f, x, br, tau, (ops.fixed_tau, 0.0))
+            assert d[-1] == 0.0
+            assert np.abs(jac @ d[:-1] + f).max() <= 1e-6 * np.abs(f).max()
             # the trace's bordered system in (y, lambda = 1/tau), with a
             # random last row
             lam = 1.0 / tau
@@ -269,11 +271,11 @@ class TestNewtonDirection:
             want = np.linalg.solve(dense, rhs)
             got = _newton_direction(ops, f, x, br, tau, (t, q))
             assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
-            # without a border the direction solves J d = -f
+            # the border (e_lambda, 0) fixes lambda: J d = -f
             want = np.linalg.solve(dense[:-1, :-1], rhs[:-1])
-            got = _newton_direction(ops, f, x, br, tau)
-            assert got.shape == want.shape
-            assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+            got = _newton_direction(ops, f, x, br, tau, (ops.fixed_tau, 0.0))
+            assert got.shape == (want.size + 1,) and got[-1] == 0.0
+            assert np.abs(got[:-1] - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
 
 
 @pytest.mark.parametrize("field", ["max_steps"])
@@ -730,13 +732,26 @@ class TestSolveLLE:
         assert qre_residual(game, res.profile, 1e-2, res.targets) <= 1e-10
 
     def test_corrector_rejects_a_non_finite_start(self):
+        # its residual is NaN, which fails the tolerance with no iteration;
+        # solve_lle runs every correction in this errstate
         game = random_game((3, 3), 0)
         ops, logt = _Contraction(game), np.log(np.full(6, 1 / 3))
-        y = np.full(6, 800.0)  # e^800 overflows
-        for cap in (0, 30):
-            out_y, its, parts = _correct(ops, y, 0.5, logt, cap, solvers_mod.NEWTON_TOL)
-            assert (its, parts) == (0, None)
-            assert out_y is y
+        w = np.append(np.full(6, 800.0), 2.0)  # e^800 overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            for cap in (0, 30):
+                out_w, _, _, res, its = _arc_correct(ops, w, ops.fixed_tau, logt, solvers_mod.NEWTON_TOL, cap)
+                assert its == 0 and math.isnan(res)
+                assert out_w is w
+
+    def test_lands_on_a_terminal_temperature_that_1_over_lambda_misses(self):
+        # 1 / (1 / 0.013) is one ulp off 0.013: the landing corrects at that
+        # tau, but the record and its exact gap keep the configured one
+        assert 1.0 / (1.0 / 0.013) != 0.013
+        game = _koth_clone_game(12, 4, 3)
+        res = solve_lle(game, QREConfig(epsilon_ne=0.0, tau_terminal=0.013))
+        assert res.termination == "terminal_tau"
+        assert res.trace[-1].tau == res.trace[-2].tau == 0.013
+        assert qre_residual(game, res.profile, 0.013, res.targets) <= 1e-10
 
     def test_rejected_prediction_reruns_from_last_solution(self, monkeypatch):
         # the folds of random_game((3, 3), 18) reject some steps: each is
@@ -1038,6 +1053,21 @@ class TestCCE:
         nan_duals = {**data, "profile": {**data["profile"], "duals": duals}}
         for bad in (nan_bound, nan_duals):
             with pytest.raises(ParameterError, match="NaN"):
+                profile_from_dict(bad, chicken)
+
+    def test_stored_profile_missing_a_key_rejected(self, chicken):
+        # each once raised KeyError
+        ne = solve_lle(chicken).to_dict()
+        res = solve_mre_cce(chicken)
+        cce = res.to_dict()
+        joint = {**cce, "profile": {"type": "joint", "joint": res.profile.joint.ravel().tolist(), "shape": [2, 2]}}
+        assert np.array_equal(profile_from_dict(joint, chicken).joint, res.profile.joint)
+        no_profile = {k: v for k, v in ne.items() if k != "profile"}
+        no_marginals = {**ne, "profile": {"type": "product"}}
+        no_targets = {k: v for k, v in cce.items() if k != "targets"}
+        no_joint = {**joint, "profile": {"type": "joint", "shape": [2, 2]}}
+        for bad in (no_profile, no_marginals, no_targets, no_joint):
+            with pytest.raises(ParameterError, match="holds a profile of type product, cce_dual, joint"):
                 profile_from_dict(bad, chicken)
 
     def test_dual_logit_zero_alphas(self, rps):
