@@ -43,14 +43,15 @@ Equilibrium files from ``solve`` are ``EquilibriumResult.to_dict`` JSON:
 A CCE profile holds its dual multipliers, ``{"type": "cce_dual", "duals":
 [...], "shape": [...]}`` with one list per player, not the joint: the
 multipliers and targets fix the joint, which ``rate`` and ``decompose``
-rebuild bit for bit (``solvers.profile_from_dict``).  They also read CCE
-files that hold the joint itself (``"type": "joint"``), and they reject a
-CCE whose exploitability on ``--game`` exceeds the file's ``epsilon_cce``,
-one solved on another game.
+rebuild bit for bit (``solvers.profile_from_dict``).  They reject a CCE
+whose exploitability on ``--game`` is not finite or exceeds the file's
+``epsilon_cce``, one solved on another game.  Any malformed input file
+exits 2 before anything is written, with one line ``error: <path>: ...``.
 """
 
 import argparse
 import base64
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -91,44 +92,54 @@ def _write_manifest(args, inputs, outputs, extra, t0) -> None:
         json.dump(manifest, fh, indent=2, default=str)
 
 
-def _read_game(path) -> tuple[games.Game, list | None]:
-    """The game in a game file, and the ``clone_sources`` it records, if any.
+@contextlib.contextmanager
+def _reading(path):
+    """The JSON of the input file ``path``, for a block that decodes it.
+    An error that reading or decoding the file raises becomes one
+    ``ParameterError("<path>: ...")``; solving and writing stay outside."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        yield data
+    except (ValueError, TypeError, AttributeError, KeyError, IndexError, OverflowError, RecursionError) as exc:
+        raise ParameterError(f"{path}: {exc}") from None
+
+
+def _decode_game(data) -> tuple[games.Game, list | None]:
+    """The game in a game file's JSON, and its ``clone_sources``, if any.
 
     A file with a ``king`` key holds a prompt/king/rebel game as its king
     tensor (see ``_save_koth``): a string is decoded as base64 float64, a
-    list read as numbers.  A string that is not base64, or not 8 bytes for
-    each cell of ``shape``, raises ``ParameterError``, and so does a
-    ``shape`` of other than 3 axes.  Any other file holds every player's
-    tensor in the ``games.save_game`` format, with or without
-    ``clone_sources``.  A file that is not a JSON object, lacks a key its
-    format needs or has a ``shape`` that is not a list of integers raises
-    ``ParameterError``.
+    list read as numbers.  Any other file holds every player's tensor in
+    the ``games.save_game`` format, with or without ``clone_sources``.  A
+    malformed file raises ``ParameterError`` or whatever decoding it raises.
     """
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
     if not isinstance(data, dict):
-        raise ParameterError(f"{path}: a game file holds a JSON object, not {type(data).__name__}")
+        raise ParameterError(f"a game file holds a JSON object, not {type(data).__name__}")
     needed = ("actions", "shape", "king") if "king" in data else ("players", "actions", "shape", "utilities")
     if missing := [key for key in needed if key not in data]:
-        raise ParameterError(f"{path}: the game file lacks {', '.join(missing)}")
+        raise ParameterError(f"the game file lacks {', '.join(missing)}")
     shape = data["shape"]
     if not (isinstance(shape, list) and all(type(n) is int for n in shape)):
-        raise ParameterError(f"{path}: shape must be a list of integers, not {shape!r}")
+        raise ParameterError(f"shape must be a list of integers, not {shape!r}")
+    # a rating report sorts labels of tied ratings, so they share one type
+    if not all(type(label) is str for labels in data["actions"] for label in labels):
+        raise ParameterError("every action label must be a string")
     sources = data.get("clone_sources")
     if "king" not in data:
         return games.game_from_dict(data), sources
     king = data["king"]
     if len(shape) != 3:
-        raise ParameterError(f"{path}: a king tensor has 3 axes (prompt, king, rebel), not shape {shape}")
+        raise ParameterError(f"a king tensor has 3 axes (prompt, king, rebel), not shape {shape}")
     if isinstance(king, str):
         try:
             raw = base64.b64decode(king, validate=True)
         except ValueError as exc:
-            raise ParameterError(f"{path}: king is not base64 ({exc})") from None
+            raise ParameterError(f"king is not base64 ({exc})") from None
         cells = math.prod(shape)
         if len(raw) != 8 * cells:
             found = f"{len(raw) / 8:.15g}"
-            raise ParameterError(f"{path}: king holds {found} float64 cells, shape {shape} needs {cells}")
+            raise ParameterError(f"king holds {found} float64 cells, shape {shape} needs {cells}")
         king = np.frombuffer(raw, dtype="<f8")
     u_k = np.asarray(king, dtype=float).reshape(shape)
     prompts, models = data["actions"][:2]
@@ -136,17 +147,24 @@ def _read_game(path) -> tuple[games.Game, list | None]:
     return kg.game, sources
 
 
+def _read_game(path) -> tuple[games.Game, list | None]:
+    """``_decode_game`` of the game file ``path``, read under ``_reading``."""
+    with _reading(path) as data:
+        return _decode_game(data)
+
+
 def _load_koth(path) -> koth.KOTHGame:
-    game, sources = _read_game(path)
-    # every KOTH operation rederives the prompt and rebel tensors from the
-    # king's, so a file whose other tensors differ is not this game
-    if not (
-        game.num_players == 3
-        and game.action_labels[1] == game.action_labels[2]
-        and all(map(np.array_equal, game.utilities, koth._koth_tensors(game.utilities[1])))
-    ):
-        raise ParameterError("expected a prompt/king/rebel game")
-    return koth.KOTHGame(game=game, clone_sources=tuple(sources or [None] * game.shape[0]))
+    with _reading(path) as data:
+        game, sources = _decode_game(data)
+        # every KOTH operation rederives the prompt and rebel tensors from
+        # the king's, so a file whose other tensors differ is not this game
+        if not (
+            game.num_players == 3
+            and game.action_labels[1] == game.action_labels[2]
+            and all(map(np.array_equal, game.utilities, koth._koth_tensors(game.utilities[1])))
+        ):
+            raise ParameterError("expected a prompt/king/rebel game")
+        return koth.KOTHGame(game=game, clone_sources=tuple(sources or [None] * game.shape[0]))
 
 
 def _save_koth(kg: koth.KOTHGame, path) -> None:
@@ -248,15 +266,10 @@ def _elo_report(kg: koth.KOTHGame) -> ratings.RatingReport:
 
 def _read_solved(args):
     """The game of ``--game``, the profile of ``--equilibrium`` on it, and
-    the method that file records."""
+    the method that file records, upper-cased as a rating report's label."""
     game, _ = _read_game(args.game)
-    with open(args.equilibrium, encoding="utf-8") as fh:
-        eq = json.load(fh)
-    try:
-        profile = solvers.profile_from_dict(eq, game)
-    except ParameterError as exc:
-        raise ParameterError(f"{args.equilibrium}: {exc}") from None
-    return game, profile, eq.get("method", "eq")
+    with _reading(args.equilibrium) as eq:
+        return game, solvers.profile_from_dict(eq, game), eq.get("method", "eq").upper()
 
 
 def cmd_rate(args):
@@ -264,7 +277,7 @@ def cmd_rate(args):
         report, inputs = _elo_report(_load_koth(args.game)), [args.game]
     else:
         game, profile, method = _read_solved(args)
-        report, inputs = ratings.rate(game, profile, method.upper()), [args.game, args.equilibrium]
+        report, inputs = ratings.rate(game, profile, method), [args.game, args.equilibrium]
     report.save_json(args.out)
     csv_path = f"{args.out}.csv"
     report.save_csv(csv_path)
@@ -335,10 +348,9 @@ def cmd_decompose(args):
     grouping = None
     inputs = [args.game, args.equilibrium]
     if args.families:
-        with open(args.families, encoding="utf-8") as fh:
-            grouping = json.load(fh)
-        if not (isinstance(grouping, dict) and all(isinstance(f, str) for f in grouping.values())):
-            raise ParameterError(f"{args.families}: --families must be a JSON object of label to family")
+        with _reading(args.families) as grouping:
+            if not (isinstance(grouping, dict) and all(isinstance(f, str) for f in grouping.values())):
+                raise ParameterError("--families must be a JSON object of label to family")
         inputs.append(args.families)
     if not 0 <= args.player < game.num_players:
         raise ParameterError("player index out of range")
@@ -354,23 +366,22 @@ def cmd_decompose(args):
 
 
 def cmd_simulate(args):
-    with open(args.config, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ParameterError(f"{args.config}: a simulate config must be a JSON object")
-    if "methods" in raw and "rating_method" in raw:
-        raise ParameterError("a simulate config gives methods or rating_method, not both")
-    methods = raw.pop("methods", [raw.pop("rating_method", "elo")])
-    if not (isinstance(methods, list) and methods):
-        raise ParameterError(f"methods must be a nonempty list, not {methods!r}")
-    known = {f.name for f in dataclasses.fields(skillsim.SimConfig)}
-    for key in raw:
-        if key not in known:
-            raise ParameterError(f"unknown simulate config key {key!r}")
-    # every method's config is checked before the first trial runs
-    configs = [skillsim.SimConfig(rating_method=method, **raw) for method in methods]
-    if len(set(methods)) < len(methods):
-        raise ParameterError(f"methods must not repeat a method: {methods!r}")
+    with _reading(args.config) as raw:
+        if not isinstance(raw, dict):
+            raise ParameterError("a simulate config must be a JSON object")
+        if "methods" in raw and "rating_method" in raw:
+            raise ParameterError("a simulate config gives methods or rating_method, not both")
+        methods = raw.pop("methods", [raw.pop("rating_method", "elo")])
+        if not (isinstance(methods, list) and methods):
+            raise ParameterError(f"methods must be a nonempty list, not {methods!r}")
+        known = {f.name for f in dataclasses.fields(skillsim.SimConfig)}
+        for key in raw:
+            if key not in known:
+                raise ParameterError(f"unknown simulate config key {key!r}")
+        # every method's config is checked before the first trial runs
+        configs = [skillsim.SimConfig(rating_method=method, **raw) for method in methods]
+        if len(set(methods)) < len(methods):
+            raise ParameterError(f"methods must not repeat a method: {methods!r}")
     outputs = []
     for method, config in zip(methods, configs):
         traj = skillsim.run_simulation(config)
@@ -504,7 +515,8 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParameterError, OSError, json.JSONDecodeError, ValueError) as exc:
+    # a ParameterError is a ValueError
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -30,8 +30,10 @@ from .games import Game
 
 SCORES = (-1.0, -0.5, 0.0, 0.5, 1.0)
 PLAYER_NAMES = ("prompt", "king", "rebel")
-# characters of a preference CSV read and coded at a time, run on to a line end
+# characters of a preference CSV read and coded at a time, run on to a line
+# end, and rows coded at a time once csv.reader parses the rest of the file
 BLOCK_CHARS = 1 << 16
+CSV_ROWS = 1 << 11
 
 
 def _check_judgements(score: np.ndarray, same: np.ndarray) -> None:
@@ -261,30 +263,6 @@ def _rows(reader, width: int, path, before: int):
         raise ParameterError(f"{path}, line {before + reader.line_num}: {exc}") from None
 
 
-def _take(rows, columns) -> list[list[str]]:
-    return [list(map(operator.itemgetter(c), rows)) for c in columns]
-
-
-def _row_blocks(blocks, width: int, path, before: int):
-    """The rows (see ``_rows``) that ``csv.reader`` parses from the lines
-    of text ``blocks``, in lists cut where the reader begins a new block:
-    a quoted field may run on past the end of a block."""
-    begun, rows, done = 0, [], 1
-
-    def lines():
-        nonlocal begun
-        for block in blocks:
-            begun += 1
-            yield from io.StringIO(block, newline="")
-
-    for row in _rows(csv.reader(lines()), width, path, before):
-        rows.append(row)
-        if begun > done:
-            yield rows
-            rows, done = [], begun
-    yield rows
-
-
 def _split_plain(block: str, columns) -> list[list[str]] | None:
     """The required columns of a block of lines, split on ``\\n`` and ``,``
     in bulk, as ``csv.reader`` would split them, blank lines skipped; None
@@ -331,16 +309,17 @@ def read_preference_csv(path) -> PreferenceTable:
     lines are skipped.  A row too short to reach every required column, a
     field over ``csv.field_size_limit()``, a score that is not a number or
     off the 5-point scale and a self-comparison raise ``ParameterError``,
-    each naming the first offender as ``csv.reader`` would.
+    each naming the first offender's line as ``csv.reader`` would; a file
+    that is not UTF-8 raises one naming the file.
 
     The file is read and coded in blocks of ``BLOCK_CHARS`` characters run
     on to a line end, so only one block's fields are Python strings at a
     time; a score is coded by its spelling, which ``float`` parses once.
     Blocks are split on ``\\n`` and ``,`` in bulk while their lines have one
-    width and no ``"`` or ``\\r``; from the first that does not,
-    ``csv.reader`` parses the rest.  Reading and ``build_koth`` together
-    peak at about twice the file's size (tracemalloc, 500 prompts x 17
-    models, every ordered pair once).
+    width and no ``"`` or ``\\r``; from the first that does not, one
+    ``csv.reader`` parses the rest, coded ``CSV_ROWS`` rows at a time.
+    Reading and ``build_koth`` together peak at about twice the file's size
+    (tracemalloc, 500 prompts x 17 models, every ordered pair once).
     """
     prompts, models, spellings = _Codebook(), _Codebook(), _Codebook()
     books = (prompts, models, models, spellings)
@@ -350,20 +329,24 @@ def read_preference_csv(path) -> PreferenceTable:
         for part, book, labels in zip(parts, books, columns):
             part.append(book.codes(labels))
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = csv.reader(iter(fh.readline, ""))
-        columns = _column_positions(next(_rows(header, 0, path, 0), []))
-        width, line = max(columns) + 1, header.line_num + 1
-        # readline ends a block where csv.reader ends a line: at "\n", "\r" or "\r\n"
-        blocks = iter(lambda: fh.read(BLOCK_CHARS) + fh.readline(), "")
-        for block in blocks:
-            split = _split_plain(block, columns)
-            if split is None:
-                for rows in _row_blocks(itertools.chain([block], blocks), width, path, line - 1):
-                    add(_take(rows, columns))
-                break
-            add(split)
-            line += block.count("\n")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = csv.reader(iter(fh.readline, ""))
+            columns = _column_positions(next(_rows(header, 0, path, 0), []))
+            width, line = max(columns) + 1, header.line_num + 1
+            # readline ends a block where csv.reader ends a line: at "\n", "\r" or "\r\n"
+            for block in iter(lambda: fh.read(BLOCK_CHARS) + fh.readline(), ""):
+                split = _split_plain(block, columns)
+                if split is None:
+                    # a quoted field may run on past any block's end
+                    rows = _rows(csv.reader(itertools.chain(io.StringIO(block, newline=""), fh)), width, path, line - 1)
+                    while chunk := list(itertools.islice(rows, CSV_ROWS)):
+                        add([list(map(operator.itemgetter(c), chunk)) for c in columns])
+                    break
+                add(split)
+                line += block.count("\n")
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: not UTF-8 text ({exc.reason})") from None
     try:
         values = np.array([float(s) for s in spellings], dtype=float)
     except ValueError:

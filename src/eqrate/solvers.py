@@ -37,7 +37,7 @@ from scipy.special import softmax
 
 from . import kernels
 from .errors import ConvergenceError, DimensionError, ParameterError
-from .games import Game, JointDistribution, ProductProfile, all_regrets, exploitability, exploitability_from_regrets
+from .games import Game, JointDistribution, ProductProfile, all_regrets, exploitability_from_regrets
 
 # Solver defaults.
 DEFAULT_TAU_TERMINAL = 1e-2
@@ -259,19 +259,19 @@ def profile_from_dict(data: dict, game: Game) -> ProductProfile | JointDistribut
     its ``shape``; the joint is the dual's softmax at those multipliers and
     the dict's per-player ``targets``, rebuilt by one ``_CCEDual``
     evaluation.  JSON floats round-trip exactly, so it equals the solved
-    joint bit for bit.  A ``joint`` profile (``joint`` flat and row-major,
-    and ``shape``) is the format written before CCEs were stored as their
-    multipliers; it still loads.
+    joint bit for bit.
 
     A dict without a profile of one of those types and its keys (and a
     ``cce_dual``'s ``targets``) raises ``ParameterError``, as do a profile
-    whose shape is not the game's, marginals with a NaN or infinite entry
-    and a joint whose exploitability on ``game`` exceeds the dict's
+    whose shape is not the game's, marginals with a NaN or infinite entry,
+    multipliers that are not finite and nonnegative, and a joint whose
+    exploitability on ``game`` is not finite or exceeds the dict's
     ``config.epsilon_cce``: that CCE was solved on another game.  A
     ``cce_dual`` joint's exploitability comes from the evaluation that
-    rebuilt it, as the solve's did.
+    rebuilt it, as the solve's did.  A value of the wrong JSON type raises
+    ``TypeError`` or ``ValueError`` instead.
     """
-    needed = {"product": ("marginals",), "cce_dual": ("duals", "shape"), "joint": ("joint", "shape")}
+    needed = {"product": ("marginals",), "cce_dual": ("duals", "shape")}
     prof = data.get("profile") if isinstance(data, dict) else None
     keys = needed.get(prof.get("type")) if isinstance(prof, dict) else None
     # a CCE's multipliers rebuild its joint with the dict's targets
@@ -285,25 +285,27 @@ def profile_from_dict(data: dict, game: Game) -> ProductProfile | JointDistribut
         marginals = tuple(np.asarray(m, dtype=float) for m in prof["marginals"])
         if not all(np.isfinite(m).all() for m in marginals):
             raise ParameterError("the stored marginals hold a NaN or infinite entry")
-        return ProductProfile(marginals)
-    if prof["type"] == "cce_dual":
-        if [len(a) for a in prof["duals"]] != list(shape):
-            raise ParameterError("one multiplier per player and action required")
-        targets = tuple(np.asarray(t, dtype=float) for t in data["targets"])
-        _validate_targets(game, targets)
-        # the stored targets are the solve's own; validation may renormalise
-        # them by an ulp, so the joint is built from them as stored
-        _, x, regrets = _CCEDual(game, targets).evaluate(np.concatenate(prof["duals"], dtype=float))
+        with np.errstate(over="ignore"):  # a sum that overflows is not 1
+            return ProductProfile(marginals)
+    if [len(a) for a in prof["duals"]] != list(shape):
+        raise ParameterError("one multiplier per player and action required")
+    duals = np.concatenate(prof["duals"], dtype=float)
+    if not (np.isfinite(duals) & (duals >= 0)).all():
+        raise ParameterError("the stored multipliers hold a NaN, infinite or negative entry")
+    targets = tuple(np.asarray(t, dtype=float) for t in data["targets"])
+    _validate_targets(game, targets)
+    # the stored targets are the solve's own; validation may renormalise
+    # them by an ulp, so the joint is built from them as stored
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, x, regrets = _CCEDual(game, targets).evaluate(duals)
         profile = JointDistribution(x)
-        gap = exploitability_from_regrets(regrets)
-    else:
-        profile = JointDistribution(np.asarray(prof["joint"], dtype=float).reshape(shape))
-        gap = exploitability(game, profile)
+    gap = exploitability_from_regrets(regrets)
     bound = (data.get("config") or {}).get("epsilon_cce")
-    if bound is not None and not gap <= bound:
+    if not (math.isfinite(gap) and (bound is None or gap <= bound)):
+        within = "" if bound is None else f", not within its bound {bound:.1e}"
         raise ParameterError(
-            f"the stored CCE has exploitability {gap:.3e} on this game, not within its bound "
-            f"{bound:.1e}: it was solved on another game, or holds a NaN"
+            f"the stored CCE has exploitability {gap:.3e} on this game{within}: "
+            "it was solved on another game, or holds a NaN"
         )
     return profile
 

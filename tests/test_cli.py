@@ -1,12 +1,16 @@
 import base64
+import contextlib
 import csv
 import hashlib
+import io
 import itertools
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqrate import games, kernels, koth, ratings, skillsim, solvers
 from eqrate.cli import _read_game, _save_koth, main
@@ -322,39 +326,204 @@ def test_clone_test_rejects_a_repeated_or_non_integer_count(tmp_path, capsys):
 
 
 def _malformed_files(tmp_path, chicken):
-    """Game and equilibrium files that are JSON but not of their format:
-    the argv of a command reading one, and the file's path."""
+    """Input files that are not of their format: the argv of a command
+    reading one, and the file's path."""
     game = tmp_path / "chicken.json"
     save_game(chicken, game)
     data = json.loads(game.read_text(encoding="utf-8"))
-    del data["shape"]
-    files = {
+    king = tmp_path / "king.json"
+    _save_koth(koth._koth_game(np.zeros((2, 2, 2)), ["q0", "q1"], ["m0", "m1"], [None, None]), king)
+    king_data = json.loads(king.read_text(encoding="utf-8"))
+    ne, cce = solvers.solve_lle(chicken).to_dict(), solvers.solve_mre_cce(chicken).to_dict()
+    ne_prof, cce_prof, no_config = ne["profile"], cce["profile"], {k: v for k, v in cce.items() if k != "config"}
+    game_files = {
         "empty": {},
-        "no-shape": data,
+        "no-shape": {k: v for k, v in data.items() if k != "shape"},
         "list": [1, 2],
         # 4 cells fit the shape, but a king tensor has three axes
         "king-2-axes": {"players": ["a", "b"], "actions": [["x", "y"]] * 2, "king": [0.0] * 4, "shape": [2, 2]},
         "shape-not-integers": {"actions": [["p"], ["x", "y"], ["x", "y"]], "king": [0.0] * 4, "shape": [1, 2, "2"]},
+        "players-5": {**data, "players": 5},
+        "actions-5-6": {**data, "actions": [5, 6]},
+        "utilities-5": {**data, "utilities": 5},
     }
+    king_files = {
+        "king-actions-5": {**king_data, "actions": 5},
+        "king-clone-sources-5": {**king_data, "clone_sources": 5},
+        "king-labels-off-shape": {**king_data, "actions": [["q0", "q1"], ["m0"], ["m0"]]},
+        "king-list-string": {**king_data, "king": [0.0] * 7 + ["x"]},
+        "king-list-int-over-float": {**king_data, "king": [0.0] * 7 + [10**400]},
+        "not-koth": data,
+    }
+    eq_files = {
+        "no-profile": {"method": "ne"},
+        "type-list": {**ne, "profile": {**ne_prof, "type": ["product"]}},
+        "marginals-5": {**ne, "profile": {**ne_prof, "marginals": 5}},
+        "method-5": {**ne, "method": 5},
+        "duals-5": {**cce, "profile": {**cce_prof, "duals": 5}},
+        "shape-5": {**cce, "profile": {**cce_prof, "shape": 5}},
+        "targets-5": {**cce, "targets": 5},
+        "config-5": {**cce, "config": 5},
+        "epsilon-cce-x": {**cce, "config": {**cce["config"], "epsilon_cce": "x"}},
+        # files no solve writes, which were once rated: a joint of NaNs, and
+        # multipliers that are NaN, negative or so large the joint is NaN
+        # (on straight; on swerve, 1e308 gives the pure CCE straight/swerve)
+        "joint-nan": {**no_config, "profile": {"type": "joint", "joint": [float("nan")] * 4, "shape": [2, 2]}},
+    }
+    for name, value in (("nan", float("nan")), ("negative", -1e-3), ("huge", 1e308)):
+        duals = [[cce_prof["duals"][0][0], value], cce_prof["duals"][1]]
+        eq_files[f"duals-{name}"] = {**no_config, "profile": {**cce_prof, "duals": duals}}
+    texts = {"game-text": "{", "deep": "[" * 10**5, "eq-text": "not json"}
     cases = {}
-    for name, content in files.items():
+    for name, content in (*game_files.items(), *king_files.items(), *eq_files.items(), *texts.items()):
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(content), encoding="utf-8")
-        cases[name] = (["solve", "--game", str(path)], path)
-    eq = tmp_path / "eq.json"
-    eq.write_text(json.dumps({"method": "ne"}), encoding="utf-8")
-    cases["no-profile"] = (["rate", "--game", str(game), "--equilibrium", str(eq)], eq)
+        path.write_text(content if name in texts else json.dumps(content), encoding="utf-8")
+        if name in king_files:
+            cases[name] = (["rate", "--game", str(path), "--method", "elo"], path)
+        elif name in eq_files or name == "eq-text":
+            cases[name] = (["rate", "--game", str(game), "--equilibrium", str(path)], path)
+        else:
+            cases[name] = (["solve", "--game", str(path)], path)
+    for name, command in (("game-bytes", "solve"), ("prefs-bytes", "build")):
+        path = tmp_path / f"{name}.bin"
+        path.write_bytes(b"prompt_id,model_a,model_b,score\nq0,m\xff,m1,0.5\n")
+        cases[name] = ([command, "--game" if command == "solve" else "--prefs", str(path)], path)
     return cases
 
 
-@pytest.mark.parametrize("case", ["empty", "no-shape", "list", "king-2-axes", "shape-not-integers", "no-profile"])
+MALFORMED = [
+    *("empty", "no-shape", "list", "king-2-axes", "shape-not-integers", "players-5", "actions-5-6", "utilities-5"),
+    *("king-actions-5", "king-clone-sources-5", "king-labels-off-shape", "king-list-string"),
+    *("king-list-int-over-float", "not-koth"),
+    *("no-profile", "type-list", "marginals-5", "method-5", "duals-5", "shape-5", "targets-5", "config-5"),
+    *("epsilon-cce-x", "joint-nan", "duals-nan", "duals-negative", "duals-huge"),
+    *("game-text", "deep", "eq-text", "game-bytes", "prefs-bytes"),
+]
+
+
+@pytest.mark.parametrize("case", MALFORMED)
 def test_a_malformed_game_or_equilibrium_file_is_named(tmp_path, capsys, chicken, case):
-    argv, path = _malformed_files(tmp_path, chicken)[case]
+    cases = _malformed_files(tmp_path, chicken)
+    assert sorted(cases) == sorted(MALFORMED)
+    argv, path = cases[case]
     out = tmp_path / "out.json"
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
-    assert not out.exists()
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_build_lists_at_most_20_missing_cells(tmp_path, capsys):
+    # every prompt judges m0 against m1 and m2, none m1 against m2
+    prefs, out = tmp_path / "prefs.csv", tmp_path / "game.json"
+    rows = [f"q{p:02d},m0,m{b},0.5" for p in range(25) for b in (1, 2)]
+    prefs.write_text("\n".join(["prompt_id,model_a,model_b,score", *rows]) + "\n", encoding="utf-8")
+    assert main(["build", "--prefs", str(prefs), "--out", str(out)]) == 2
+    first, *missing = capsys.readouterr().err.splitlines()
+    assert first.startswith("error: 25 (prompt, model pair) cells have no ratings")
+    assert missing == [f"  missing: ('q{p:02d}', 'm1', 'm2')" for p in range(20)]
+    assert not list(tmp_path.glob("game.json*"))
+
+
+@pytest.mark.parametrize("method", ["ne", "cce"])
+def test_a_solve_out_of_steps_exits_3_and_writes_nothing(tmp_path, capsys, chicken, method):
+    path, out = tmp_path / "chicken.json", tmp_path / "eq.json"
+    save_game(chicken, path)
+    argv = ["solve", "--game", str(path), "--method", method, "--max-steps", "1", "--out", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: solve_{'lle' if method == 'ne' else 'mre_cce'}: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("eq.json*"))
+
+
+def test_decompose_manifest_lists_the_families_file(tmp_path, chicken):
+    path, eq, fams, out = (tmp_path / name for name in ("chicken.json", "eq.json", "f.json", "dec.csv"))
+    save_game(chicken, path)
+    assert main(["solve", "--game", str(path), "--out", str(eq)]) == 0
+    fams.write_text(json.dumps({"swerve": "soft", "straight": "hard"}), encoding="utf-8")
+    argv = ["decompose", "--game", str(path), "--equilibrium", str(eq), "--action", "swerve"]
+    assert main([*argv, "--player", "0", "--co-player", "1", "--families", str(fams), "--out", str(out)]) == 0
+    with open(f"{out}.manifest.json", encoding="utf-8") as fh:
+        assert list(json.load(fh)["inputs"]) == [str(path), str(eq), str(fams)]
+
+
+def test_clone_test_rejects_a_target_not_in_the_game(tmp_path, capsys):
+    game, _ = _build_game(tmp_path, prompts=3, models=3)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main(["clone-test", "--game", str(game), "--target", "m9", "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == "error: target model 'm9' not in game\n"
+    assert not list(out_dir.iterdir())
+
+
+def test_rate_needs_an_equilibrium_unless_elo(tmp_path, capsys):
+    game, _ = _build_game(tmp_path, prompts=3, models=3)
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["rate", "--game", str(game), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "rate: --equilibrium is required unless --method elo" in capsys.readouterr().err
+    assert not list(tmp_path.glob("r.json*"))
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """A king file, the same game in full, and its ne and cce files: each
+    one's JSON and the argv of rating it, with None for the file's path."""
+    tmp = tmp_path_factory.mktemp("valid")
+    king, kg = _build_game(tmp, prompts=3, models=3)
+    full = tmp / "full.json"
+    _write_full_game(kg, full)
+    for method in ("ne", "cce"):
+        assert main(["solve", "--game", str(king), "--method", method, "--out", str(tmp / f"{method}.json")]) == 0
+    argv = {name: ["rate", "--game", None, "--method", "elo"] for name in ("king", "full")}
+    argv |= {method: ["rate", "--game", str(king), "--equilibrium", None] for method in ("ne", "cce")}
+    paths = {"king": king, "full": full, "ne": tmp / "ne.json", "cce": tmp / "cce.json"}
+    return {name: (json.loads(paths[name].read_text(encoding="utf-8")), argv[name]) for name in paths}
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=5), children, max_size=4),
+    max_leaves=6,
+)
+
+
+@st.composite
+def replaced(draw, doc):
+    """``doc`` with the value at a drawn key path, which may be the root,
+    replaced by a drawn JSON value."""
+    if not (isinstance(doc, (dict, list)) and doc) or draw(st.integers(0, 3)) == 0:
+        return draw(json_values)
+    key = draw(st.sampled_from(list(doc) if isinstance(doc, dict) else range(len(doc))))
+    new = dict(doc) if isinstance(doc, dict) else list(doc)
+    new[key] = draw(replaced(doc[key]))
+    return new
+
+
+@pytest.mark.parametrize("name", ["ne", "cce", "king", "full"])
+def test_an_edited_input_file_rates_or_is_named(valid_inputs, tmp_path_factory, name):
+    doc, argv = valid_inputs[name]
+    tmp = tmp_path_factory.mktemp(f"edited_{name}")
+    path, out = tmp / "edited.json", tmp / "out.json"
+
+    @settings(max_examples=60, deadline=None)
+    @given(edited=replaced(doc))
+    def check(edited):
+        path.write_text(json.dumps(edited), encoding="utf-8")
+        for p in tmp.glob("out.json*"):
+            p.unlink()
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([str(path) if a is None else a for a in argv] + ["--out", str(out)])
+        if code == 0:
+            assert out.exists() and not err.getvalue()
+        else:
+            assert code == 2
+            assert err.getvalue().startswith(f"error: {path}: ") and err.getvalue().count("\n") == 1
+            assert not list(tmp.glob("out.json*"))
+
+    check()
 
 
 def test_simulate_writes_each_method_trajectory(tmp_path):

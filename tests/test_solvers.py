@@ -1000,7 +1000,7 @@ class TestCCE:
         assert data["profile"]["type"] == "cce_dual"
         assert "joint" not in data["profile"]
         assert np.array_equal(profile_from_dict(data, game).joint, res.profile.joint)
-        # the format written before CCEs were stored as their multipliers
+        # the joint itself, a format no solve writes, is an unknown type
         legacy = {
             **data,
             "targets": None,
@@ -1010,7 +1010,8 @@ class TestCCE:
                 "shape": list(game.shape),
             },
         }
-        assert np.array_equal(profile_from_dict(legacy, game).joint, res.profile.joint)
+        with pytest.raises(ParameterError, match="holds a profile of type product, cce_dual with its keys"):
+            profile_from_dict(legacy, game)
 
     @pytest.mark.parametrize("route", ["direct", "quotient", "file"])
     def test_exploitability_comes_from_the_dual_evaluation(self, route):
@@ -1055,19 +1056,42 @@ class TestCCE:
             with pytest.raises(ParameterError, match="NaN"):
                 profile_from_dict(bad, chicken)
 
+    def test_stored_multipliers_rejected_unless_finite_and_nonnegative(self, chicken):
+        # without a config there is no bound, yet a NaN joint is no CCE
+        data = {k: v for k, v in solve_mre_cce(chicken).to_dict().items() if k != "config"}
+        (swerve, straight), other = data["profile"]["duals"]
+
+        def stored(duals):
+            return profile_from_dict({**data, "profile": {**data["profile"], "duals": [duals, other]}}, chicken)
+
+        for duals, message in (
+            ([swerve], "one multiplier per player and action"),
+            ([float("nan"), straight], "NaN"),
+            ([swerve, -1e-3], "negative"),
+            ([swerve, float("inf")], "infinite"),
+            # finite, but the logit overflows and the joint is NaN
+            ([swerve, 1e308], "exploitability nan"),
+        ):
+            with pytest.raises(ParameterError, match=message):
+                stored(duals)
+        # the logit overflows to -inf only off one cell: the joint is the pure
+        # profile (straight, swerve), an exact CCE
+        joint = stored([1e308, straight]).joint
+        assert joint.tolist() == [[0.0, 0.0], [1.0, 0.0]]
+
     def test_stored_profile_missing_a_key_rejected(self, chicken):
         # each once raised KeyError
         ne = solve_lle(chicken).to_dict()
         res = solve_mre_cce(chicken)
         cce = res.to_dict()
+        # a joint profile, whole or without its joint key, is of no known type
         joint = {**cce, "profile": {"type": "joint", "joint": res.profile.joint.ravel().tolist(), "shape": [2, 2]}}
-        assert np.array_equal(profile_from_dict(joint, chicken).joint, res.profile.joint)
         no_profile = {k: v for k, v in ne.items() if k != "profile"}
         no_marginals = {**ne, "profile": {"type": "product"}}
         no_targets = {k: v for k, v in cce.items() if k != "targets"}
         no_joint = {**joint, "profile": {"type": "joint", "shape": [2, 2]}}
-        for bad in (no_profile, no_marginals, no_targets, no_joint):
-            with pytest.raises(ParameterError, match="holds a profile of type product, cce_dual, joint"):
+        for bad in (joint, no_profile, no_marginals, no_targets, no_joint):
+            with pytest.raises(ParameterError, match="holds a profile of type product, cce_dual with its keys"):
                 profile_from_dict(bad, chicken)
 
     def test_dual_logit_zero_alphas(self, rps):
