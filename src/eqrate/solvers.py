@@ -74,8 +74,10 @@ ARC_MIN_STEP = 1e-10
 # (``_newton_finish``) once its set of positive multipliers has been the
 # same for CCE_STABLE_ITERS iterations.  On the bench's arena game that is
 # after 27 iterations, where L-BFGS-B alone took 147 to a projected
-# gradient of 1e-8; of 2, 3, 5, 8 and 12, 5 gave the fewest CCE seconds
-# there and over a skill-world cce run.
+# gradient of 1e-8.  With the Hessian built from sums over player 0's axis,
+# medians over 4-5 runs of 5 solves each, on arena and a 5-iteration
+# skill-world cce trial: 2 took 91.6 and 49.0 ms of CCE time, 3 83.6 and
+# 49.8, 5 88.0 and 49.5, 8 96.9 and 52.8.  No value was faster than 5 on both.
 CCE_STABLE_ITERS = 5
 # The finish takes at most CCE_NEWTON_STEPS steps.  It has reached the
 # maximiser once no regret exceeds CCE_KKT_TOL times the largest absolute
@@ -99,10 +101,11 @@ CCE_ARMIJO = 1e-4
 CCE_LOSS_ROUNDING = 1e-13
 NEWTON_MIN_DAMPING = 2.0**-30
 # The finish's Hessian is accumulated over blocks of the joint of about
-# this many cells, so no gain matrix over the whole joint is built.  With
-# blocks of 2**15 cells a bench clone_attack run peaked 2.4 MB above one
-# with L-BFGS-B alone, with 2**12 0.9 MB; 2**12 also built arena's 15x15
-# Hessian faster (8 against 11 ms).
+# this many cells, so no gain matrix over the whole joint is built.  On
+# the bench's arena game (6 rows a block: 5 gain rows and u_0) blocks of
+# 2**12, 2**13, 2**14 and 2**15 cells took 3.0-3.6, 2.4-2.8, 2.5-3.1 and
+# 4.7-5.2 ms a Hessian, at transient peaks of 0.89, 1.2, 2.0 and 3.6 MB
+# (tracemalloc); 2**12 keeps the smallest peak at a cost of under 1 ms.
 CCE_HESSIAN_CELLS = 2**12
 
 # ``enumerate_nes`` traces each candidate to ENUM_TAU_TERMINAL and takes as
@@ -867,12 +870,15 @@ class _CCEDual:
     deviation payoffs are one matvec apiece, and each co-marginal is one
     matvec of the buffer with a ones vector over the player's axis.
     ``evaluate`` returns the joint as a view of the buffer, valid until the
-    next evaluation.
+    next evaluation.  ``hessian`` splits its rows by player: player 0's, on
+    the joint's first axis, from sums over that axis; every other player's
+    from gain rows over blocks of the joint.
     """
 
     def __init__(self, game: Game, targets):
         shape = game.shape
         self.sizes = list(shape)
+        self._offsets = np.cumsum([0, *shape])
         self._stack = np.empty((len(shape) + 1, np.prod(shape, dtype=int)))
         for row, u in zip(self._stack, game.utilities):
             row[:] = u.ravel()
@@ -935,39 +941,78 @@ class _CCEDual:
         """The dual's Hessian on the flat multiplier indices ``free``, at the
         last evaluated point, whose regrets on ``free`` are ``regrets``.
 
-        It is the covariance under the joint of the free constraints' gain
+        It is the covariance under the joint p of the free constraints' gain
         rows ``u_i(a, x_-i) - u_i(x)``.  A row's deviation payoffs are row
-        ``a`` of ``perms[i]``, broadcast along player i's axis.  The rows are
-        built over blocks of the joint's first axis of about
-        ``CCE_HESSIAN_CELLS`` cells, and the second moment summed per block.
+        ``a`` of ``perms[i]``, broadcast along player i's axis.  The rows
+        split by player:
+
+        - Every player but 0: gain rows, built with one more row, ``u_0``,
+          over blocks of the joint's first axis of about
+          ``CCE_HESSIAN_CELLS`` cells.  Their second moments, and their sums
+          over ``x_0`` times p, ``S``, are summed per block.
+        - Player 0, whose axis is the joint's first: no row over the joint.
+          With ``D`` its rows of ``perms[0]``, ``m`` the co-marginal of the
+          other players and ``w`` the ``S`` of ``u_0``, its own block of
+          second moments is ``(D m) D' - D w 1' - 1 (D w)' + E[u_0^2]`` and
+          its block with another row g is ``D S_g' - 1 E[g u_0]'``.
+
+        ``D`` and ``u_0`` are first centred on ``u_0``'s mean given
+        ``x_-0``, ``w / m``.  That leaves every gain as it is, and bounds
+        each term of the own block's diagonal by the second moment it sums
+        to; uncentred, terms of the size of ``u_0^2`` cancel.
         """
         shape = tuple(self.sizes)
         stride = self._buf.size // shape[0]
         step = max(1, CCE_HESSIAN_CELLS // stride)
-        offsets = np.cumsum([0, *shape])
-        # ``free`` is sorted, so each player's rows are one slice of it;
-        # a player's deviation payoffs get a unit axis for its own action
+        offsets = self._offsets
+        # ``free`` is sorted, so each player's rows are one slice of it,
+        # player 0's the first k; a player's deviation payoffs get a unit
+        # axis for its own action
         bounds = np.searchsorted(free, offsets)
+        k = bounds[1]
         groups = []
-        for i in range(len(shape)):
+        for i in range(1, len(shape)):
             lo, hi = bounds[i], bounds[i + 1]
             if lo < hi:
                 dev = self.perms[i][free[lo:hi] - offsets[i]]
                 dev = dev.reshape((hi - lo,) + shape[:i] + shape[i + 1 :])
-                groups.append((lo, hi, i, np.expand_dims(dev, i + 1)))
-        utils = [row.reshape(shape) for row in self._stack[:-1]]
-        joint = self._buf.reshape(shape[0], stride)
-        gain = np.empty((free.size, min(step, shape[0]) * stride))
-        second = np.zeros((free.size, free.size))
+                groups.append((lo - k, hi - k, i, np.expand_dims(dev, i + 1)))
+        utils = self._stack[:-1].reshape((len(shape),) + shape)
+        joint, u0 = self._buf.reshape(shape[0], stride), self.perms[0]
+        m = self._ones[0] @ joint
+        # where m underflows to 0 any mean will do
+        mean = np.einsum("ir,ir->r", joint, u0) / np.maximum(m, np.finfo(float).tiny)
+        rows = free.size - k + 1
+        gain = np.empty((rows, min(step, shape[0]) * stride))
+        weighted = np.empty_like(gain)
+        moment = np.zeros((rows, rows))
+        sums = np.zeros((rows, stride))
         for first in range(0, shape[0], step):
             last = min(first + step, shape[0])
             block = gain[:, : (last - first) * stride]
+            pg = weighted[:, : block.shape[1]]
             for lo, hi, i, dev in groups:
-                own = dev if i == 0 else dev[:, first:last]
                 out = block[lo:hi].reshape((hi - lo, last - first) + shape[1:])
-                np.subtract(own, utils[i][first:last], out=out)
-            second += (block * joint[first:last].ravel()) @ block.T
-        return second - np.outer(regrets, regrets)
+                # a broadcast copy and a plain subtraction: one broadcast
+                # subtraction, which numpy buffers, made arena's Hessian
+                # about 9% slower
+                np.copyto(out, dev[:, first:last])
+                out -= utils[i][first:last]
+            np.subtract(u0[first:last], mean, out=block[-1].reshape(last - first, stride))
+            np.multiply(block, joint[first:last].ravel(), out=pg)
+            moment += pg @ block.T
+            sums += self._ones[0][: last - first] @ pg.reshape(rows, last - first, stride)
+        # second moments of player 0's deviation payoffs, of the other rows
+        # and of u_0; a row of player 0 is its deviation payoff less u_0
+        d0 = u0[free[:k]] - mean
+        left = d0 @ np.concatenate((d0 * m, sums)).T
+        second = np.empty((k + rows, k + rows))
+        second[:k] = left
+        second[k:, :k] = left[:, k:].T
+        second[k:, k:] = moment
+        second[:k] -= second[-1]
+        second[:, :k] -= second[:, -1:]
+        return second[:-1, :-1] - np.outer(regrets, regrets)
 
 
 def _kkt_residual(flat: np.ndarray, regrets: np.ndarray) -> float:

@@ -1,7 +1,8 @@
 """Per-player reference implementations that the solvers' flat, buffered
 code is checked against: the logit soft best response, the QRE loss and
-residual over a product profile, and the CCE dual's logit tensor and loss
-over the per-player multipliers.  None of them runs in the solvers.
+residual over a product profile, the CCE dual's logit tensor and loss
+over the per-player multipliers, and its Hessian from one gain row over
+the whole joint per multiplier.  None of them runs in the solvers.
 Also the row-by-row ``csv.reader`` parse that the bulk preference CSV
 reader must match, and the old method of the affinity targets, kept as a
 reference: projected gradient stepped by a 50-round power iteration's
@@ -90,6 +91,21 @@ def cce_dual_logit(game: Game, alphas, target_log_joint: np.ndarray) -> np.ndarr
 def _cce_loss_alpha(game: Game, alphas, t: np.ndarray) -> float:
     """Dual loss as a function of the nonnegative multipliers; convex."""
     return float(logsumexp(cce_dual_logit(game, alphas, t)))
+
+
+def cce_hessian(game: Game, joint: np.ndarray, free, regrets) -> np.ndarray:
+    """The CCE dual's Hessian on the flat multiplier indices ``free``, whose
+    regrets are ``regrets``: the covariance under ``joint`` of each index's
+    gain row ``u_i(a, x_-i) - u_i(x)``, built over the whole joint, as the
+    Newton finish first did."""
+    offsets = np.cumsum([0, *game.shape])
+    rows = []
+    for j in free:
+        i = int(np.searchsorted(offsets, j, side="right")) - 1
+        u = game.utilities[i]
+        rows.append((np.take(u, [j - offsets[i]], axis=i) - u).ravel())
+    gain = np.array(rows).reshape(len(rows), joint.size)
+    return (gain * joint.ravel()) @ gain.T - np.outer(regrets, regrets)
 
 
 def lipschitz_50(U: np.ndarray) -> float:

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqrate.errors import ParameterError
+from eqrate.errors import ConvergenceError, DimensionError, ParameterError
 from eqrate.kernels import (
     DEFAULT_VARIANCE,
     affinity_entropy,
+    affinity_targets,
     dissimilarity_factorized,
     dissimilarity_joint,
     max_affinity_entropy,
@@ -87,6 +88,13 @@ class TestDissimilarity:
         D = dissimilarity_joint(game, 1)
         mc = mc_dissimilarity_joint(game, 1, 0, 1, samples=2_000_000, seed=11)
         assert D[0, 1] == pytest.approx(mc, rel=5e-3)
+
+
+    @pytest.mark.parametrize("dissimilarity", [dissimilarity_joint, dissimilarity_factorized])
+    @pytest.mark.parametrize("player", [-1, 2])
+    def test_player_index_out_of_range(self, rps, dissimilarity, player):
+        with pytest.raises(DimensionError, match=f"player index {player} out of range"):
+            dissimilarity(rps, player)
 
 
 class TestSimilarityKernel:
@@ -188,6 +196,13 @@ class TestMaxAffinityEntropy:
         masses = [t[g].sum() for g in groups]
         assert np.allclose(masses, 1 / 3, atol=1e-4)
 
+    def test_iteration_cap_raises_with_the_last_iterate(self):
+        K = block_kernel([3, 1])
+        with pytest.raises(ConvergenceError, match="after 2 iterations") as info:
+            max_affinity_entropy(K, tolerance=1e-10, max_iters=2)
+        assert info.value.iterate.sum() == pytest.approx(1.0)
+        assert info.value.gradient_norm > 1e-10
+
     # the ids are those the cases had when the test also ran entropic index 0.5
     @pytest.mark.parametrize(
         "sizes", [[2, 2], [3, 1], [2, 1, 1], [3, 2, 2, 1]], ids=[f"sizes{i}-1.0" for i in range(4)]
@@ -201,6 +216,11 @@ class TestMaxAffinityEntropy:
             assert t[start : start + s].sum() == pytest.approx(1 / C, abs=1e-4)
             start += s
         assert affinity_entropy(K, t) == pytest.approx(1 - 1 / C, abs=1e-4)
+
+
+def test_affinity_targets_reject_an_unknown_mode(rps):
+    with pytest.raises(ParameterError, match="unknown dissimilarity mode 'product'"):
+        affinity_targets(rps, mode="product")
 
 
 def test_project_simplex_basics():

@@ -10,7 +10,7 @@ from scipy.special import logsumexp
 
 import eqrate.solvers as solvers_mod
 from eqrate import kernels, koth, skillsim
-from eqrate.errors import ConvergenceError, ParameterError
+from eqrate.errors import ConvergenceError, DimensionError, ParameterError
 from eqrate.games import (
     Game,
     JointDistribution,
@@ -43,6 +43,7 @@ from adam_lle import _lle_step, solve_lle_adam
 from reference import (
     _cce_loss_alpha,
     affinity_targets_50,
+    cce_hessian,
     cce_dual_logit,
     max_entropy_pg,
     qre_best_response,
@@ -306,6 +307,22 @@ def test_solvers_reject_non_finite_targets(rps, bad):
     with pytest.raises(ParameterError, match="finite"):
         solve_lle(rps, QREConfig(targets=targets))
     with pytest.raises(ParameterError, match="finite"):
+        solve_mre_cce(rps, CCEConfig(targets=targets))
+
+
+@pytest.mark.parametrize(
+    "targets, error, message",
+    [
+        ((np.full(3, 1 / 3),), DimensionError, "one target distribution per player"),
+        ((np.full(3, 1 / 3), np.full(2, 1 / 2)), DimensionError, "target 1 has wrong length"),
+        ((np.full(3, 1 / 3), np.full(3, 0.3)), ParameterError, "target 1 must be a distribution"),
+    ],
+    ids=["count", "length", "sum"],
+)
+def test_solvers_reject_targets_that_do_not_fit(rps, targets, error, message):
+    with pytest.raises(error, match=message):
+        solve_lle(rps, QREConfig(targets=targets))
+    with pytest.raises(error, match=message):
         solve_mre_cce(rps, CCEConfig(targets=targets))
 
 
@@ -1258,6 +1275,56 @@ class TestCCEFinish:
             step[j] = h
             fd = (dual.loss_grad(flat + step)[1] - dual.loss_grad(flat - step)[1]) / (2 * h)
             assert np.abs(hess[:, col] - fd[free]).max() <= 1e-7
+
+    @pytest.mark.parametrize(
+        "shape", [(3,), (1, 4), (4, 1, 3), (3, 4, 2), (2, 3, 2, 2), "koth"], ids=str
+    )
+    @pytest.mark.parametrize("cells", [1, 7, 2**15])
+    @pytest.mark.parametrize("rows", ["others", "player_0", "one", "all"])
+    def test_hessian_matches_gain_rows(self, shape, cells, rows, monkeypatch):
+        # player 0's rows come from sums over its axis, the others' from
+        # gain rows; "one" is the middle index, of player 0 on (3,) and the
+        # KOTH game and of player 1 on the rest
+        monkeypatch.setattr(solvers_mod, "CCE_HESSIAN_CELLS", cells)
+        game = _koth_clone_game(12, 4, 3) if shape == "koth" else random_game(shape, seed=5)
+        rng = np.random.default_rng(17)
+        dual = _CCEDual(game, tuple(rng.dirichlet(np.ones(n)) for n in game.shape))
+        flat = rng.uniform(0.0, 1.0, sum(game.shape))
+        _, joint, regrets = dual.evaluate(flat)
+        n0 = game.shape[0]
+        free = {
+            "others": np.arange(n0, flat.size),
+            "player_0": np.arange(n0),
+            "one": np.array([flat.size // 2]),
+            "all": np.arange(flat.size),
+        }[rows]
+        regrets = np.concatenate(regrets)[free]
+        hess = dual.hessian(free, regrets)
+        scale = max(np.abs(u).max() for u in game.utilities) ** 2
+        # a one-player game has no other rows: the Hessian is empty
+        assert hess.shape == (free.size, free.size)
+        err = np.abs(hess - cce_hessian(game, joint, free, regrets)).max(initial=0.0)
+        assert err <= 1e-13 * scale
+
+    @pytest.mark.parametrize("cells", [7, 2**15])
+    def test_hessian_ignores_an_offset_of_player_0_payoffs(self, cells, monkeypatch):
+        # an offset leaves every gain row as it is; built from player 0's
+        # payoffs without their mean given the other players' actions, its
+        # rows' second moments cancel terms of the offset's square, and the
+        # Hessian is off by about 5e-8
+        monkeypatch.setattr(solvers_mod, "CCE_HESSIAN_CELLS", cells)
+        base = random_game((6, 3, 4), seed=8)
+        game = replace(base, utilities=(base.utilities[0] + 1e4, *base.utilities[1:]))
+        rng = np.random.default_rng(3)
+        targets = tuple(rng.dirichlet(np.ones(n)) for n in game.shape)
+        free = np.arange(sum(game.shape))
+        flat = rng.uniform(0.0, 1.0, free.size)
+        dual = _CCEDual(game, targets)
+        _, joint, regrets = dual.evaluate(flat)
+        regrets = np.concatenate(regrets)
+        hess = dual.hessian(free, regrets)
+        scale = max(np.abs(u).max() for u in base.utilities) ** 2
+        assert np.abs(hess - cce_hessian(game, joint, free, regrets)).max() <= 1e-13 * scale
 
     @pytest.mark.parametrize("name", ["chicken", "koth_12x4", "koth_60x8", "koth_60x8_120_clones"])
     def test_kkt_at_rounding_level(self, name, chicken):
