@@ -26,6 +26,13 @@ TARGET_TOLERANCE = 1e-7  # of the targets' maximizer
 TARGET_FLOOR = 1e-6  # the least mass of a target entry
 
 
+def _finite(D: np.ndarray, player: int) -> np.ndarray:
+    """``D``, unless payoffs too large for float64 made it overflow."""
+    if not np.isfinite(D).all():
+        raise ParameterError(f"player {player}'s payoff dissimilarity overflows float64; rescale the payoffs")
+    return D
+
+
 def _pairwise_sq(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Squared row distances and squared row-sum differences via Gram tricks."""
     g = rows @ rows.T
@@ -43,16 +50,18 @@ def dissimilarity_joint(game: Game, player: int) -> np.ndarray:
     ``(||U_a - U_b||^2 + (1'(U_a - U_b))^2) / ((d+1)(d+2))`` where ``U`` is
     the matrix of ``player``'s payoffs against each pure co-profile and
     ``d`` the number of co-profiles.  Symmetric with a zero diagonal.
+    Payoffs whose gaps overflow float64 raise ``ParameterError``.
     """
     if not 0 <= player < game.num_players:
         raise DimensionError(f"player index {player} out of range")
     rows = np.moveaxis(game.utilities[player], player, 0)
     rows = rows.reshape(game.num_actions(player), -1)
     d = rows.shape[1]
-    sq, sums = _pairwise_sq(rows)
-    out = (sq + sums) / ((d + 1.0) * (d + 2.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq, sums = _pairwise_sq(rows)
+        out = (sq + sums) / ((d + 1.0) * (d + 2.0))
     np.fill_diagonal(out, 0.0)
-    return out
+    return _finite(out, player)
 
 
 def dissimilarity_factorized(game: Game, player: int) -> np.ndarray:
@@ -72,32 +81,38 @@ def dissimilarity_factorized(game: Game, player: int) -> np.ndarray:
     co_shape = u.shape[1:]
     co_axes = list(range(1, u.ndim))
     total = np.zeros((n, n))
-    for keep in itertools.chain.from_iterable(
-        itertools.combinations(co_axes, k) for k in range(len(co_axes) + 1)
-    ):
-        drop = tuple(a for a in co_axes if a not in keep)
-        rows = u.sum(axis=drop).reshape(n, -1) if drop else u.reshape(n, -1)
-        sq, _ = _pairwise_sq(rows)
-        total += sq
+    with np.errstate(over="ignore", invalid="ignore"):
+        for keep in itertools.chain.from_iterable(
+            itertools.combinations(co_axes, k) for k in range(len(co_axes) + 1)
+        ):
+            drop = tuple(a for a in co_axes if a not in keep)
+            rows = u.sum(axis=drop).reshape(n, -1) if drop else u.reshape(n, -1)
+            sq, _ = _pairwise_sq(rows)
+            total += sq
     scale = 1.0
     for dj in co_shape:
         scale /= (dj + 1.0) * (dj + 2.0)
     out = total * scale
     np.fill_diagonal(out, 0.0)
-    return np.maximum(out, 0.0)
+    return _finite(np.maximum(out, 0.0), player)
 
 
 def similarity_kernel(D: np.ndarray, variance: float) -> np.ndarray:
     """RBF kernel ``K = exp(-D / variance)`` with an exactly-unit diagonal.
 
     ``variance`` is the squared denominator ``(2*sigma)^2`` itself, which
-    sidesteps the sigma-vs-sigma^2 ambiguity of a bandwidth.
+    sidesteps the sigma-vs-sigma^2 ambiguity of a bandwidth.  A ``D /
+    variance`` past float64's range is an entry of 0; a kernel that is not
+    finite, from a NaN or a large negative ``D``, raises ``ParameterError``.
     """
     if not variance > 0:
         raise ParameterError(f"kernel variance must be positive, not {variance}")
     D = np.asarray(D, dtype=float)
-    K = np.exp(-D / variance)
+    with np.errstate(over="ignore"):
+        K = np.exp(-D / variance)
     np.fill_diagonal(K, 1.0)
+    if not np.isfinite(K).all():
+        raise ParameterError("the similarity kernel is not finite")
     return K
 
 

@@ -376,8 +376,6 @@ def adversarial_prompt_sampler(
     existing prompts, so prompts on which the target fares worst are
     sampled most; ``lam = 0`` is uniform.
     """
-    if len(koth.prompts) == 0:
-        raise ParameterError("game has no prompts")
     if not math.isfinite(lam):
         raise ParameterError(f"lam must be finite, not {lam}")
     ubar = mean_king_payoff(koth, target_model)

@@ -110,13 +110,9 @@ class RatingReport:
                     )
 
 
-def rate(
-    game: Game,
-    profile: ProductProfile | JointDistribution,
-    method: str,
-    tie_tolerance: float = DEFAULT_TIE_TOL,
-) -> RatingReport:
-    """Rate every action by its regret against ``profile``."""
+def rate(game: Game, profile: ProductProfile | JointDistribution, method: str) -> RatingReport:
+    """Rate every action by its regret against ``profile``, ranked with
+    ties at ``DEFAULT_TIE_TOL``."""
     regrets = all_regrets(game, profile)
     if isinstance(profile, ProductProfile):
         masses = profile.marginals
@@ -126,8 +122,7 @@ def rate(
             for i in range(game.num_players)
         )
     ranks = tuple(
-        ranks_with_ties(regrets[i], game.action_labels[i], tie_tolerance)
-        for i in range(game.num_players)
+        ranks_with_ties(regrets[i], game.action_labels[i]) for i in range(game.num_players)
     )
     return RatingReport(
         players=game.players,
@@ -136,7 +131,7 @@ def rate(
         masses=tuple(np.asarray(m) for m in masses),
         ranks=ranks,
         method=method,
-        tie_tolerance=tie_tolerance,
+        tie_tolerance=DEFAULT_TIE_TOL,
     )
 
 
@@ -215,18 +210,14 @@ def decompose(
     )
 
 
-def elo_ratings(
-    win_matrix: np.ndarray,
-    lambda_reg: float = 1e-6,
-    scale: float = ELO_SCALE,
-) -> np.ndarray:
+def elo_ratings(win_matrix: np.ndarray, lambda_reg: float = 1e-6) -> np.ndarray:
     """Bradley-Terry maximum-likelihood ratings from expected scores.
 
     ``win_matrix[i, j]`` is i's expected score against j in [0, 1] with
     ``w_ij + w_ji = 1`` and 0.5 on the diagonal.  Ratings maximize the
     L2-regularized log-likelihood, are anchored to mean zero, and scaled
-    for Elo-style display (one scale unit per nat of log-odds / ln 10
-    per 400 points).  The regularizer keeps degenerate all-win matrices
+    by ``ELO_SCALE`` for Elo-style display (400 points per factor of 10
+    in the odds).  The regularizer keeps degenerate all-win matrices
     finite; an all-0.5 matrix yields all-zero ratings.
     """
     w = np.asarray(win_matrix, dtype=float)
@@ -258,7 +249,7 @@ def elo_ratings(
 
     res = minimize(neg_loglik, np.zeros(m), jac=grad, method="L-BFGS-B")
     r = res.x - res.x.mean()
-    return r * scale
+    return r * ELO_SCALE
 
 
 def separability(u_king: np.ndarray, prompt: int) -> float:

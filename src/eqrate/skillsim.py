@@ -62,8 +62,8 @@ class SimConfig:
 
     ``solver`` overrides fields of the arm's solver config (``QREConfig``
     for ne, ``CCEConfig`` for cce) and is passed on as given.  Left None,
-    the ne arm uses ``_EquilibriumRater.DEFAULT_OVERRIDES`` and the cce arm
-    the ``CCEConfig`` defaults.
+    the ne arm uses ``NE_OVERRIDES`` and the cce arm the ``CCEConfig``
+    defaults.
 
     With ``n_jobs > 1`` the trials run in ``min(n_jobs, trials)`` worker
     processes.  Every ``int`` field must be an int, and every one but
@@ -98,13 +98,13 @@ class SimConfig:
             raise ParameterError(f"solver must be an object of settings, not {self.solver!r}")
         if self.solver is not None and self.rating_method != "elo":
             arm = solvers.SOLVER_CONFIGS[self.rating_method]
-            # the rater sets the targets itself
+            # _ratings sets the targets itself
             allowed = {f.name for f in fields(arm)} - {"targets"}
             for key in self.solver:
                 if key not in allowed:
                     raise ParameterError(f"solver key {key!r} is not a {arm.__name__} setting")
             try:
-                arm(**self.solver)  # checks the values the rater will solve with
+                arm(**self.solver)  # checks the values _ratings will solve with
             except TypeError as exc:
                 raise ParameterError(f"solver settings {self.solver!r}: {exc}") from None
 
@@ -158,78 +158,63 @@ def _snapshot(t: int, prompts: list, models: list) -> dict:
     }
 
 
-class _EquilibriumRater:
-    """Per-trial equilibrium rating: one cold solve per call, rated by the
-    regrets the solve returns with its equilibrium.
+# desk-scale overrides of the ne arm's QREConfig; pass solver={} for the
+# pure paper schedule.  A soft terminal temperature is enough here:
+# ratings only pick argmax candidates.
+NE_OVERRIDES = {"tau_terminal": 0.1}
 
-    Payoffs are scaled to max-abs 1 before solving so the solver schedule
-    and kernel bandwidth operate at their design scale; ratings are used
-    only ordinally here and positive rescaling preserves the order.  An ne
-    or cce solve that raises ``ConvergenceError`` rates with the regrets at
-    its unconverged iterate, and that event is kept in ``fallbacks``; an ne
-    solve's arclength trace passes a fold of the QRE branch as it passes
-    any other point.
+
+def _ratings(config: SimConfig, prompts: np.ndarray, models: np.ndarray, t: int, fallbacks: list):
+    """Prompt and model ratings of the skill game of ``prompts`` and
+    ``models`` by ``config.rating_method``.
+
+    elo rates prompts by separability and models by the Elo fit of the
+    win matrix.  ne and cce solve the game cold and rate by the regrets the
+    solve returns with its equilibrium.  Payoffs are first scaled to
+    max-abs 1 so the solver schedule and kernel bandwidth operate at their
+    design scale; ratings are used only ordinally here and positive
+    rescaling preserves the order.  A solve that raises
+    ``ConvergenceError`` rates with the regrets at its unconverged iterate,
+    and that event is appended to ``fallbacks``; an ne solve's arclength
+    trace passes a fold of the QRE branch as it passes any other point.
     """
-
-    # desk-scale overrides of the ne arm's QREConfig; pass solver={} for the
-    # pure paper schedule.  A soft terminal temperature is enough here:
-    # ratings only pick argmax candidates.
-    DEFAULT_OVERRIDES = {"tau_terminal": 0.1}
-
-    def __init__(self, config: SimConfig):
-        self.method = config.rating_method
-        defaults = self.DEFAULT_OVERRIDES if self.method == "ne" else {}
-        self.overrides = dict(defaults if config.solver is None else config.solver)
-        self.fallbacks: list[dict] = []
-
-    def _solve(self, game, targets, iteration) -> list[np.ndarray]:
-        """The regrets of each player's actions at the equilibrium of
-        ``game``, as the solve returns them; at the iterate of a solve that
-        raised ``ConvergenceError``, taken here."""
-        event = {"iteration": iteration, "shape": list(game.shape)}
-        try:
-            return solvers.solve(game, self.method, targets, **self.overrides).regrets
-        except ConvergenceError as exc:
-            # rate with the last iterate rather than dying; candidate
-            # selection only needs the rating order
-            event.update(kind="convergence_error", exploitability=exc.trace[-1].exploitability)
-            self.fallbacks.append(event)
-            return all_regrets(game, exc.iterate)
-
-    def rate(self, prompts: np.ndarray, models: np.ndarray, t: int):
-        u_k = _king_tensor(prompts, models)
-        scale = float(np.abs(u_k).max())
-        if scale > 0:
-            u_k = u_k / scale
-        game = _skill_game(u_k)
-        targets = affinity_targets(game)
-        regs = self._solve(game, targets, t)
-        return regs[0], regs[1]
+    u_k = _king_tensor(prompts, models)
+    if config.rating_method == "elo":
+        r_p = np.array([separability(u_k, i) for i in range(u_k.shape[0])])
+        return r_p, elo_ratings(koth_mod._win_matrix(u_k))
+    scale = float(np.abs(u_k).max())
+    if scale > 0:
+        u_k = u_k / scale
+    game = _skill_game(u_k)
+    targets = affinity_targets(game)
+    overrides = config.solver
+    if overrides is None:
+        overrides = NE_OVERRIDES if config.rating_method == "ne" else {}
+    try:
+        regs = solvers.solve(game, config.rating_method, targets, **overrides).regrets
+    except ConvergenceError as exc:
+        # rate with the last iterate rather than dying; candidate
+        # selection only needs the rating order
+        event = {"iteration": t, "shape": list(game.shape), "kind": "convergence_error"}
+        fallbacks.append({**event, "exploitability": exc.trace[-1].exploitability})
+        regs = all_regrets(game, exc.iterate)
+    return regs[0], regs[1]
 
 
-def _run_trial(
-    config: SimConfig, trial: int, seed: int, rater: _EquilibriumRater | None
-) -> TrialResult:
+def _run_trial(task: tuple[SimConfig, int, int]) -> TrialResult:
+    """One trial of the selection procedure; ``task`` is ``(config, trial, seed)``."""
+    config, trial, seed = task
     rng = np.random.default_rng(seed)
-    fallbacks = [] if rater is None else rater.fallbacks
+    fallbacks: list[dict] = []
     S = config.num_skills
     prompts = list(rng.dirichlet(np.ones(S), size=config.initial_prompts))
     models = list(rng.dirichlet(np.ones(S), size=config.initial_models))
-
-    def rate_sets(p_stack, m_stack, t):
-        if rater is not None:
-            return rater.rate(p_stack, m_stack, t)
-        u_k = _king_tensor(p_stack, m_stack)
-        r_p = np.array([separability(u_k, i) for i in range(u_k.shape[0])])
-        r_m = elo_ratings(koth_mod._win_matrix(u_k))
-        return r_p, r_m
-
     snapshots = [_snapshot(0, prompts, models)]
     for t in range(1, config.iterations + 1):
         if config.additional_prompts:
             cand_p = rng.dirichlet(np.ones(S), size=config.candidate_prompts)
             stack_p = np.concatenate([cand_p, np.stack(prompts)])
-            r_p, _ = rate_sets(stack_p, np.stack(models), t)
+            r_p, _ = _ratings(config, stack_p, np.stack(models), t, fallbacks)
             best = _pick(r_p[: config.candidate_prompts])
             prompts.append(cand_p[best])
         candidate = np.zeros(S)
@@ -252,7 +237,7 @@ def _run_trial(
                 )
             deltas = rng.dirichlet(np.ones(S), size=config.candidate_increments)
             stack_m = np.concatenate([candidate + deltas, np.stack(models)])
-            _, r_m = rate_sets(np.stack(prompts), stack_m, t)
+            _, r_m = _ratings(config, np.stack(prompts), stack_m, t, fallbacks)
             best = _pick(r_m[: config.candidate_increments])
             candidate = candidate + deltas[best]
             if best == _pick(r_m):
@@ -260,12 +245,6 @@ def _run_trial(
                 break
         snapshots.append(_snapshot(t, prompts, models))
     return TrialResult(trial=trial, seed=seed, fallbacks=fallbacks, snapshots=snapshots)
-
-
-def _trial_task(args) -> TrialResult:
-    config, trial, seed = args
-    rater = _EquilibriumRater(config) if config.rating_method != "elo" else None
-    return _run_trial(config, trial, seed, rater)
 
 
 def run_simulation(config: SimConfig) -> SimTrajectory:
@@ -282,9 +261,9 @@ def run_simulation(config: SimConfig) -> SimTrajectory:
     tasks = [(config, trial, seeds[trial]) for trial in range(config.trials)]
     if config.n_jobs > 1:
         with ProcessPoolExecutor(max_workers=min(config.n_jobs, config.trials)) as pool:
-            results = list(pool.map(_trial_task, tasks))
+            results = list(pool.map(_run_trial, tasks))
     else:
-        results = [_trial_task(t) for t in tasks]
+        results = [_run_trial(t) for t in tasks]
     return SimTrajectory(config=config, trials=results)
 
 

@@ -786,6 +786,27 @@ def test_king_string_keeps_every_bit_through_save_read_and_build(tmp_path):
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
+@pytest.mark.parametrize("method", ["ne", "cce"])
+def test_solve_rejects_payoffs_whose_gaps_overflow(tmp_path, capsys, monkeypatch, method):
+    # finite payoffs past float64's square root overflow the dissimilarity:
+    # solve names it in one line and exits 2, where the NaN kernel made the
+    # targets' maximizer spin to its iteration cap; a warning on the way
+    # would fail the test, as tier-1 turns warnings into errors
+    def unreached(*args, **kwargs):
+        raise AssertionError("the targets' maximizer ran")
+
+    monkeypatch.setattr(kernels, "max_affinity_entropy", unreached)
+    king = np.resize(np.array([1e308, -1e308, -1e308, 1e308, 1e308, -1e308, 0.5, -1e308, 1e308]), (2, 3, 3))
+    labels = [["q0", "q1"], ["m0", "m1", "m2"], ["m0", "m1", "m2"]]
+    data = {"actions": labels, "shape": [2, 3, 3], "king": king.ravel().tolist(), "clone_sources": [None, None]}
+    game, out = tmp_path / "huge.json", tmp_path / "eq.json"
+    game.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["solve", "--game", str(game), "--method", method, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: player 0's payoff dissimilarity overflows float64; rescale the payoffs\n"
+    assert not out.exists()
+
+
 def test_rate_rejects_a_bad_king_string(tmp_path, capsys):
     game, _ = _build_game(tmp_path, prompts=3, models=3)
     data = json.loads(game.read_text(encoding="utf-8"))

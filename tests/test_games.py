@@ -178,6 +178,12 @@ def test_game_validation_errors():
         Game(("a", "b"), (("x",), ("y",)), (np.array([[np.nan]]), np.zeros((1, 1))))
     with pytest.raises(DimensionError):
         Game(("a", "b"), (("x",), ("y",)), (np.zeros((1, 2)), np.zeros((1, 2))))
+    with pytest.raises(DimensionError, match="at least one player"):
+        Game((), (), ())
+    with pytest.raises(DimensionError, match="must align"):
+        Game(("a", "b"), (("x",),), (np.zeros(1),))
+    with pytest.raises(DimensionError, match="at least one action"):
+        Game(("a", "b"), (("x",), ()), (np.zeros((1, 0)), np.zeros((1, 0))))
 
 
 def test_profile_validation():
@@ -187,6 +193,20 @@ def test_profile_validation():
         JointDistribution(np.array([[0.6, 0.6]]))
     with pytest.raises(DimensionError):
         ProductProfile((np.array([-0.1, 1.1]),))
+    with pytest.raises(DimensionError, match="must be a vector"):
+        ProductProfile((np.full((2, 2), 0.25),))
+    with pytest.raises(DimensionError, match="negative entries"):
+        JointDistribution(np.array([[-0.1, 1.1]]))
+
+
+@pytest.mark.parametrize("player", [-1, 2])
+def test_player_and_action_indices_checked(rps, player):
+    prof = uniform_product(rps)
+    for fn in (expected_utility, deviation_payoff):
+        with pytest.raises(DimensionError, match=f"player index {player} out of range"):
+            fn(rps, prof, player)
+    with pytest.raises(DimensionError, match="action index 3 out of range for player 0"):
+        regret(rps, prof, 0, 3)
 
 
 def test_shape_mismatch_raises(rps):

@@ -96,6 +96,16 @@ class TestDissimilarity:
         with pytest.raises(DimensionError, match=f"player index {player} out of range"):
             dissimilarity(rps, player)
 
+    @pytest.mark.parametrize("dissimilarity", [dissimilarity_joint, dissimilarity_factorized])
+    def test_payoff_gaps_past_float64_rejected_without_a_warning(self, dissimilarity):
+        # finite payoffs whose squared gaps overflow; a warning would fail
+        # the test, as tier-1 turns warnings into errors
+        for player in range(3):
+            with pytest.raises(ParameterError, match=f"player {player}'s payoff dissimilarity overflows"):
+                dissimilarity(random_game((2, 3, 3), 0, scale=1e300), player)
+        # gaps well under float64's largest square root still fit
+        assert np.isfinite(dissimilarity(random_game((2, 3, 3), 0, scale=1e150), 0)).all()
+
 
 class TestSimilarityKernel:
     def test_zero_dissimilarity_gives_all_ones(self):
@@ -117,6 +127,16 @@ class TestSimilarityKernel:
             similarity_kernel(np.zeros((2, 2)), variance=(2 * 0.0) ** 2)
         with pytest.raises(TypeError):
             similarity_kernel(np.zeros((2, 2)))
+
+    def test_a_kernel_that_is_not_finite_rejected(self):
+        for bad in (np.nan, -1.0):
+            with pytest.raises(ParameterError, match="kernel is not finite"):
+                similarity_kernel(np.array([[0.0, bad], [bad, 0.0]]), variance=1e-6)
+
+    def test_a_dissimilarity_past_float64_over_the_variance_is_zero(self):
+        # D / variance overflows past 1.8e302 here, with no warning
+        K = similarity_kernel(np.array([[0.0, 1e308], [np.inf, 0.0]]), variance=1e-6)
+        assert np.array_equal(K, np.eye(2))
 
     def test_nan_variance_rejected(self):
         with pytest.raises(ParameterError, match="variance"):

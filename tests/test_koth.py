@@ -97,6 +97,11 @@ class TestBuild:
         with pytest.raises(ParameterError):
             rec("q", "a", "a", 0.0)
 
+    def test_no_records_rejected(self):
+        with pytest.raises(IncompleteDataError, match="no preference records") as exc:
+            build_koth([])
+        assert exc.value.missing == []
+
     def test_invariants_on_built_game(self, small_koth):
         u_p, u_k, u_r = small_koth.game.utilities
         assert np.all(u_p >= 0)
@@ -175,6 +180,11 @@ class TestInjectClones:
 
     def test_noop_on_empty(self, small_koth):
         assert inject_clones(small_koth, []) is small_koth
+
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_prompt_index_out_of_range(self, small_koth, index):
+        with pytest.raises(DimensionError, match=f"prompt index {index} out of range"):
+            inject_clones(small_koth, [0, index])
 
     @pytest.mark.parametrize("h", [-0.01, float("nan")])
     def test_negative_or_nan_noise_rejected(self, small_koth, h):

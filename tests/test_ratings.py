@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from eqrate.errors import ParameterError
+from eqrate.errors import DimensionError, ParameterError
 from eqrate.games import JointDistribution, ProductProfile
 from eqrate.ratings import (
     DEFAULT_TIE_TOL,
@@ -149,6 +149,17 @@ class TestDecompose:
         with pytest.raises(ParameterError):
             decompose(rps, uniform_product(rps), 0, 0, 0)
 
+    @pytest.mark.parametrize("player, co_player", [(2, 0), (0, -1)])
+    def test_player_index_out_of_range(self, rps, player, co_player):
+        with pytest.raises(DimensionError, match="player index out of range"):
+            decompose(rps, uniform_product(rps), player, 0, co_player)
+
+    def test_action_and_profile_shape_checked(self, rps, chicken):
+        with pytest.raises(DimensionError, match="action index out of range"):
+            decompose(rps, uniform_product(rps), 0, 3, 1)
+        with pytest.raises(DimensionError, match="profile shape does not match game"):
+            decompose(rps, uniform_product(chicken), 0, 0, 1)
+
     def test_csv_with_family_totals(self, tmp_path, rps):
         joint = JointDistribution(np.full((3, 3), 1 / 9))
         table = decompose(rps, joint, 0, 1, 1, {"rock": "fam"})
@@ -213,6 +224,13 @@ class TestElo:
             elo_ratings(np.array([[0.5, 0.7], [0.4, 0.5]]))
         with pytest.raises(ParameterError):
             elo_ratings(np.array([[0.4, 0.7], [0.3, 0.5]]))
+        with pytest.raises(DimensionError, match="square"):
+            elo_ratings(np.full((2, 3), 0.5))
+        with pytest.raises(ParameterError, match=r"in \[0, 1\]"):
+            elo_ratings(np.array([[0.5, 1.5], [-0.5, 0.5]]))
+
+    def test_one_model_rates_zero(self):
+        assert elo_ratings(np.array([[0.5]])).tolist() == [0.0]
 
     def test_degenerate_all_wins_finite(self):
         w = np.array([[0.5, 1.0], [0.0, 0.5]])
@@ -224,6 +242,12 @@ class TestElo:
 class TestSeparability:
     def test_all_zero(self):
         assert separability(np.zeros((2, 3, 3)), 0) == 0.0
+
+    def test_shape_and_prompt_checked(self):
+        with pytest.raises(DimensionError, match="prompts x models x models"):
+            separability(np.zeros((2, 3, 2)), 0)
+        with pytest.raises(DimensionError, match="prompt index out of range"):
+            separability(np.zeros((2, 3, 3)), 2)
 
     def test_full_separation(self):
         u = np.ones((1, 2, 2))

@@ -21,15 +21,24 @@ def test_cce_arm_runs():
     assert [s["t"] for s in trial.snapshots] == [0, 1, 2]
 
 
-def test_solver_overrides_per_arm():
-    ne = skillsim._EquilibriumRater(skillsim.SimConfig(rating_method="ne"))
-    cce = skillsim._EquilibriumRater(skillsim.SimConfig(rating_method="cce"))
-    given = skillsim._EquilibriumRater(
-        skillsim.SimConfig(rating_method="cce", solver={"epsilon_cce": 1e-4})
-    )
-    assert ne.overrides == skillsim._EquilibriumRater.DEFAULT_OVERRIDES
-    assert cce.overrides == {}
-    assert given.overrides == {"epsilon_cce": 1e-4}
+def test_solver_overrides_per_arm(monkeypatch):
+    calls = []
+    solve = solvers.solve
+
+    def spy(game, method, targets, **overrides):
+        calls.append((method, overrides))
+        return solve(game, method, targets, **overrides)
+
+    monkeypatch.setattr(solvers, "solve", spy)
+    rng = np.random.default_rng(2)
+    prompts, models = rng.dirichlet(np.ones(4), size=6), rng.dirichlet(np.ones(4), size=3)
+    for config in (
+        skillsim.SimConfig(rating_method="ne"),
+        skillsim.SimConfig(rating_method="cce"),
+        skillsim.SimConfig(rating_method="cce", solver={"epsilon_cce": 1e-4}),
+    ):
+        skillsim._ratings(config, prompts, models, 1, [])
+    assert calls == [("ne", skillsim.NE_OVERRIDES), ("cce", {}), ("cce", {"epsilon_cce": 1e-4})]
 
 
 def test_bt_model_ratings_are_elo_of_the_skill_game():
@@ -46,7 +55,7 @@ def test_bt_model_ratings_are_elo_of_the_skill_game():
 def test_convergence_fallback_is_recorded():
     # five steps cannot finish a trace, so every cold solve falls back to
     # its unconverged iterate
-    solver = {**skillsim._EquilibriumRater.DEFAULT_OVERRIDES, "max_steps": 5}
+    solver = {**skillsim.NE_OVERRIDES, "max_steps": 5}
     traj = skillsim.run_simulation(
         skillsim.SimConfig(rating_method="ne", trials=1, iterations=2, solver=solver)
     )
@@ -114,51 +123,52 @@ def test_ne_rating_is_one_cold_lle_trace():
     rng = np.random.default_rng(11)
     prompts = rng.dirichlet(np.ones(4), size=12)
     models = rng.dirichlet(np.ones(4), size=5)
-    rater = skillsim._EquilibriumRater(skillsim.SimConfig(rating_method="ne"))
-    r_p, r_m = rater.rate(prompts, models, 1)
+    fallbacks = []
+    r_p, r_m = skillsim._ratings(skillsim.SimConfig(rating_method="ne"), prompts, models, 1, fallbacks)
     u_k = skillsim._king_tensor(prompts, models)
     game = skillsim._skill_game(u_k / np.abs(u_k).max())
     config = solvers.QREConfig(targets=affinity_targets(game), tau_terminal=0.1)
     expected = solvers.solve_lle(game, config).regrets
     assert np.array_equal(r_p, expected[0])
     assert np.array_equal(r_m, expected[1])
-    assert rater.fallbacks == []
+    assert fallbacks == []
 
 
 @pytest.mark.parametrize("method", ["ne", "cce"])
 @pytest.mark.parametrize("duplicates", [False, True])
 def test_ratings_are_the_regrets_at_the_solved_profile(method, duplicates):
-    # the rater rates from the solve's own regrets; with an exact copy of a
+    # the ratings are the solve's own regrets; with an exact copy of a
     # prompt the solve runs on the quotient and takes them on the full game
     rng = np.random.default_rng(5)
     prompts = rng.dirichlet(np.ones(4), size=9)
     if duplicates:
         prompts = np.concatenate([prompts, prompts[2:3]])
     models = rng.dirichlet(np.ones(4), size=4)
-    rater = skillsim._EquilibriumRater(skillsim.SimConfig(rating_method=method))
-    ratings_ = rater.rate(prompts, models, 1)
+    fallbacks = []
+    ratings_ = skillsim._ratings(skillsim.SimConfig(rating_method=method), prompts, models, 1, fallbacks)
     u_k = skillsim._king_tensor(prompts, models)
     game = skillsim._skill_game(u_k / np.abs(u_k).max())
     assert (solvers._duplicate_classes(game) is not None) == duplicates
-    result = solvers.solve(game, method, affinity_targets(game), **rater.overrides)
+    overrides = skillsim.NE_OVERRIDES if method == "ne" else {}
+    result = solvers.solve(game, method, affinity_targets(game), **overrides)
     for got, want in zip(ratings_, all_regrets(game, result.profile)):
         assert np.abs(got - want).max() <= 1e-12
-    assert rater.fallbacks == []
+    assert fallbacks == []
 
 
-def test_fold_records_no_fallback():
+def test_fold_records_no_fallback(monkeypatch):
     # the QRE branch turns steeply near tau 0.12, above the default
     # overrides' terminal temperature, where a temperature grid stalls; the
     # arclength trace passes and rates with the solved profile
     game = fold_game()
-    targets = affinity_targets(game)
-    rater = skillsim._EquilibriumRater(skillsim.SimConfig(rating_method="ne"))
-    regrets = rater._solve(game, targets, 3)
-    assert rater.fallbacks == []
-    result = solvers.solve_lle(game, solvers.QREConfig(targets=targets, tau_terminal=0.1))
+    # the fold game is a KOTH game of judge scores, not of skill vectors
+    monkeypatch.setattr(skillsim, "_skill_game", lambda u_k: game)
+    fallbacks = []
+    r_p, r_m = skillsim._ratings(skillsim.SimConfig(rating_method="ne"), np.eye(4), np.eye(4)[:3], 3, fallbacks)
+    assert fallbacks == []
+    result = solvers.solve_lle(game, solvers.QREConfig(targets=affinity_targets(game), tau_terminal=0.1))
     assert result.termination == "terminal_tau"
-    for got, want in zip(regrets, result.regrets):
-        assert np.array_equal(got, want)
+    assert np.array_equal(r_p, result.regrets[0]) and np.array_equal(r_m, result.regrets[1])
 
 
 def test_default_trial_records_no_fallback():
@@ -210,6 +220,9 @@ def test_solver_values_checked_by_the_arm_config():
         skillsim.SimConfig(rating_method="cce", solver={"epsilon_cce": -1.0})
     with pytest.raises(ParameterError, match="max_steps"):
         skillsim.SimConfig(rating_method="cce", solver={"max_steps": "5"})
+    # a value the arm config cannot compare is named with the settings
+    with pytest.raises(ParameterError, match="solver settings {'tau_terminal': '0.1'}"):
+        skillsim.SimConfig(rating_method="ne", solver={"tau_terminal": "0.1"})
     # the elo arm solves nothing and checks no solver values
     skillsim.SimConfig(rating_method="elo", solver={"tau_terminal": float("inf")})
 
@@ -224,6 +237,13 @@ def test_cce_selection_keeps_more_prompt_skills_than_elo():
     assert not any(t.aborted or t.fallbacks for t in cce.trials)
     diff = [c.snapshots[-1]["H_p"] - e.snapshots[-1]["H_p"] for c, e in zip(cce.trials, elo.trials)]
     assert min(diff) > 0
+
+
+def test_entropy_of_a_zero_vector_and_trace_of_no_trials():
+    assert skillsim.shannon_entropy(np.zeros(3)) == 0.0
+    assert skillsim.shannon_entropy(np.array([2.0, 2.0])) == pytest.approx(np.log(2.0))
+    with pytest.raises(ParameterError, match="empty trajectory"):
+        skillsim.entropy_trace(skillsim.SimTrajectory(config=skillsim.SimConfig(), trials=[]))
 
 
 def test_selection_picks_the_first_of_the_near_best():

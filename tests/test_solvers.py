@@ -28,6 +28,7 @@ from eqrate.solvers import (
     _arc_correct,
     _Contraction,
     _indifference,
+    _polish,
     _newton_direction,
     _qre_gap,
     _qre_residual,
@@ -848,6 +849,15 @@ class TestSolveLLE:
         assert sum(max(float(r.max()), 0.0) for r in res.regrets) == res.exploitability
         assert "regrets" not in res.to_dict()
 
+    def test_a_result_without_targets_writes_null_targets(self, chicken):
+        # targets default to None on a hand-made result, and a product
+        # profile loads without them
+        res = replace(solve_lle(chicken), targets=None)
+        data = json.loads(json.dumps(res.to_dict()))
+        assert data["targets"] is None
+        for got, want in zip(profile_from_dict(data, chicken).marginals, res.profile.marginals):
+            assert np.array_equal(got, want)
+
     def test_serialization_round_trip(self, tmp_path, rps):
         res = solve_lle(rps, QREConfig(targets=affinity_targets(rps)))
         path = tmp_path / "eq.json"
@@ -1525,6 +1535,56 @@ class TestEnumerate:
         assert len(result.profiles) == 1
         assert exploitability(game, result.profiles[0]) <= 1e-9
 
+    def test_polish_rejects_a_support_with_an_exact_clone(self, rps_dup_rock):
+        # the two rocks give equal indifference rows, so the Jacobian is
+        # singular; every candidate is kept as traced
+        ops = _Contraction(rps_dup_rock)
+        assert _polish(ops, np.concatenate([np.full(4, 0.25), np.full(3, 1 / 3)])) is None
+        result = enumerate_nes(rps_dup_rock, count=2)
+        assert result.profiles and max(result.exploitabilities) <= 1e-3
+
+    def test_polish_rejects_negative_mass(self):
+        # the column mix that leaves the row player indifferent is (2, -1)
+        u = np.array([[1.0, 4.0], [0.0, 2.0]])
+        game = Game(("r", "c"), (("a0", "a1"), ("b0", "b1")), (u, -u))
+        assert _polish(_Contraction(game), np.full(4, 0.5)) is None
+
+    def test_polish_rejects_a_gain_off_the_support(self):
+        # matching pennies on rows a0 and a1, and row a2 pays 2 whatever
+        # the column: the support's equilibrium leaves a gain of 2
+        u = np.array([[1.0, -1.0], [-1.0, 1.0], [2.0, 2.0]])
+        game = Game(("r", "c"), (("a0", "a1", "a2"), ("b0", "b1")), (u, -u))
+        assert _polish(_Contraction(game), np.array([0.5, 0.5, 0.0, 0.5, 0.5])) is None
+
+    def test_polish_gives_up_after_newton_iters(self, chicken, monkeypatch):
+        # one Newton step is taken, but its result is never checked
+        monkeypatch.setattr(solvers_mod, "NEWTON_ITERS", 1)
+        assert _polish(_Contraction(chicken), np.array([0.6, 0.4, 0.6, 0.4])) is None
+
+    def test_stalled_and_over_epsilon_priors_are_skipped(self, rps_dup_rock, monkeypatch):
+        # every prior after the LLE raises, and each is counted in stalled
+        real = solvers_mod.solve_lle
+        calls = []
+
+        def stall_priors(game, config):
+            calls.append(config)
+            if len(calls) > 1:
+                raise ConvergenceError("stalled")
+            return real(game, config)
+
+        monkeypatch.setattr(solvers_mod, "solve_lle", stall_priors)
+        result = enumerate_nes(rps_dup_rock, count=2, replicas=3)
+        assert result.stalled == 3 and len(calls) == 4
+        assert len(result.profiles) == 1 and not result.complete
+        monkeypatch.setattr(solvers_mod, "solve_lle", real)
+        # the clones keep every candidate unpolished, and the priors' traces
+        # end up to 9.3e-4 from an equilibrium: at epsilon 1e-6 none is kept
+        loose = enumerate_nes(rps_dup_rock, count=2)
+        tight = enumerate_nes(rps_dup_rock, count=2, epsilon=1e-6)
+        assert len(loose.profiles) == 2 and max(loose.exploitabilities) > 1e-6
+        assert len(tight.profiles) == 1 and tight.stalled == 0
+        assert tight.exploitabilities == loose.exploitabilities[:1]
+
     @pytest.mark.parametrize("shape", [(3, 3), (4, 3, 2), (2, 3, 2, 2), "koth"])
     def test_indifference_jacobian_matches_central_differences(self, shape):
         # a wrong pair block would still let Newton reach a fixed point of
@@ -1596,6 +1656,12 @@ class TestRiskDominance:
         u1 = chicken.utilities[0]
         val = nes[2].marginals[0] @ u1 @ nes[1].marginals[1]
         assert val == pytest.approx(-12.0)
+
+    def test_eta_and_equilibria_checked(self, chicken):
+        with pytest.raises(ParameterError, match="eta must be positive"):
+            risk_dominance_beliefs(chicken, self.chicken_nes(), eta=0.0)
+        with pytest.raises(ParameterError, match="at least one equilibrium"):
+            risk_dominance_beliefs(chicken, [])
 
     def test_known_equilibrium_becomes_focal(self, chicken):
         nes = self.chicken_nes()
